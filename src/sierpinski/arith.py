@@ -151,6 +151,43 @@ def prime_verdict(x: int, rounds: int = _MIN_RANDOM_ROUNDS, seed: int = 0) -> tu
     return True, PROBABLE
 
 
+_POCKLINGTON_BASES = _TRIAL_PRIMES[:25]  # the primes below 100
+
+
+def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
+    """Prove x prime or composite from a factored part f of x - 1.
+
+    Pocklington's N - 1 theorem (Brillhart, Lehmer & Selfridge 1975): if
+    for every prime q | f some base a has a**(x-1) == 1 (mod x) and
+    gcd(a**((x-1)/q) - 1, x) = 1, then every prime factor of x is 1 mod f,
+    so f**2 > x makes x prime. f_primes must be exactly the primes of f.
+    A failed Fermat check or a proper gcd proves x composite. Returns None
+    when no base in a fixed short list settles some q. Requires f | x - 1
+    and f**2 > x (ValueError otherwise).
+    """
+    if f < 1 or (x - 1) % f or f * f <= x:
+        raise ValueError("need f | x - 1 and f**2 > x")
+    for p in _TRIAL_PRIMES:
+        if x % p == 0:
+            return x == p
+    if x < _TRIAL_PRIMES[-1] ** 2:
+        return x > 1
+    for q in f_primes:
+        e = (x - 1) // q
+        for a in _POCKLINGTON_BASES:
+            y = pow(a, e, x)
+            if pow(y, q, x) != 1:
+                return False
+            g = math.gcd(y - 1, x)
+            if g == 1:
+                break
+            if g != x:
+                return False
+        else:
+            return None
+    return True
+
+
 def is_prime(x: int, rounds: int = _MIN_RANDOM_ROUNDS, seed: int = 0) -> bool:
     return prime_verdict(x, rounds=rounds, seed=seed)[0]
 

@@ -62,9 +62,10 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     """Smallest prime p | Phi_n(m) with gcd(p, n) = 1.
 
     Such a p has multiplicative order exactly n mod m, hence for n >= 2
-    also gcd(p, m - 1) = 1 (asserted). With an incomplete factorization
-    the minimum is only certified when the best candidate lies below the
-    trial-division bound (everything hidden in the cofactor is larger).
+    also gcd(p, m - 1) = 1 (checked; ArithmeticError otherwise). With an
+    incomplete factorization the minimum is only certified when the best
+    candidate lies below the trial-division bound (everything hidden in
+    the cofactor is larger).
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
@@ -76,8 +77,8 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     if qualifying:
         p = min(qualifying)
         if fac.is_complete or p < budget.trial_bound:
-            if n >= 2:
-                assert math.gcd(p, m - 1) == 1, "order-n prime cannot divide m-1"
+            if n >= 2 and math.gcd(p, m - 1) != 1:
+                raise ArithmeticError(f"order-{n} prime {p} divides m - 1 = {m - 1}")
             return p
     if not fac.is_complete:
         raise FactorBudgetExceeded(

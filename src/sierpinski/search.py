@@ -4,7 +4,7 @@ Pipeline: factor m**n - 1 layer by layer (via Phi_n(m)) into a pool of
 usable primes keyed by multiplicative order, enumerate every covering
 system on a moduli multiset, CRT each injective prime assignment into a
 candidate k, drop trivial candidates, then try to eliminate every smaller
-k by exhibiting a (probable) prime k*m**n + 1.
+k by exhibiting a prime k*m**n + 1.
 """
 
 from __future__ import annotations
@@ -16,11 +16,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import (
+    _DETERMINISTIC_LIMIT,
+    PROVEN,
     Congruence,
     FactorBudget,
     crt_solve,
     factorize,
+    mod_inverse,
     multiplicative_order,
+    pocklington_verdict,
     prime_verdict,
 )
 from .covering import DEFAULT_MAX_ASSIGNMENTS, CoveringSystem, enumerate_covers
@@ -267,7 +271,11 @@ def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int |
 
 
 def crt_solve_for(cover: CoveringSystem, assignment, m: int) -> Congruence:
-    """The CRT class of multipliers k for one cover/prime assignment."""
+    """The CRT class of multipliers k for one cover/prime assignment.
+
+    search_min computes the same class from tables; this is the per-cell
+    reference.
+    """
     return crt_solve(build_congruences(m, cover, assignment, SIERPINSKI))
 
 
@@ -281,11 +289,17 @@ def eliminate_small_k(
     """Classify every k <= k_scan_bound.
 
     trivial when k = -1 mod some q | m - 1; otherwise prime_found with
-    the least n <= n_max making k*m**n + 1 a (probable) prime; otherwise
-    survivor. Scans n upward and stops at the first hit.
+    the least n <= n_max making k*m**n + 1 prime; otherwise survivor.
+    Scans n upward and stops at the first hit. Terms at or above 2**64
+    with m**n > k are proven prime or composite by Pocklington's theorem
+    on the factored part m**n of the term minus one; every other term,
+    and any the theorem leaves open, gets prime_verdict.
     """
     if m < 2 or n_max < 1:
         raise ValueError("need m >= 2 and n_max >= 1")
+    fac = factorize(m)
+    proven = fac.is_complete and all(c == PROVEN for _, _, c in fac.factors)
+    m_primes = fac.primes() if proven else None  # Pocklington needs proven primes of m
     records = []
     for k in range(1, k_scan_bound + 1):
         q = next((q for q in triviality_primes if k % q == q - 1), None)
@@ -297,7 +311,11 @@ def eliminate_small_k(
         for n in range(1, n_max + 1):
             power *= m
             value = k * power + 1
-            isp, certainty = prime_verdict(value, seed=seed)
+            isp = None
+            if m_primes is not None and power > k and value >= _DETERMINISTIC_LIMIT:
+                isp, certainty = pocklington_verdict(value, power, m_primes), PROVEN
+            if isp is None:
+                isp, certainty = prime_verdict(value, seed=seed)
             if isp:
                 hit = EliminationRecord(
                     k=k, status=PRIME_FOUND, n=n, value=value, certainty=certainty
@@ -332,13 +350,30 @@ def search_min(config: SearchConfig) -> SearchReport:
     candidates: list[CandidateSolution] = []
     if moduli:
         covers = enumerate_covers(moduli, config.max_assignments)
+        # Each cell is crt_solve_for(cover, primes, m) from two tables: the
+        # residue -m**(-a) mod p of each (p, a), and per prime set the CRT
+        # modulus M with the basis e_p = 1 mod p, 0 mod the other primes.
+        residues = {
+            (p, a): -mod_inverse(pow(m, a, p), p) % p
+            for n in set(moduli) for p in pool.primes(n) for a in range(n)
+        }
+        crt_bases: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
         for cover in covers:
             try:
                 assignments = assignments_for_cover(cover, pool)
             except InsufficientPrimes:
                 continue
+            shifts = cover.residues
             for primes in assignments:
-                sol = crt_solve_for(cover, primes, m)
+                key = tuple(sorted(primes))
+                if key not in crt_bases:
+                    modulus = crt_solve(Congruence(0, p) for p in key).modulus
+                    crt_bases[key] = modulus, {
+                        p: modulus // p * mod_inverse(modulus // p, p) for p in key
+                    }
+                modulus, basis = crt_bases[key]
+                residue = sum(residues[p, a] * basis[p] for a, p in zip(shifts, primes))
+                sol = Congruence(residue % modulus, modulus)
                 forced = next(
                     (q for q in qs if sol.modulus % q == 0 and sol.residue % q == q - 1),
                     None,

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import sympy
 
+import sierpinski.arith as arith
+
 from sierpinski.arith import (
     Congruence,
     FactorBudget,
@@ -18,6 +20,7 @@ from sierpinski.arith import (
     is_prime,
     mod_inverse,
     multiplicative_order,
+    pocklington_verdict,
     prime_verdict,
 )
 
@@ -76,6 +79,55 @@ class TestPrimeVerdict:
     def test_large_prime_square_is_composite(self):
         p = 618970019642690137449562111  # 2^89 - 1
         assert prime_verdict(p * p)[0] is False
+
+
+def _terms_above_2_64(m, count):
+    """(x, m**n) for x = k*m**n + 1 >= 2**64 with m**n > k, k and n small."""
+    out = []
+    for k in range(1, count):
+        n0 = 1
+        while k * m**n0 + 1 < 2**64 or m**n0 <= k:
+            n0 += 1
+        out += [(k * m**n + 1, m**n) for n in range(n0, n0 + 4)]
+    return out[:count]
+
+
+class TestPocklingtonVerdict:
+    # prime m, and m with two or three distinct primes
+    BASES = (2, 7, 127, 10, 22, 1000, 30, 210)
+
+    @pytest.mark.parametrize("m", BASES)
+    def test_proves_primes_and_rejects_composites(self, m):
+        primes = tuple(sympy.primefactors(m))
+        primes_seen = composites_past_trial_division = 0
+        for x, f in _terms_above_2_64(m, 400):
+            isp = sympy.isprime(x)
+            assert pocklington_verdict(x, f, primes) is isp, x
+            primes_seen += isp
+            composites_past_trial_division += not isp and all(x % p for p in range(2, 1000))
+        assert primes_seen >= 5 and composites_past_trial_division >= 10
+
+    def test_small_values_go_by_trial_division(self):
+        assert pocklington_verdict(7, 3, (3,)) is True  # 6 = 2 * 3, 9 > 7
+        assert pocklington_verdict(9, 4, (2,)) is False
+        assert pocklington_verdict(1, 2, (2,)) is False
+
+    def test_unsettled_base_list_gives_none(self, monkeypatch):
+        # 4 is a square, so it never settles q = 2 for a prime x
+        x, f = 16 * 1000**7 + 1, 1000**7
+        assert sympy.isprime(x) and pocklington_verdict(x, f, (2, 5)) is True
+        monkeypatch.setattr(arith, "_POCKLINGTON_BASES", (4,))
+        assert pocklington_verdict(x, f, (2, 5)) is None
+
+    @pytest.mark.parametrize("x, f", [
+        (10 * 1000**7 + 1, 1000**7 + 1),  # f does not divide x - 1
+        (10 * 1000**7 + 1, 10),  # f**2 <= x
+        (10**6 * 1000 + 1, 1000),  # f = m**n <= k
+        (101, 0),
+    ])
+    def test_rejects_bad_f(self, x, f):
+        with pytest.raises(ValueError):
+            pocklington_verdict(x, f, (2, 5))
 
 
 class TestFactorize:

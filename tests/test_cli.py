@@ -1,6 +1,7 @@
 """Command-line interface: output text, JSON documents, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +309,25 @@ class TestParserPlumbing:
     def test_console_entry_point(self):
         import importlib.metadata as md
 
+        assert callable(cli.main)
+        try:
+            md.distribution("sierpinski")
+        except md.PackageNotFoundError:
+            # not installed (src/ on the path): check what an install declares
+            assert _declared_scripts().get("sierpinski") == "sierpinski.cli:main"
+            return
         eps = md.entry_points(group="console_scripts")
         ours = [ep for ep in eps if ep.name == "sierpinski"]
         assert ours and ours[0].value == "sierpinski.cli:main"
+
+
+def _declared_scripts() -> dict[str, str]:
+    """The [project.scripts] table of the checkout's pyproject.toml."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: read the flat key = "value" lines
+        table = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        pairs = (line.split("=", 1) for line in table.splitlines() if "=" in line)
+        return {k.strip(): v.strip().strip('"') for k, v in pairs}
+    return tomllib.loads(text)["project"]["scripts"]

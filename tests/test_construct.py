@@ -1,12 +1,13 @@
 """Certificate construction and verification for k*m**n +/- 1 families."""
 
 import dataclasses
+import importlib
 import json
 import math
 
 import pytest
 
-from sierpinski.arith import FactorBudget, crt_solve
+from sierpinski.arith import FactorBudget, Factorization, crt_solve
 from sierpinski.construct import (
     GENERIC_COVER,
     MERSENNE_COVER,
@@ -84,6 +85,16 @@ class TestSelectCoverPrime:
     def test_budget_exhaustion(self):
         with pytest.raises(FactorBudgetExceeded):
             select_cover_prime(34, 2, FactorBudget(trial_bound=2, rho_steps=0))
+
+    def test_prime_dividing_m_minus_1_is_refused(self, monkeypatch):
+        # a factorization claiming 3 | Phi_2(34) = 35 breaks the order
+        # invariant (3 | 33 = m - 1); the check must survive python -O
+        fake = Factorization(value=35, factors=((3, 1, "proven"),), cofactor=1)
+        # sierpinski.construct as an attribute is the function; patch the module
+        module = importlib.import_module("sierpinski.construct")
+        monkeypatch.setattr(module, "factorize", lambda value, budget: fake)
+        with pytest.raises(ArithmeticError, match="divides m - 1"):
+            select_cover_prime(34, 2)
 
     def test_incomplete_factorization_still_certifies_small_minimum(self):
         # Phi_12(24) = 331201 = 13 * 25477; the cofactor stays unfactored at

@@ -6,6 +6,7 @@ import math
 import pytest
 import sympy
 
+import sierpinski.arith as arith
 from sierpinski.arith import Congruence, FactorBudget
 from sierpinski.covering import BudgetExceeded, CoveringSystem
 from sierpinski.cyclotomic import eval_cyclotomic
@@ -161,6 +162,23 @@ class TestEliminateSmallK:
             elif r.status == TRIVIAL:
                 assert r.k % r.q == r.q - 1
 
+    def test_large_hits_are_proven(self):
+        records = eliminate_small_k(1000, 60, 60, (3, 37))
+        hits = [r for r in records if r.status == PRIME_FOUND]
+        assert any(r.value >= 2**64 for r in hits)
+        assert all(r.certainty == "proven" for r in hits)
+        for r in hits:
+            if r.value >= 2**64:
+                assert sympy.isprime(r.value)
+
+    def test_unsettled_terms_fall_back_to_prime_verdict(self, monkeypatch):
+        proven = eliminate_small_k(1000, 60, 60, (3, 37))
+        monkeypatch.setattr(arith, "_POCKLINGTON_BASES", (4,))  # never settles q = 2
+        fallback = eliminate_small_k(1000, 60, 60, (3, 37))
+        outcome = [(r.k, r.status, r.q, r.n, r.value) for r in fallback]
+        assert outcome == [(r.k, r.status, r.q, r.n, r.value) for r in proven]
+        assert {r.certainty for r in fallback if r.status == PRIME_FOUND} == {"proven", "probable"}
+
     def test_survivor_at_shallow_depth(self):
         records = eliminate_small_k(34, 16, 1, (3, 11))
         assert records[-1] == EliminationRecord(k=16, status=SURVIVOR)
@@ -210,9 +228,24 @@ class TestSearchMin:
     def test_base_127_six_moduli(self):
         report = search_min(SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8)))
         assert report.minimum_nontrivial_k == 11254645362
+        assert report.eliminations_all_proven
         assert report.certificate.entries == (
             (1, 3, 5419), (1, 4, 5), (0, 6, 13),
             (2, 6, 1231), (3, 8, 17), (7, 8, 137))
+
+    @pytest.mark.parametrize("base, moduli", [(127, (3, 4, 6, 6, 8, 8)), (34, (2, 2))])
+    def test_grid_cells_match_per_cell_reference(self, base, moduli):
+        report = search_min(SearchConfig(base, moduli=moduli, k_scan_bound=0))
+        assert report.candidates
+        qs = report.triviality_primes
+        for c in report.candidates:
+            assert c.crt == crt_solve_for(c.cover, c.primes, base)
+            ref = k_for(c.cover, c.primes, base, qs)
+            if isinstance(ref, Trivial):
+                assert (c.k, c.trivial_q) == (None, ref.q)
+            else:
+                assert c.k == ref
+                assert c.trivial_q == next((q for q in qs if ref % q == q - 1), None)
 
     def test_moduli_order_does_not_change_minimum(self):
         a = search_min(SearchConfig(127, moduli=(3, 4, 4, 6, 6)))
