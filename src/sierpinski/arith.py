@@ -6,6 +6,7 @@ Everything works on Python ints; nothing here assumes 64-bit operands.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -207,7 +208,10 @@ class FactorBudget:
     def default() -> "FactorBudget":
         env = os.environ.get(FACTOR_BOUND_ENV)
         if env:
-            return FactorBudget(trial_bound=int(env))
+            try:
+                return FactorBudget(trial_bound=int(env))
+            except ValueError:
+                raise ValueError(f"{FACTOR_BOUND_ENV} must be an integer >= 2, not {env!r}") from None
         return FactorBudget()
 
 
@@ -275,45 +279,105 @@ def _brent_rho(n: int, max_steps: int) -> tuple[int | None, int]:
     return None, used
 
 
+# Trial candidates are 5, 7, 11, 13, ... (6k +/- 1); a block is a run of
+# this many of them (even, so every block starts at some 6k + 5).
+_TRIAL_BLOCK = 1024
+
+
+def _candidate_after(t: int) -> int:
+    """The least trial candidate above t."""
+    c = max(t + 1, 5)
+    while c % 6 not in (1, 5):
+        c += 1
+    return c
+
+
+@functools.lru_cache(maxsize=256)
+def _block_product(block: int, clip: int) -> int:
+    """Product of the candidates of the given block that are <= clip."""
+    lo = 3 * _TRIAL_BLOCK * block + 5
+    return math.prod(range(lo, clip + 1, 6)) * math.prod(range(lo + 2, clip + 1, 6))
+
+
+def _trial_division(x: int, bound: int) -> tuple[list[int], int]:
+    """Trial stage of factorize: (primes of x found, with repeats, ascending; rest).
+
+    Strips 2 and 3, then the candidates 5, 7, 11, 13, ... in order until
+    the next candidate d exceeds bound or d*d exceeds what is left; a rest
+    with d*d > rest is prime and joins the primes. Each block of candidates
+    costs one gcd with their product, and a further pass over the block
+    only when that gcd is not 1. The returned rest is 1 or has only prime
+    factors above bound.
+    """
+    found = []
+    n = x
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+            found.append(p)
+    block = 0
+    while True:
+        # where the candidate-by-candidate loop stops, now that no candidate
+        # below this block divides n
+        d = _candidate_after(min(bound, math.isqrt(n)))
+        first = 3 * _TRIAL_BLOCK * block + 5
+        if d <= first:
+            break
+        g = math.gcd(n, _block_product(block, min(bound, first + 3 * _TRIAL_BLOCK - 4)))
+        c, step = first, 2
+        while c * c <= g:
+            if g % c == 0:
+                while n % c == 0:
+                    n //= c
+                    found.append(c)
+                g = math.gcd(g, n)
+            c += step
+            step = 6 - step
+        # a g > 1 left has no prime factor up to its square root: it is prime
+        if g > 1:
+            while n % g == 0:
+                n //= g
+                found.append(g)
+        block += 1
+    # every candidate below d was tested, so d*d > n proves n prime
+    if n > 1 and d * d > n:
+        found.append(n)
+        n = 1
+    return found, n
+
+
 def factorize(x: int, budget: FactorBudget | None = None, seed: int = 0) -> Factorization:
     """Factor x >= 1 within the given budget.
 
-    Trial division up to budget.trial_bound, then Brent rho on what is
-    left, splitting recursively until every piece passes prime_verdict or
-    the shared rho step budget runs out. Anything unfactored lands in the
-    cofactor, so reassemble() always returns x.
+    Trial division by 2, 3 and the 6k +/- 1 candidates up to
+    budget.trial_bound, taken as one gcd per block of candidates against
+    their product, then Brent rho on what is left, splitting recursively
+    until every piece passes prime_verdict or the shared rho step budget
+    runs out. Anything unfactored lands in the cofactor, so reassemble()
+    always returns x.
     """
     if x < 1:
         raise ValueError("x must be a positive integer")
     if budget is None:
         budget = FactorBudget.default()
-    found: dict[int, list] = {}
+    found, rest = _trial_division(x, budget.trial_bound)
+    return _factor_rest(x, found, rest, budget, seed)
+
+
+def _factor_rest(x: int, found, rest: int, budget: FactorBudget, seed: int = 0) -> Factorization:
+    """Rho stage of factorize, from the result of _trial_division(x, ...)."""
+    counts: dict[int, list] = {}
 
     def record(p: int, certainty: str):
-        entry = found.setdefault(p, [0, certainty])
+        entry = counts.setdefault(p, [0, certainty])
         entry[0] += 1
 
-    n = x
-    for p in (2, 3):
-        while n % p == 0:
-            n //= p
-            record(p, PROVEN)
-    d = 5
-    step = 2
-    while d <= budget.trial_bound and d * d <= n:
-        while n % d == 0:
-            n //= d
-            record(d, PROVEN)
-        d += step
-        step = 6 - step
-    # every candidate below the final d was tested, so d*d > n proves n prime
-    if n > 1 and d * d > n:
-        record(n, PROVEN)
-        n = 1
+    for p in found:
+        record(p, PROVEN)
     cofactor = 1
-    if n > 1:
+    if rest > 1:
         steps_left = budget.rho_steps
-        pending = [n]
+        pending = [rest]
         while pending:
             c = pending.pop()
             isp, certainty = prime_verdict(c, seed=seed)
@@ -330,7 +394,7 @@ def factorize(x: int, budget: FactorBudget | None = None, seed: int = 0) -> Fact
                 continue
             pending.append(f)
             pending.append(c // f)
-    factors = tuple((p, e, cert) for p, (e, cert) in sorted(found.items()))
+    factors = tuple((p, e, cert) for p, (e, cert) in sorted(counts.items()))
     return Factorization(value=x, factors=factors, cofactor=cofactor)
 
 

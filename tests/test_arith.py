@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sierpinski.arith as arith
 
@@ -183,6 +185,95 @@ class TestFactorize:
         assert f.primes() == (2, 3, 65537)
 
 
+def reference_factorize(x, budget):
+    """factorize as it was before block gcds: one % per 6k +/- 1 candidate.
+
+    Returns (factors, cofactor) for comparison with factorize(x, budget).
+    """
+    found = {}
+
+    def record(p, certainty):
+        found.setdefault(p, [0, certainty])[0] += 1
+
+    n = x
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+            record(p, "proven")
+    d, step = 5, 2
+    while d <= budget.trial_bound and d * d <= n:
+        while n % d == 0:
+            n //= d
+            record(d, "proven")
+        d += step
+        step = 6 - step
+    if n > 1 and d * d > n:
+        record(n, "proven")
+        n = 1
+    cofactor = 1
+    steps_left = budget.rho_steps
+    pending = [n] if n > 1 else []
+    while pending:
+        c = pending.pop()
+        isp, certainty = prime_verdict(c)
+        if isp:
+            record(c, certainty)
+            continue
+        if steps_left <= 0:
+            cofactor *= c
+            continue
+        f, used = arith._brent_rho(c, steps_left)
+        steps_left -= used
+        if f is None:
+            cofactor *= c
+            continue
+        pending += [f, c // f]
+    return tuple((p, e, cert) for p, (e, cert) in sorted(found.items())), cofactor
+
+
+TRIAL_BOUNDS = (2, 3, 4, 5, 6, 7, 1000, 100_000)
+# the first block of 1024 candidates ends at 3073; the second starts at 3077
+BLOCK_EDGE = (3061, 3067, 3071, 3073, 3077, 3079, 3083)
+
+
+@st.composite
+def factor_cases(draw):
+    """(x, trial_bound, rho_steps), leaning on the edges of the trial stage."""
+    bound = draw(st.sampled_from(TRIAL_BOUNDS))
+    q = sympy.nextprime(bound)
+    near_bound = (q, sympy.nextprime(q), q * q, sympy.prevprime(max(bound, 3)))
+    parts = draw(st.lists(st.sampled_from(BLOCK_EDGE + near_bound + (5, 7, 25, 99991, 100003)),
+                          max_size=4))
+    x = math.prod(parts) * draw(st.one_of(st.integers(1, 2**30), st.integers(1, 2**90)))
+    return x, bound, draw(st.sampled_from((0, 20_000)))
+
+
+class TestFactorizeAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(factor_cases())
+    @example((3071 * 3073 * 3077, 100_000, 0))
+    @example((100_003**2, 100_000, 0))
+    @example((100_003**2, 100_000, 20_000))
+    @example((3079**2 * 7, 3073, 0))
+    def test_matches_candidate_loop(self, case):
+        x, bound, steps = case
+        budget = FactorBudget(bound, steps)
+        fac = factorize(x, budget)
+        assert (fac.factors, fac.cofactor) == reference_factorize(x, budget)
+        assert fac.reassemble() == x
+
+    def test_small_bound_still_strips_two_and_three(self):
+        assert factorize(9, FactorBudget(2, 0)) == Factorization(9, ((3, 2, "proven"),), 1)
+        assert factorize(12 * 35, FactorBudget(2, 0)).factors == ((2, 2, "proven"), (3, 1, "proven"))
+
+    def test_sweep_against_reference(self):
+        for bound in TRIAL_BOUNDS:
+            budget = FactorBudget(bound, 2000)
+            for x in range(1, 4000):
+                fac = factorize(x, budget)
+                assert (fac.factors, fac.cofactor) == reference_factorize(x, budget), (x, bound)
+
+
 class TestCrt:
     def test_examples(self):
         sol = crt_solve([Congruence(4, 5), Congruence(1, 7)])
@@ -271,3 +362,10 @@ def test_factor_bound_env_override(monkeypatch):
     assert FactorBudget.default().trial_bound == 500
     monkeypatch.delenv("SIERPINSKI_FACTOR_BOUND")
     assert FactorBudget.default().trial_bound == 100_000
+
+
+@pytest.mark.parametrize("value", ["abc", "1e5", "1"])
+def test_factor_bound_env_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("SIERPINSKI_FACTOR_BOUND", value)
+    with pytest.raises(ValueError, match=f"SIERPINSKI_FACTOR_BOUND must be an integer >= 2, not {value!r}"):
+        FactorBudget.default()

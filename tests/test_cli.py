@@ -131,6 +131,13 @@ class TestFactorCommand:
     def test_zero_rejected(self, capsys):
         assert invoke(capsys, "factor", "0")[0] == 2
 
+    @pytest.mark.parametrize("value", ["abc", "1"])
+    def test_bad_factor_bound_env_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SIERPINSKI_FACTOR_BOUND", value)
+        code, out, err = invoke(capsys, "factor", "1155")
+        assert (code, out) == (2, "")
+        assert "SIERPINSKI_FACTOR_BOUND" in err and repr(value) in err
+
 
 class TestIsprimeCommand:
     def test_verdicts(self, capsys):

@@ -6,7 +6,9 @@ import json
 import math
 
 import pytest
+import sympy
 
+import sierpinski.arith as arith
 from sierpinski.arith import FactorBudget, Factorization, crt_solve
 from sierpinski.construct import (
     GENERIC_COVER,
@@ -26,6 +28,7 @@ from sierpinski.construct import (
     verify_certificate,
 )
 from sierpinski.covering import verify_cover
+from sierpinski.cyclotomic import eval_cyclotomic
 
 
 class TestMersenneLike:
@@ -92,9 +95,45 @@ class TestSelectCoverPrime:
         fake = Factorization(value=35, factors=((3, 1, "proven"),), cofactor=1)
         # sierpinski.construct as an attribute is the function; patch the module
         module = importlib.import_module("sierpinski.construct")
-        monkeypatch.setattr(module, "factorize", lambda value, budget: fake)
+        # the claim comes from trial division ...
+        monkeypatch.setattr(module, "_trial_division", lambda value, bound: ([3], 1))
         with pytest.raises(ArithmeticError, match="divides m - 1"):
             select_cover_prime(34, 2)
+        # ... or from the rho stage after trial division found nothing
+        monkeypatch.setattr(module, "_trial_division", lambda value, bound: ([], 35))
+        monkeypatch.setattr(module, "_factor_rest", lambda value, found, rest, budget: fake)
+        with pytest.raises(ArithmeticError, match="divides m - 1"):
+            select_cover_prime(34, 2)
+
+    def test_matches_sympy_minimum(self):
+        checked = 0
+        for m in range(2, 60):
+            for n in range(1, 25):
+                # sympy needs ~30 s for Phi_17, Phi_19 and Phi_23 of the larger m
+                if n in (17, 19, 23) and m >= 12:
+                    continue
+                value = eval_cyclotomic(n, m)
+                qualifying = [p for p in sympy.primefactors(value) if math.gcd(p, n) == 1]
+                if qualifying:
+                    assert select_cover_prime(m, n) == min(qualifying), (m, n)
+                else:
+                    with pytest.raises(NoQualifyingPrime):
+                        select_cover_prime(m, n)
+                checked += 1
+        assert checked == 1248
+
+    def test_trial_hit_skips_rho(self, monkeypatch):
+        # Phi_48(21) = 193 * 433 * 673 * 1001713 * 25392481: the part above
+        # trial_bound is composite, but 193 < trial_bound is already the minimum
+        value = eval_cyclotomic(48, 21)
+        assert value % 193 == 0 and not sympy.isprime(arith._trial_division(value, 100_000)[1])
+        assert not [p for p in sympy.primerange(5, 193) if value % p == 0]
+
+        def no_rho(n, max_steps):
+            raise AssertionError("rho ran although trial division settled the minimum")
+
+        monkeypatch.setattr(arith, "_brent_rho", no_rho)
+        assert select_cover_prime(21, 48) == 193
 
     def test_incomplete_factorization_still_certifies_small_minimum(self):
         # Phi_12(24) = 331201 = 13 * 25477; the cofactor stays unfactored at
@@ -304,6 +343,16 @@ class TestVerifyCertificate:
         cert = dataclasses.replace(base2_certificate(), triviality_primes=(3,))
         ok, why = verify_certificate(cert)
         assert not ok and why == "base 2 admits no triviality primes"
+
+    def test_size_condition_implies_proper_divisors(self):
+        # verify_certificate checks k*m + sign > max p only; terms grow with
+        # n, so every divisor the spot check finds is a proper one
+        for m in range(3, 200):
+            for variant in (SIERPINSKI, RIESEL):
+                cert = construct(m, variant)
+                for n in range(1, 513):
+                    p = cert.dividing_prime(n)
+                    assert p is not None and cert.term(n) > p, (m, variant, n)
 
     def test_spot_check_depth(self):
         cert = construct(34)
