@@ -1,177 +1,71 @@
-"""Hot kernels for covering-system enumeration.
+"""Covering kernel: residue classes over one period as int bitsets.
 
-Residue coverage over one period of length L is a bitset packed into
-ceil(L/64) words, so checking an assignment is a handful of OR/compare
-word operations. Two interchangeable backends produce identical results:
-
-- "numba": @njit depth-first search over residue choices with capacity
-  pruning (skipped branches can never reach full coverage);
-- "numpy": chunked vectorized scan of the whole assignment space.
-
-numba is used when importable unless SIERPINSKI_PURE_NUMPY is set.
+Over a period L that every modulus divides, the class a(n) is the L-bit
+integer with bits a, a + n, a + 2n, ... set, i.e. comb(n, L) << a. A set
+of classes covers Z exactly when the OR of their masks has all L bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 
-import numpy as np
-
-PURE_NUMPY_ENV = "SIERPINSKI_PURE_NUMPY"
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    _HAS_NUMBA = False
-
-_WORD = 64
-_MASK64 = (1 << 64) - 1
+# Combs over periods up to this many bits are cached (at most 8 KiB each).
+_CACHED_PERIOD = 1 << 16
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAS_NUMBA else ("numpy",)
+def _build_comb(n: int, L: int) -> int:
+    bits, width = 1, n
+    while width < L:
+        bits |= bits << width
+        width <<= 1
+    return bits & ((1 << L) - 1)
 
 
-def selected_backend(backend: str | None = None) -> str:
-    """Resolve a backend name, honoring the pure-numpy env flag."""
-    if backend is None:
-        if os.environ.get(PURE_NUMPY_ENV):
-            return "numpy"
-        return "numba" if _HAS_NUMBA else "numpy"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not _HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return backend
+_cached_comb = functools.lru_cache(maxsize=1024)(_build_comb)
 
 
-def build_masks(moduli, L: int):
-    """Per-(class, residue) coverage bitmasks over [0, L), packed uint64.
-
-    Returns (masks, full) with masks shaped (t, max(moduli), W) and full
-    the all-positions bitset of shape (W,).
-    """
-    t = len(moduli)
-    W = (L + _WORD - 1) // _WORD
-    masks = np.zeros((t, max(moduli), W), dtype=np.uint64)
-    for s, n in enumerate(moduli):
-        for r in range(n):
-            bits = 0
-            for pos in range(r, L, n):
-                bits |= 1 << pos
-            for w in range(W):
-                masks[s, r, w] = (bits >> (_WORD * w)) & _MASK64
-    full = np.zeros(W, dtype=np.uint64)
-    all_bits = (1 << L) - 1
-    for w in range(W):
-        full[w] = (all_bits >> (_WORD * w)) & _MASK64
-    return masks, full
+def comb(n: int, L: int) -> int:
+    """The mask of 0(n) over [0, L): bits 0, n, 2n, ... below L."""
+    return _cached_comb(n, L) if L <= _CACHED_PERIOD else _build_comb(n, L)
 
 
-if _HAS_NUMBA:
+def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
+    """Residue tuples (one entry per class) whose classes cover [0, L).
 
-    @njit(cache=True)
-    def _dfs_covers(moduli, masks, full, caps, out):
-        """Count covering assignments, writing residue tuples into out.
-
-        masks/full are int64 views of the uint64 bitsets (same bits; int64
-        avoids unsigned promotion pitfalls). caps[s] is the total number
-        of positions classes s.. can still cover; a branch whose uncovered
-        count exceeds it is pruned. Returns the total count, which may
-        exceed out.shape[0]; rows beyond capacity are counted, not stored.
-        """
-        t = moduli.shape[0]
-        W = full.shape[0]
-        acc = np.zeros((t + 1, W), dtype=np.int64)
-        idx = np.empty(t, dtype=np.int64)
-        count = 0
-        s = 0
-        idx[0] = -1
-        while s >= 0:
-            idx[s] += 1
-            if idx[s] >= moduli[s]:
-                s -= 1
-                continue
-            for w in range(W):
-                acc[s + 1, w] = acc[s, w] | masks[s, idx[s], w]
-            if s == t - 1:
-                ok = True
-                for w in range(W):
-                    if acc[t, w] != full[w]:
-                        ok = False
-                        break
-                if ok:
-                    if count < out.shape[0]:
-                        for i in range(t):
-                            out[count, i] = idx[i]
-                    count += 1
-            else:
-                uncovered = 0
-                for w in range(W):
-                    v = full[w] & ~acc[s + 1, w]
-                    while v != 0:
-                        v &= v - 1
-                        uncovered += 1
-                if uncovered <= caps[s + 1]:
-                    s += 1
-                    idx[s] = -1
-        return count
-
-
-def _scan_covers_numpy(moduli, masks, full, chunk: int = 1 << 14):
-    """Vectorized full scan of the assignment space, lexicographic order."""
-    t = len(moduli)
-    space = math.prod(moduli)
-    strides = np.empty(t, dtype=np.int64)
-    acc_stride = 1
-    for s in range(t - 1, -1, -1):
-        strides[s] = acc_stride
-        acc_stride *= moduli[s]
-    mods = np.asarray(moduli, dtype=np.int64)
-    hits = []
-    for start in range(0, space, chunk):
-        idxs = np.arange(start, min(start + chunk, space), dtype=np.int64)
-        acc = np.zeros((idxs.size, full.shape[0]), dtype=np.uint64)
-        for s in range(t):
-            r = (idxs // strides[s]) % mods[s]
-            acc |= masks[s][r]
-        ok = (acc == full).all(axis=1)
-        sel = idxs[ok]
-        if sel.size:
-            rows = np.empty((sel.size, t), dtype=np.int64)
-            for s in range(t):
-                rows[:, s] = (sel // strides[s]) % mods[s]
-            hits.append(rows)
-    if hits:
-        return np.concatenate(hits)
-    return np.empty((0, t), dtype=np.int64)
-
-
-def enumerate_cover_tuples(moduli, backend: str | None = None) -> np.ndarray:
-    """Residue tuples (one column per class) whose classes cover [0, L).
-
-    Rows are in lexicographic residue order for either backend.
+    Depth-first search over residues in ascending order, so rows come out
+    in lexicographic order. A branch is pruned when more positions are
+    uncovered than the remaining classes can cover in total.
     """
     moduli = [int(n) for n in moduli]
     L = math.lcm(*moduli)
-    masks, full = build_masks(moduli, L)
+    full = (1 << L) - 1
     t = len(moduli)
-    if selected_backend(backend) == "numpy":
-        return _scan_covers_numpy(moduli, masks, full)
-    mods = np.asarray(moduli, dtype=np.int64)
-    caps = np.zeros(t + 1, dtype=np.int64)
+    combs = [comb(n, L) for n in moduli]
+    caps = [0] * (t + 1)
     for s in range(t - 1, -1, -1):
         caps[s] = caps[s + 1] + L // moduli[s]
-    space = math.prod(moduli)
-    cap = min(space, 4096)
-    imasks = masks.view(np.int64)
-    ifull = full.view(np.int64)
-    out = np.empty((cap, t), dtype=np.int64)
-    count = _dfs_covers(mods, imasks, ifull, caps, out)
-    if count > cap:
-        out = np.empty((count, t), dtype=np.int64)
-        count = _dfs_covers(mods, imasks, ifull, caps, out)
-    return out[:count].copy()
+    rows = []
+    prefix = [0] * t
+    last, n_last = t - 1, moduli[-1]
+
+    def extend(s, acc):
+        gaps = full ^ acc
+        if s == last:
+            # only the class holding the lowest gap can close the rest
+            if not gaps:
+                rows.extend((*prefix[:last], r) for r in range(n_last))
+                return
+            r = ((gaps & -gaps).bit_length() - 1) % n_last
+            if not gaps & ~(combs[last] << r):
+                rows.append((*prefix[:last], r))
+            return
+        cap, bits = caps[s + 1], combs[s]
+        for r in range(moduli[s]):
+            mask = bits << r
+            if (gaps & ~mask).bit_count() <= cap:
+                prefix[s] = r
+                extend(s + 1, acc | mask)
+
+    extend(0, 0)
+    return rows

@@ -7,6 +7,7 @@ all of Z; verification is exhaustive over one period lcm(n_1..n_t).
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ from . import _cover_kernels
 from .arith import NotCoprime
 
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
+# verify_cover works on one bitset of the period: at most 2 MiB.
+MAX_PERIOD = 1 << 24
 
 
 class ModulusMismatch(ValueError):
@@ -23,7 +26,7 @@ class ModulusMismatch(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration space larger than the allowed assignment budget."""
+    """Work (period, assignment space or orbit size) over its budget."""
 
 
 @dataclass(frozen=True)
@@ -109,15 +112,22 @@ class CoveringSystem:
 
 
 def verify_cover(system: CoveringSystem) -> tuple[bool, int | None]:
-    """Exhaustively test one full period.
+    """Exhaustively test one full period as an OR of class bitsets.
 
     Returns (True, None) for a cover, else (False, w) where w is the
-    smallest uncovered nonnegative integer.
+    smallest uncovered nonnegative integer. Raises BudgetExceeded when
+    the period exceeds MAX_PERIOD.
     """
-    for x in range(system.lcm):
-        if not system.covers(x):
-            return False, x
-    return True, None
+    L = system.lcm
+    if L > MAX_PERIOD:
+        raise BudgetExceeded(f"period {L} exceeds the verification budget of {MAX_PERIOD}")
+    acc = 0
+    for c in system.classes:
+        acc |= _cover_kernels.comb(c.modulus, L) << c.residue
+    gaps = ((1 << L) - 1) ^ acc
+    if not gaps:
+        return True, None
+    return False, (gaps & -gaps).bit_length() - 1
 
 
 def split_class(cls: ResidueClass, factor: int) -> list[ResidueClass]:
@@ -161,10 +171,16 @@ def swap_equal_moduli(system: CoveringSystem, i: int, j: int) -> CoveringSystem:
     return CoveringSystem(classes)
 
 
+def _systems(rows, moduli) -> list[CoveringSystem]:
+    """One system per residue row, sharing one ResidueClass per (a, n)."""
+    shared = {n: [ResidueClass(a, n) for a in range(n)] for n in set(moduli)}
+    columns = [shared[n] for n in moduli]
+    return [CoveringSystem([col[a] for col, a in zip(columns, row)]) for row in rows]
+
+
 def enumerate_covers(
     moduli,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
-    backend: str | None = None,
 ) -> list[CoveringSystem]:
     """All residue assignments to the moduli multiset that cover Z.
 
@@ -185,55 +201,71 @@ def enumerate_covers(
         raise BudgetExceeded(
             f"assignment space {space} exceeds the budget of {max_assignments}"
         )
-    rows = _cover_kernels.enumerate_cover_tuples(moduli, backend=backend)
-    return [
-        CoveringSystem(zip((int(r) for r in row), moduli))
-        for row in rows
-    ]
+    return _systems(_cover_kernels.enumerate_cover_tuples(moduli), moduli)
+
+
+def _totient(n: int) -> int:
+    result, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
+def _equal_moduli_permutations(moduli) -> list[tuple[int, ...]]:
+    """Every position map that only permutes positions of equal modulus."""
+    perms = [tuple(range(len(moduli)))]
+    for n in set(moduli):
+        positions = [i for i, m in enumerate(moduli) if m == n]
+        grown = []
+        for perm in perms:
+            for order in itertools.permutations(positions):
+                p = list(perm)
+                for i, j in zip(positions, order):
+                    p[i] = j
+                grown.append(tuple(p))
+        perms = grown
+    return perms
 
 
 def affine_orbit(seed: CoveringSystem) -> set[CoveringSystem]:
     """Closure of a covering system under affine transforms and swaps.
 
-    Breadth-first search applying every x -> a*x + b with gcd(a, lcm) = 1,
-    0 <= a, b < lcm, and every swap of equal-modulus positions, until no
-    new system appears. The seed must itself be a cover; every member of
-    the returned set is then a cover as well.
+    Every x -> a*x + b with gcd(a, lcm) = 1, 0 <= a, b < lcm, acts on each
+    class through its own modulus only, so it commutes with swapping
+    equal-modulus positions. The closure is therefore one pass: every
+    affine image of the seed, then every within-modulus permutation of
+    each image. The seed must itself be a cover; every member of the
+    returned set is then a cover as well. Raises BudgetExceeded when the
+    L*phi(L) affine images times the within-modulus permutations exceed
+    DEFAULT_MAX_ASSIGNMENTS.
     """
     ok, witness = verify_cover(seed)
     if not ok:
         raise ValueError(f"orbit seed is not a covering system (first uncovered: {witness})")
     L = seed.lcm
     moduli = seed.moduli
-    t = len(moduli)
-    units = [a for a in range(L) if math.gcd(a, L) == 1]
-    inv = {(a, n): pow(a, -1, n) for a in units for n in set(moduli)}
-    swaps = [
-        (i, j)
-        for i in range(t)
-        for j in range(i + 1, t)
-        if moduli[i] == moduli[j]
-    ]
-    start = seed.residues
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for res in frontier:
-            for a in units:
-                for b in range(L):
-                    image = tuple(
-                        (r - b) * inv[a, n] % n for r, n in zip(res, moduli)
-                    )
-                    if image not in seen:
-                        seen.add(image)
-                        nxt.append(image)
-            for i, j in swaps:
-                image = list(res)
-                image[i], image[j] = image[j], image[i]
-                image = tuple(image)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return {CoveringSystem(zip(res, moduli)) for res in seen}
+    work = L * _totient(L) * math.prod(
+        math.factorial(moduli.count(n)) for n in set(moduli)
+    )
+    if work > DEFAULT_MAX_ASSIGNMENTS:
+        raise BudgetExceeded(
+            f"orbit work {work} (affine images times equal-modulus permutations) "
+            f"exceeds the budget of {DEFAULT_MAX_ASSIGNMENTS}"
+        )
+    residues = seed.residues
+    images = set()
+    for a in range(L):
+        if math.gcd(a, L) != 1:
+            continue
+        invs = [pow(a, -1, n) for n in moduli]
+        for b in range(L):
+            images.add(tuple((r - b) * v % n for r, v, n in zip(residues, invs, moduli)))
+    perms = _equal_moduli_permutations(moduli)
+    rows = {tuple(image[j] for j in perm) for image in images for perm in perms}
+    return set(_systems(rows, moduli))

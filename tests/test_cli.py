@@ -1,6 +1,9 @@
 """Command-line interface: output text, JSON documents, and exit codes."""
 
 import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,14 @@ class TestCoverCommands:
         code, _, err = invoke(capsys, "cover", "enumerate", "2,2,2,2,2", "--limit", "16")
         assert code == 3
         assert "exceeds the budget" in err
+
+    @pytest.mark.parametrize("subcommand", ["verify", "orbit"])
+    def test_period_budget(self, capsys, subcommand):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "cover", subcommand, "0(997),0(991),0(983),0(977)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "exceeds the verification budget" in err
 
     def test_orbit(self, capsys):
         code, out, _ = invoke(capsys, "cover", "orbit", "0(2),1(2)")
@@ -326,6 +337,15 @@ class TestParserPlumbing:
         eps = md.entry_points(group="console_scripts")
         ours = [ep for ep in eps if ep.name == "sierpinski"]
         assert ours and ours[0].value == "sierpinski.cli:main"
+
+
+def test_import_leaves_numpy_out():
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, sierpinski; print('numpy' in sys.modules, 'numba' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "False"]
 
 
 def _declared_scripts() -> dict[str, str]:

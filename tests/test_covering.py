@@ -3,13 +3,18 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sierpinski._cover_kernels import available_backends, selected_backend
+from sierpinski import covering
 from sierpinski.arith import NotCoprime
+from sierpinski.construct import MERSENNE_COVER
 from sierpinski.covering import (
+    MAX_PERIOD,
     BudgetExceeded,
     CoveringSystem,
     ModulusMismatch,
@@ -34,6 +39,58 @@ def numpy_is_cover(system):
     for cls in system.classes:
         hit[cls.residue :: cls.modulus] = True
     return bool(hit.all()), (None if hit.all() else int(np.flatnonzero(~hit)[0]))
+
+
+def bfs_orbit(seed):
+    # reference closure: breadth-first search over affine maps and swaps
+    L = seed.lcm
+    moduli = seed.moduli
+    t = len(moduli)
+    units = [a for a in range(L) if math.gcd(a, L) == 1]
+    inv = {(a, n): pow(a, -1, n) for a in units for n in set(moduli)}
+    swaps = [(i, j) for i in range(t) for j in range(i + 1, t) if moduli[i] == moduli[j]]
+    start = seed.residues
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for res in frontier:
+            for a in units:
+                for b in range(L):
+                    image = tuple((r - b) * inv[a, n] % n for r, n in zip(res, moduli))
+                    if image not in seen:
+                        seen.add(image)
+                        nxt.append(image)
+            for i, j in swaps:
+                image = list(res)
+                image[i], image[j] = image[j], image[i]
+                image = tuple(image)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return seen
+
+
+@st.composite
+def random_systems(draw):
+    # random classes on divisors of one period, so L reaches a few thousand;
+    # half the draws start from an affine image of a known cover, so covers
+    # and near-covers (one class moved) turn up as often as plain non-covers
+    period = draw(st.sampled_from([12, 30, 48, 60, 210, 240, 720, 1260, 2520, 5040]))
+    divisors = [d for d in range(1, period + 1) if period % d == 0 and d <= 48]
+    moduli = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=10))
+    classes = [(draw(st.integers(0, n - 1)), n) for n in moduli]
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([FIVE, THIRTEEN]))
+        a = draw(st.sampled_from([u for u in range(base.lcm) if math.gcd(u, base.lcm) == 1]))
+        image = list(affine_transform(base, a, draw(st.integers(0, base.lcm - 1))).classes)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(image) - 1))
+            n = image[i].modulus
+            image[i] = ResidueClass(draw(st.integers(0, n - 1)), n)
+        classes = image + classes[: draw(st.integers(0, 3))]
+    return CoveringSystem(classes)
 
 
 class TestResidueClass:
@@ -85,6 +142,23 @@ class TestVerifyCover:
             ]
             system = CoveringSystem(classes)
             assert verify_cover(system) == numpy_is_cover(system)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_systems())
+    @example(FIVE)
+    @example(THIRTEEN)
+    @example(CoveringSystem.parse("0(2),1(4),3(8),7(16),15(32),31(64),63(128),127(256)"))
+    @example(CoveringSystem.parse("0(2),0(3),1(4),5(6),7(12),11(5040)"))
+    def test_property_matches_numpy_oracle(self, system):
+        assert verify_cover(system) == numpy_is_cover(system)
+
+    def test_period_budget(self):
+        assert verify_cover(CoveringSystem([(1, MAX_PERIOD)])) == (False, 0)
+        big = CoveringSystem.parse("0(997),0(991),0(983),0(977)")
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="period"):
+            verify_cover(big)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSplitClass:
@@ -196,23 +270,6 @@ class TestEnumerateCovers:
         assert len(covers) == 48
         assert any(c.residues == (1, 1, 0, 2, 3, 7) for c in covers)
 
-    @pytest.mark.skipif("numba" not in available_backends(), reason="numba unavailable")
-    def test_backends_agree(self):
-        for moduli in ([2, 2], [2, 4, 4], [3, 4, 4, 6, 6], [2, 3, 12, 12]):
-            a = [c.residues for c in enumerate_covers(moduli, backend="numba")]
-            b = [c.residues for c in enumerate_covers(moduli, backend="numpy")]
-            assert a == b
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("SIERPINSKI_PURE_NUMPY", "1")
-        assert selected_backend() == "numpy"
-        covers = enumerate_covers([2, 2])
-        assert [c.residues for c in covers] == [(0, 1), (1, 0)]
-        monkeypatch.delenv("SIERPINSKI_PURE_NUMPY")
-        with pytest.raises(ValueError):
-            selected_backend("something-else")
-
-
 class TestAffineOrbit:
     def test_two_class_orbit(self):
         orbit = affine_orbit(CoveringSystem.parse("0(2),1(2)"))
@@ -233,3 +290,38 @@ class TestAffineOrbit:
         for member in sorted(orbit, key=lambda c: c.residues)[:5]:
             assert affine_transform(member, 3, 1) in orbit
             assert swap_equal_moduli(member, 1, 2) in orbit
+
+    @pytest.mark.parametrize("text", [
+        "0(2),1(2)",
+        "0(1)",
+        "0(2),1(4),3(4)",
+        "0(3),2(4),1(6),5(6),4(8),0(8)",
+        "0(2),0(3),1(4),5(6),7(12)",
+        "0(2),1(2),1(4),0(4)",
+        "0(3),1(3),2(3),0(3)",
+    ])
+    def test_matches_bfs_reference(self, text):
+        seed = CoveringSystem.parse(text)
+        orbit = affine_orbit(seed)
+        assert {c.residues for c in orbit} == bfs_orbit(seed)
+        assert all(c.moduli == seed.moduli for c in orbit)
+
+    def test_mersenne_cover_orbit(self):
+        start = time.perf_counter()
+        orbit = affine_orbit(MERSENNE_COVER)
+        elapsed = time.perf_counter() - start
+        assert len(orbit) == 3840
+        assert MERSENNE_COVER in orbit
+        assert elapsed < 5.0
+
+    def test_budget(self, monkeypatch):
+        big = CoveringSystem.parse("0(997),0(991),0(983),0(977)")
+        with pytest.raises(BudgetExceeded):
+            affine_orbit(big)
+        # 3,4,6,6,8,8: L * phi(L) = 24 * 8 images, times 2! * 2! permutations
+        seed = CoveringSystem.parse("0(3),2(4),1(6),5(6),4(8),0(8)")
+        monkeypatch.setattr(covering, "DEFAULT_MAX_ASSIGNMENTS", 768)
+        assert len(affine_orbit(seed)) == 48
+        monkeypatch.setattr(covering, "DEFAULT_MAX_ASSIGNMENTS", 767)
+        with pytest.raises(BudgetExceeded, match="orbit work 768"):
+            affine_orbit(seed)
