@@ -436,6 +436,28 @@ def crt_solve(congruences) -> Congruence:
     return Congruence(residue % modulus, modulus)
 
 
+def mobius_pairs(n: int) -> list[tuple[int, int]]:
+    """(d, mu(n/d)) for every divisor d of n >= 1 with mu(n/d) != 0, by trial division."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    pairs = [(n, 1)]
+    rest, p = n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            pairs += [(d // p, -mu) for d, mu in pairs]
+        p += 1
+    if rest > 1:
+        pairs += [(d // rest, -mu) for d, mu in pairs]
+    return pairs
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) = sum over d | n of mu(n/d) * d."""
+    return sum(mu * d for d, mu in mobius_pairs(n))
+
+
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n (n >= 1); NotCoprime when gcd(a, n) > 1."""
     if n < 1:

@@ -179,24 +179,24 @@ def _forbidden_residue(q: int, variant: str) -> int:
     return (q - 1) if variant == SIERPINSKI else 1
 
 
-def _admissible(k: int, m: int, max_p: int, variant: str, constraint: str, qs) -> bool:
-    if k < 1:
-        return False
-    if k * m + VARIANT_SIGN[variant] <= max_p:
-        return False
-    if constraint == NONTRIVIAL:
-        return all(k % q != _forbidden_residue(q, variant) for q in qs)
-    return k % (m - 1) == 0
+def least_admissible(sol: Congruence, m: int, max_p: int, sign: int = 1) -> int:
+    """Least k >= 1 in the class sol with k*m + sign > max_p (sol.residue itself if it qualifies)."""
+    lo = max(1, (max_p - sign) // m + 1)
+    k = sol.residue
+    return k if k >= lo else k - (k - lo) // sol.modulus * sol.modulus
 
 
 def _nth_admissible(sol: Congruence, m: int, max_p: int, variant: str, constraint: str, qs, index: int) -> int:
-    k = sol.residue
-    seen = 0
+    k = least_admissible(sol, m, max_p, VARIANT_SIGN[variant])
     while True:
-        if _admissible(k, m, max_p, variant, constraint, qs):
-            if seen == index:
+        if constraint == NONTRIVIAL:
+            ok = all(k % q != _forbidden_residue(q, variant) for q in qs)
+        else:
+            ok = k % (m - 1) == 0
+        if ok:
+            if index == 0:
                 return k
-            seen += 1
+            index -= 1
         k += sol.modulus
 
 

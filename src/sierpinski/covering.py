@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _cover_kernels
-from .arith import NotCoprime
+from .arith import NotCoprime, totient
 
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
 # verify_cover works on one bitset of the period: at most 2 MiB.
 MAX_PERIOD = 1 << 24
+# enumerate_covers recurses once per class; 64 classes of modulus >= 2 span 2**64 assignments.
+MAX_CLASSES = 64
 
 
 class ModulusMismatch(ValueError):
@@ -187,13 +189,15 @@ def enumerate_covers(
     Returns systems in lexicographic residue order, preserving the given
     moduli order positionally. Returns [] straight away when the density
     sum(1/n) is below 1 (no assignment can cover). Raises BudgetExceeded
-    when the assignment space prod(n) exceeds max_assignments.
+    above MAX_CLASSES moduli or an assignment space prod(n) > max_assignments.
     """
     moduli = tuple(int(n) for n in moduli)
     if not moduli:
         raise ValueError("moduli must be a nonempty sequence")
     if any(n < 1 for n in moduli):
         raise ValueError("moduli must be positive integers")
+    if len(moduli) > MAX_CLASSES:
+        raise BudgetExceeded(f"{len(moduli)} classes exceed the enumeration budget of {MAX_CLASSES}")
     if sum(Fraction(1, n) for n in moduli) < 1:
         return []
     space = math.prod(moduli)
@@ -202,19 +206,6 @@ def enumerate_covers(
             f"assignment space {space} exceeds the budget of {max_assignments}"
         )
     return _systems(_cover_kernels.enumerate_cover_tuples(moduli), moduli)
-
-
-def _totient(n: int) -> int:
-    result, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
 
 
 def _equal_moduli_permutations(moduli) -> list[tuple[int, ...]]:
@@ -250,7 +241,7 @@ def affine_orbit(seed: CoveringSystem) -> set[CoveringSystem]:
         raise ValueError(f"orbit seed is not a covering system (first uncovered: {witness})")
     L = seed.lcm
     moduli = seed.moduli
-    work = L * _totient(L) * math.prod(
+    work = L * totient(L) * math.prod(
         math.factorial(moduli.count(n)) for n in set(moduli)
     )
     if work > DEFAULT_MAX_ASSIGNMENTS:

@@ -7,7 +7,14 @@ first, so nothing here overflows or rounds.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+
+from .arith import mobius_pairs, totient
+from .covering import BudgetExceeded
+
+# Largest n that cyclotomic_poly builds: phi(n) < 2**16 coefficients.
+MAX_CYCLOTOMIC_ORDER = 1 << 16
 
 
 def divisors(n: int) -> list[int]:
@@ -53,21 +60,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial()
@@ -79,45 +71,6 @@ class IntPolynomial:
                 if b:
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    def __divmod__(self, other: "IntPolynomial"):
-        """Long division over the integers.
-
-        Every quotient coefficient must divide exactly (always true for a
-        monic divisor); otherwise the division is not defined over Z and a
-        ValueError is raised.
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        dd = other.degree
-        if self.degree < dd:
-            return IntPolynomial(), self
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        quot = [0] * (self.degree - dd + 1)
-        for i in range(self.degree - dd, -1, -1):
-            c = rem[i + dd]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ValueError("non-exact integer polynomial division")
-            quot[i] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i + j] -= q * oc
-        return IntPolynomial(quot), IntPolynomial(rem)
-
-    def __floordiv__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("polynomial division left a remainder")
-        return q
 
     def compose_power(self, e: int) -> "IntPolynomial":
         """Substitute x -> x**e."""
@@ -168,18 +121,28 @@ def x_power_minus_one(n: int) -> IntPolynomial:
 
 @functools.cache
 def cyclotomic_poly(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial.
+    """The n-th cyclotomic polynomial, for 1 <= n <= MAX_CYCLOTOMIC_ORDER.
 
-    Built by iterated exact division: start from x**n - 1 and divide out
-    cyclotomic_poly(d) for every proper divisor d of n. Monic of degree
-    phi(n); results are memoized.
+    Phi_n(x) is the product over d | n of (1 - x**d)**mu(n/d), negated for
+    n = 1 (Arnold & Monagan, Math. Comp. 80, 2011): per factor, one sparse
+    multiplication by 1 - x**d or power-series division by it, truncated
+    at degree phi(n), which is exact. Memoized; raises BudgetExceeded above
+    the cap before any work.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    poly = x_power_minus_one(n)
-    for d in divisors(n)[:-1]:
-        poly = poly.exact_div(cyclotomic_poly(d))
-    return poly
+    if n > MAX_CYCLOTOMIC_ORDER:
+        raise BudgetExceeded(f"order {n} exceeds the cyclotomic budget of {MAX_CYCLOTOMIC_ORDER}")
+    phi = totient(n)
+    c = [1] + [0] * phi
+    for d, mu in mobius_pairs(n):
+        if mu > 0:
+            for i in range(phi, d - 1, -1):
+                c[i] -= c[i - d]
+        else:
+            for i in range(d, phi + 1):
+                c[i] += c[i - d]
+    return IntPolynomial(c if n > 1 else [-x for x in c])
 
 
 def eval_cyclotomic(n: int, x: int) -> int:
@@ -191,10 +154,7 @@ def product_identity_holds(n: int, x: int) -> bool:
     """Check prod over d | n of Phi_d(x) == x**n - 1 at the integer x."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    prod = 1
-    for d in divisors(n):
-        prod *= eval_cyclotomic(d, x)
-    return prod == x ** n - 1
+    return math.prod(eval_cyclotomic(d, x) for d in divisors(n)) == x ** n - 1
 
 
 def substitution_identity_holds(n: int, p: int, k: int) -> bool:

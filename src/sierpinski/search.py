@@ -34,6 +34,7 @@ from .construct import (
     FactorBudgetExceeded,
     SierpinskiCertificate,
     build_congruences,
+    least_admissible,
     verify_certificate,
 )
 from .cyclotomic import eval_cyclotomic
@@ -244,13 +245,9 @@ def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[
     return [t for t in itertools.product(*choices) if len(set(t)) == len(t)]
 
 
-def _least_admissible(sol: Congruence, m: int, max_p: int) -> int:
-    k = sol.residue
-    if k == 0:
-        k = sol.modulus
-    while k * m + 1 <= max_p:
-        k += sol.modulus
-    return k
+def _forced_trivial(sol: Congruence, triviality_primes) -> int | None:
+    """A q dividing the CRT modulus with the class on -1 mod q, if any."""
+    return next((q for q in triviality_primes if sol.modulus % q == 0 and sol.residue % q == q - 1), None)
 
 
 def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int | Trivial:
@@ -264,10 +261,8 @@ def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int |
     triviality separately.)
     """
     sol = crt_solve_for(cover, assignment, m)
-    for q in triviality_primes:
-        if sol.modulus % q == 0 and sol.residue % q == q - 1:
-            return Trivial(q)
-    return _least_admissible(sol, m, max(assignment))
+    q = _forced_trivial(sol, triviality_primes)
+    return least_admissible(sol, m, max(assignment)) if q is None else Trivial(q)
 
 
 def crt_solve_for(cover: CoveringSystem, assignment, m: int) -> Congruence:
@@ -374,14 +369,11 @@ def search_min(config: SearchConfig) -> SearchReport:
                 modulus, basis = crt_bases[key]
                 residue = sum(residues[p, a] * basis[p] for a, p in zip(shifts, primes))
                 sol = Congruence(residue % modulus, modulus)
-                forced = next(
-                    (q for q in qs if sol.modulus % q == 0 and sol.residue % q == q - 1),
-                    None,
-                )
+                forced = _forced_trivial(sol, qs)
                 if forced is not None:
                     candidates.append(CandidateSolution(cover, primes, sol, None, forced))
                     continue
-                k = _least_admissible(sol, m, max(primes))
+                k = least_admissible(sol, m, max(primes))
                 tq = next((q for q in qs if k % q == q - 1), None)
                 candidates.append(CandidateSolution(cover, primes, sol, k, tq))
     nontrivial = [c for c in candidates if c.nontrivial]

@@ -1,5 +1,7 @@
 """Command-line interface: output text, JSON documents, and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sierpinski.cli as cli
 from sierpinski.arith import Factorization
@@ -64,6 +68,14 @@ class TestCoverCommands:
         assert code == 3
         assert "exceeds the budget" in err
 
+    def test_enumerate_class_budget(self, capsys):
+        # the DFS recurses once per class, so the class count stays far below the recursion limit
+        code, _, err = invoke(capsys, "cover", "enumerate", ",".join(["1"] * 1200))
+        assert code == 3
+        assert "exceed the enumeration budget" in err
+        code, out, _ = invoke(capsys, "cover", "enumerate", ",".join(["1"] * 64))
+        assert (code, out) == (0, ",".join(["0(1)"] * 64) + "\ncount: 1\n")
+
     @pytest.mark.parametrize("subcommand", ["verify", "orbit"])
     def test_period_budget(self, capsys, subcommand):
         start = time.perf_counter()
@@ -110,6 +122,14 @@ class TestCycloCommands:
     def test_bad_n(self, capsys):
         assert invoke(capsys, "cyclo", "poly", "0")[0] == 2
         assert invoke(capsys, "cyclo", "poly", "x")[0] == 2
+
+    @pytest.mark.parametrize("argv", [("poly", "65537"), ("eval", "70000", "34")])
+    def test_order_budget(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "cyclo", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "exceeds the cyclotomic budget" in err
 
 
 class TestFactorCommand:
@@ -306,6 +326,13 @@ class TestSearchCommand:
         assert code == 3
         assert "exceeds the budget" in err
 
+    def test_cyclotomic_budget(self, capsys):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "search", "34", "--moduli", "70000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "exceeds the cyclotomic budget" in err
+
     def test_deterministic_output(self, capsys):
         a = invoke(capsys, "search", "127", "--moduli", "3,4,6,6,8,8", "--json")
         b = invoke(capsys, "search", "127", "--moduli", "3,4,6,6,8,8", "--json")
@@ -358,3 +385,33 @@ def _declared_scripts() -> dict[str, str]:
         pairs = (line.split("=", 1) for line in table.splitlines() if "=" in line)
         return {k.strip(): v.strip().strip('"') for k, v in pairs}
     return tomllib.loads(text)["project"]["scripts"]
+
+
+# Integers stay below 10**6 in magnitude and lists stay short, so that no
+# drawn command can start a long computation.
+_INT = st.one_of(st.integers(-30, 200), st.integers(-10**6 + 1, 10**6 - 1)).map(str)
+_TOKEN = st.one_of(_INT, st.sampled_from(["", "x", "1.5", "-", "0x10", "1e3", "--json", "7,"]))
+_MODULI = st.lists(st.integers(-2, 16), max_size=4).map(lambda ns: ",".join(map(str, ns)))
+_CLASSES = st.lists(st.tuples(st.integers(-1, 30), st.integers(-1, 30)), min_size=1, max_size=4).map(
+    lambda cs: ",".join(f"{a}({n})" for a, n in cs)
+)
+_PAIRS = st.lists(st.tuples(_INT, _INT).map(",".join), min_size=1, max_size=3)
+_ARGV = st.one_of(
+    st.tuples(st.just("cover"), st.sampled_from(["verify", "orbit"]), st.one_of(_CLASSES, _TOKEN)),
+    st.tuples(st.just("cover"), st.just("enumerate"), st.one_of(_MODULI, _TOKEN)),
+    st.tuples(st.just("cyclo"), st.just("poly"), _TOKEN),
+    st.tuples(st.just("cyclo"), st.just("eval"), _TOKEN, _TOKEN),
+    st.tuples(st.just("crt"), _PAIRS).map(lambda t: (t[0], *t[1])),
+    st.tuples(st.just("order"), _TOKEN, _TOKEN),
+    st.tuples(st.sampled_from(["isprime", "factor"]), _TOKEN),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV.map(list), json_flag=st.booleans())
+@example(argv=["cover", "enumerate", ",".join(["1"] * 1200)], json_flag=False)
+def test_run_never_raises(argv, json_flag):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + ["--json"] * json_flag)
+    assert code in (0, 1, 2, 3)

@@ -1,11 +1,15 @@
 """Cyclotomic polynomial construction against independent oracles."""
 
 import random
+import time
 
 import pytest
 import sympy
 
+from sierpinski.arith import mobius_pairs, totient
+from sierpinski.covering import BudgetExceeded
 from sierpinski.cyclotomic import (
+    MAX_CYCLOTOMIC_ORDER,
     IntPolynomial,
     cyclotomic_poly,
     divisors,
@@ -37,33 +41,6 @@ class TestIntPolynomial:
         assert IntPolynomial().is_zero
         assert IntPolynomial().degree == -1
         assert IntPolynomial([3]).degree == 0
-
-    def test_arithmetic_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            a = IntPolynomial(rng.randrange(-9, 10) for _ in range(rng.randrange(0, 8)))
-            b = IntPolynomial([rng.randrange(-9, 10) for _ in range(rng.randrange(0, 7))] + [1])
-            q, r = divmod(a * b, b)
-            assert q == a
-            assert r.is_zero
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.degree < b.degree
-
-    def test_divmod_examples(self):
-        x2m1 = IntPolynomial([-1, 0, 1])
-        xm1 = IntPolynomial([-1, 1])
-        assert x2m1 // xm1 == IntPolynomial([1, 1])
-        assert (x2m1 % xm1).is_zero
-        with pytest.raises(ZeroDivisionError):
-            divmod(x2m1, IntPolynomial())
-        # 2x + 1 does not divide x^2 over Z
-        with pytest.raises(ValueError):
-            divmod(IntPolynomial([0, 0, 1]), IntPolynomial([1, 2]))
-
-    def test_exact_div_rejects_remainder(self):
-        with pytest.raises(ValueError):
-            IntPolynomial([1, 0, 1]).exact_div(IntPolynomial([-1, 1]))
 
     def test_compose_power(self):
         p = IntPolynomial([1, 1])  # x + 1
@@ -97,9 +74,39 @@ def test_known_coefficient_vectors():
         cyclotomic_poly(0)
 
 
-@pytest.mark.parametrize("n", list(range(1, 121)))
+@pytest.mark.parametrize("n", list(range(1, 121)) + [1155, 2310, 4620])
 def test_coefficients_match_sympy(n):
     assert cyclotomic_poly(n).coeffs == sympy_coeffs(n)
+
+
+def test_totient_matches_sympy():
+    assert [totient(n) for n in range(1, 5000)] == [int(sympy.totient(n)) for n in range(1, 5000)]
+    with pytest.raises(ValueError):
+        totient(0)
+
+
+def test_mobius_pairs():
+    assert sorted(mobius_pairs(1)) == [(1, 1)]
+    assert sorted(mobius_pairs(12)) == [(2, 1), (4, -1), (6, -1), (12, 1)]
+    for n in range(1, 300):
+        expected = {(d, int(sympy.mobius(n // d))) for d in divisors(n) if sympy.mobius(n // d)}
+        assert set(mobius_pairs(n)) == expected
+
+
+def test_large_order_is_fast():
+    # Phi_30030 has 64 Mobius factors over 5761 coefficients
+    cyclotomic_poly.cache_clear()
+    start = time.perf_counter()
+    assert product_identity_holds(30030, 2)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_order_budget():
+    assert cyclotomic_poly(MAX_CYCLOTOMIC_ORDER).coeffs == (1,) + (0,) * (MAX_CYCLOTOMIC_ORDER // 2 - 1) + (1,)
+    with pytest.raises(BudgetExceeded):
+        cyclotomic_poly(MAX_CYCLOTOMIC_ORDER + 1)
+    with pytest.raises(BudgetExceeded):
+        eval_cyclotomic(10**9, 2)
 
 
 def test_first_nonquadratic_coefficient():

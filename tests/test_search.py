@@ -8,6 +8,7 @@ import sympy
 
 import sierpinski.arith as arith
 from sierpinski.arith import Congruence, FactorBudget
+from sierpinski.construct import least_admissible
 from sierpinski.covering import BudgetExceeded, CoveringSystem
 from sierpinski.cyclotomic import eval_cyclotomic
 from sierpinski.search import (
@@ -27,7 +28,6 @@ from sierpinski.search import (
     k_for,
     search_min,
 )
-from sierpinski.search import _least_admissible
 
 POOL_34 = {
     1: (), 2: (5, 7), 3: (397,), 4: (13, 89), 5: (61, 22571),
@@ -135,9 +135,9 @@ class TestKFor:
         assert k_for(CoveringSystem.parse("0(2),1(2)"), (5, 7), 34, (3,)) == 29
 
     def test_least_admissible_respects_size_condition(self):
-        assert _least_admissible(Congruence(1, 10), 3, 100) == 41
-        assert _least_admissible(Congruence(0, 7), 34, 1) == 7
-        assert _least_admissible(Congruence(6, 35), 34, 7) == 6
+        assert least_admissible(Congruence(1, 10), 3, 100) == 41
+        assert least_admissible(Congruence(0, 7), 34, 1) == 7
+        assert least_admissible(Congruence(6, 35), 34, 7) == 6
 
 
 class TestEliminateSmallK:
