@@ -473,10 +473,10 @@ def multiplicative_order(m: int, p: int, budget: FactorBudget | None = None) -> 
 
     Starts from p - 1 and strips prime factors while the power still
     equals 1, so the cost is one factorization of p - 1 plus O(log p)
-    modular powers.
+    modular powers. Raises ValueError for a composite p.
     """
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    if p < 2 or not prime_verdict(p)[0]:
+        raise ValueError(f"p must be a prime, got {p}")
     if math.gcd(m, p) != 1:
         raise NotCoprime(f"{m} and {p} are not coprime")
     fac = factorize(p - 1, budget)

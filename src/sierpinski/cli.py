@@ -233,13 +233,9 @@ def _cmd_search(args) -> int:
         print(f"moduli: {','.join(str(n) for n in report.moduli)}")
         print("candidates:")
         for c in report.candidates:
-            line = f"  cover {c.cover} primes {','.join(str(p) for p in c.primes)}: class {c.crt}"
-            if c.k is None:
-                line += f", every k trivial (q = {c.trivial_q})"
-            else:
-                line += f", k = {c.k}"
-                if c.trivial_q is not None:
-                    line += f", trivial (q = {c.trivial_q})"
+            line = f"  cover {c.cover} primes {','.join(str(p) for p in c.primes)}: class {c.crt}, k = {c.k}"
+            if c.trivial_q is not None:
+                line += f", trivial (q = {c.trivial_q})"
             print(line)
         if report.minimum_nontrivial_k is None:
             print("minimum nontrivial k: none found")
@@ -357,6 +353,10 @@ def run(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # outputs such as cyclo eval may pass Python's int-to-str digit cap; parsing keeps it
+    digit_cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if digit_cap:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (BudgetExceeded, FactorBudgetExceeded, ArithmeticError) as exc:
@@ -368,6 +368,9 @@ def run(argv) -> int:
     except (ValueError, KeyError, TypeError, OSError, InsufficientPrimes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_cap:
+            sys.set_int_max_str_digits(digit_cap)
 
 
 def main() -> None:

@@ -187,7 +187,15 @@ def least_admissible(sol: Congruence, m: int, max_p: int, sign: int = 1) -> int:
 
 
 def _nth_admissible(sol: Congruence, m: int, max_p: int, variant: str, constraint: str, qs, index: int) -> int:
-    k = least_admissible(sol, m, max_p, VARIANT_SIGN[variant])
+    # sol.modulus is coprime to m - 1, so each run of `period` consecutive
+    # representatives meets every residue mod period once: prod(q - 1) of
+    # them are nontrivial, and exactly one is a multiple of m - 1.
+    if constraint == NONTRIVIAL:
+        period, per_period = math.prod(qs), math.prod(q - 1 for q in qs)
+    else:
+        period, per_period = m - 1, 1
+    skip, index = divmod(index, per_period)
+    k = least_admissible(sol, m, max_p, VARIANT_SIGN[variant]) + skip * period * sol.modulus
     while True:
         if constraint == NONTRIVIAL:
             ok = all(k % q != _forbidden_residue(q, variant) for q in qs)

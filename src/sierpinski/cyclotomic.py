@@ -15,6 +15,8 @@ from .covering import BudgetExceeded
 
 # Largest n that cyclotomic_poly builds: phi(n) < 2**16 coefficients.
 MAX_CYCLOTOMIC_ORDER = 1 << 16
+# Largest phi(n) * bit_length(|x|), about the bit size of Phi_n(x), that eval_cyclotomic takes.
+MAX_EVAL_BITS = 1 << 20
 
 
 def divisors(n: int) -> list[int]:
@@ -146,8 +148,11 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
 
 
 def eval_cyclotomic(n: int, x: int) -> int:
-    """cyclotomic_poly(n) evaluated at the integer x."""
-    return cyclotomic_poly(n).evaluate(x)
+    """cyclotomic_poly(n) at the integer x; BudgetExceeded before evaluating above MAX_EVAL_BITS."""
+    poly = cyclotomic_poly(n)
+    if poly.degree * abs(x).bit_length() > MAX_EVAL_BITS:
+        raise BudgetExceeded(f"Phi_{n} at a {abs(x).bit_length()}-bit x exceeds {MAX_EVAL_BITS} bits")
+    return poly.evaluate(x)
 
 
 def product_identity_holds(n: int, x: int) -> bool:

@@ -23,7 +23,6 @@ from .arith import (
     crt_solve,
     factorize,
     mod_inverse,
-    multiplicative_order,
     pocklington_verdict,
     prime_verdict,
 )
@@ -126,19 +125,19 @@ class CandidateSolution:
     cover: CoveringSystem
     primes: tuple[int, ...]
     crt: Congruence
-    k: int | None  # least admissible representative; None when forced trivial
-    trivial_q: int | None  # q witnessing triviality (forced or of k itself)
+    k: int  # least admissible representative
+    trivial_q: int | None  # q with k = -1 mod q, if any
 
     @property
     def nontrivial(self) -> bool:
-        return self.k is not None and self.trivial_q is None
+        return self.trivial_q is None
 
     def to_json_dict(self) -> dict:
         return {
             "cover": self.cover.to_json(),
             "primes": [str(p) for p in self.primes],
             "class": {"residue": str(self.crt.residue), "modulus": str(self.crt.modulus)},
-            "k": None if self.k is None else str(self.k),
+            "k": str(self.k),
             "trivial_q": None if self.trivial_q is None else str(self.trivial_q),
         }
 
@@ -199,28 +198,17 @@ def _pool_for(m: int, ns, budget: FactorBudget) -> PrimePool:
         fac = factorize(eval_cyclotomic(n, m), budget)
         if not fac.is_complete:
             incomplete.add(n)
-        found = []
-        for p in fac.primes():
-            if math.gcd(p, n * (m - 1)) != 1:
-                continue
-            try:
-                if multiplicative_order(m, p, budget) != n:
-                    continue
-            except ArithmeticError:
-                # order not certifiable within budget: drop p, flag the order
-                incomplete.add(n)
-                continue
-            found.append(p)
-        orders[n] = tuple(sorted(found))
+        orders[n] = tuple(sorted(p for p in fac.primes() if math.gcd(p, n * (m - 1)) == 1))
     return PrimePool(orders, frozenset(incomplete))
 
 
 def discover_prime_pool(m: int, a_max: int, budget: FactorBudget | None = None) -> PrimePool:
     """Qualifying cover primes for each order n <= a_max.
 
-    A prime qualifies when p | Phi_n(m), gcd(p, n*(m-1)) = 1, and the
-    order of m mod p is exactly n; exact order makes pools for different
-    n automatically disjoint. Orders whose Phi_n(m) did not factor fully
+    A prime qualifies when p | Phi_n(m) and gcd(p, n*(m-1)) = 1; by the
+    cyclotomic order lemma (as in construct.select_cover_prime) the order
+    of m mod p is then exactly n, so pools for different n are disjoint,
+    and order 1 stays empty. Orders whose Phi_n(m) did not factor fully
     within budget are flagged in .incomplete instead of failing the pool.
     """
     if m < 2:
@@ -245,11 +233,6 @@ def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[
     return [t for t in itertools.product(*choices) if len(set(t)) == len(t)]
 
 
-def _forced_trivial(sol: Congruence, triviality_primes) -> int | None:
-    """A q dividing the CRT modulus with the class on -1 mod q, if any."""
-    return next((q for q in triviality_primes if sol.modulus % q == 0 and sol.residue % q == q - 1), None)
-
-
 def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int | Trivial:
     """Least positive k in the CRT class with k*m + 1 > max(assignment).
 
@@ -261,7 +244,7 @@ def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int |
     triviality separately.)
     """
     sol = crt_solve_for(cover, assignment, m)
-    q = _forced_trivial(sol, triviality_primes)
+    q = next((q for q in triviality_primes if sol.modulus % q == 0 and sol.residue % q == q - 1), None)
     return least_admissible(sol, m, max(assignment)) if q is None else Trivial(q)
 
 
@@ -339,43 +322,31 @@ def search_min(config: SearchConfig) -> SearchReport:
         pool = _pool_for(m, set(moduli), budget)
     else:
         pool = discover_prime_pool(m, config.a_max, budget)
-        moduli = tuple(
-            n for n in pool.orders() for _ in pool.primes(n)
-        )
+        moduli = tuple(n for n in pool.orders() for _ in pool.primes(n))
     candidates: list[CandidateSolution] = []
-    if moduli:
-        covers = enumerate_covers(moduli, config.max_assignments)
-        # Each cell is crt_solve_for(cover, primes, m) from two tables: the
-        # residue -m**(-a) mod p of each (p, a), and per prime set the CRT
-        # modulus M with the basis e_p = 1 mod p, 0 mod the other primes.
-        residues = {
-            (p, a): -mod_inverse(pow(m, a, p), p) % p
-            for n in set(moduli) for p in pool.primes(n) for a in range(n)
-        }
-        crt_bases: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
-        for cover in covers:
-            try:
-                assignments = assignments_for_cover(cover, pool)
-            except InsufficientPrimes:
-                continue
-            shifts = cover.residues
-            for primes in assignments:
-                key = tuple(sorted(primes))
-                if key not in crt_bases:
-                    modulus = crt_solve(Congruence(0, p) for p in key).modulus
-                    crt_bases[key] = modulus, {
-                        p: modulus // p * mod_inverse(modulus // p, p) for p in key
-                    }
-                modulus, basis = crt_bases[key]
-                residue = sum(residues[p, a] * basis[p] for a, p in zip(shifts, primes))
-                sol = Congruence(residue % modulus, modulus)
-                forced = _forced_trivial(sol, qs)
-                if forced is not None:
-                    candidates.append(CandidateSolution(cover, primes, sol, None, forced))
-                    continue
-                k = least_admissible(sol, m, max(primes))
-                tq = next((q for q in qs if k % q == q - 1), None)
-                candidates.append(CandidateSolution(cover, primes, sol, k, tq))
+    covers = enumerate_covers(moduli, config.max_assignments) if moduli else []
+    try:
+        # every cover keeps the moduli in the given order, so one list serves all
+        assignments = assignments_for_cover(covers[0], pool) if covers else []
+    except InsufficientPrimes:
+        assignments = []
+    # Each cell is crt_solve_for(cover, primes, m): with the CRT basis e_p
+    # (1 mod p, 0 mod the other primes), position i contributes
+    # (-m**(-a) mod p_i) * e_p_i for its residue a, summed mod prod(primes).
+    # Pool primes avoid every q | m - 1, so no cell is forced trivial.
+    shifts = {p: [-pow(m, -a, p) % p for a in range(n)] for n in set(moduli) for p in pool.primes(n)}
+    tables = []
+    for primes in assignments:
+        modulus = math.prod(primes)
+        bases = [modulus // p * mod_inverse(modulus // p, p) for p in primes]
+        terms = [[r * e for r in shifts[p]] for p, e in zip(primes, bases)]
+        tables.append((primes, modulus, max(primes), terms))
+    for cover in covers:
+        for primes, modulus, max_p, terms in tables:
+            sol = Congruence(sum(t[a] for t, a in zip(terms, cover.residues)) % modulus, modulus)
+            k = least_admissible(sol, m, max_p)
+            tq = next((q for q in qs if k % q == q - 1), None)
+            candidates.append(CandidateSolution(cover, primes, sol, k, tq))
     nontrivial = [c for c in candidates if c.nontrivial]
     certificate = None
     if nontrivial:

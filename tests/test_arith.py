@@ -342,6 +342,12 @@ class TestMultiplicativeOrder:
         with pytest.raises(NotCoprime):
             multiplicative_order(10, 5)
 
+    @pytest.mark.parametrize("p", [9, 15, 1336337 * 5])
+    def test_composite_modulus_is_refused(self, p):
+        # the order of 2 mod 9 is 6, not the 8 that stripping p - 1 = 8 would give
+        with pytest.raises(ValueError):
+            multiplicative_order(2, p)
+
     def test_matches_sympy_and_divides_group_order(self):
         rng = random.Random(17)
         primes = [int(sympy.prime(rng.randrange(2, 2000))) for _ in range(60)]

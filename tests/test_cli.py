@@ -119,6 +119,19 @@ class TestCycloCommands:
         assert code == 0
         assert json.loads(out) == {"n": 8, "value": "260144642", "x": "127"}
 
+    def test_eval_prints_long_values(self, capsys):
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        # Phi_10007(10) = (10**10007 - 1) / 9 passes Python's default 4,300-digit str cap
+        assert invoke(capsys, "cyclo", "eval", "10007", "10")[:2] == (0, "1" * 10007 + "\n")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+    def test_eval_size_budget(self, capsys):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "cyclo", "eval", "65521", "9" * 4000)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "bits" in err
+
     def test_bad_n(self, capsys):
         assert invoke(capsys, "cyclo", "poly", "0")[0] == 2
         assert invoke(capsys, "cyclo", "poly", "x")[0] == 2
@@ -195,6 +208,11 @@ class TestOrderAndCrt:
 
     def test_order_not_coprime(self, capsys):
         assert invoke(capsys, "order", "10", "5")[0] == 2
+
+    def test_order_refuses_composite_modulus(self, capsys):
+        code, out, err = invoke(capsys, "order", "2", "9")
+        assert (code, out) == (2, "")
+        assert "prime" in err
 
     def test_crt(self, capsys):
         assert invoke(capsys, "crt", "4,5", "1,7")[:2] == (0, "29 (mod 35)\n")

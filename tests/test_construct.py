@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import time
 
 import pytest
 import sympy
@@ -215,6 +216,31 @@ class TestConstruct:
         for c in certs:
             assert c.entries == certs[0].entries
             assert verify_certificate(c) == (True, None)
+
+    @pytest.mark.parametrize("m", [34, 31])
+    @pytest.mark.parametrize("variant", [SIERPINSKI, RIESEL])
+    @pytest.mark.parametrize("constraint", [NONTRIVIAL, MULTIPLE_OF_M_MINUS_1])
+    def test_index_matches_plain_walk(self, m, variant, constraint):
+        cert = construct(m, variant, constraint)
+        sol = crt_solve(build_congruences(m, cert.cover, cert.primes, variant))
+        forbidden = -cert.sign  # trivial when k = -sign mod some q | m - 1
+        ks, k = [], sol.residue if sol.residue else sol.modulus
+        while len(ks) < 200:
+            if k * m + cert.sign > max(cert.primes) and (
+                k % (m - 1) == 0 if constraint == MULTIPLE_OF_M_MINUS_1
+                else all((k - forbidden) % q for q in cert.triviality_primes)
+            ):
+                ks.append(k)
+            k += sol.modulus
+        assert [construct(m, variant, constraint, i).k for i in range(200)] == ks
+
+    def test_large_index_jumps_whole_periods(self):
+        start = time.perf_counter()
+        cert = construct(34, index=10**13)
+        assert time.perf_counter() - start < 1.0
+        # 34 - 1 = 3 * 11: 2 * 10 of every 33 representatives are nontrivial
+        assert cert.k == construct(34).k + 10**13 // 20 * 33 * math.prod(cert.primes)
+        assert verify_certificate(cert) == (True, None)
 
     def test_multiple_of_m_minus_1_constraint(self):
         certs = [

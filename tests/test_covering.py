@@ -239,6 +239,12 @@ class TestEnumerateCovers:
         covers = enumerate_covers([2, 2])
         assert [c.residues for c in covers] == [(0, 1), (1, 0)]
 
+    @pytest.mark.parametrize("moduli", [(3, 4, 6, 6, 8, 8), (6, 6, 4, 4, 3), (8, 3, 6, 4, 8, 6), (2, 2)])
+    def test_covers_keep_the_given_moduli_order(self, moduli):
+        covers = enumerate_covers(moduli)
+        assert covers
+        assert all(c.moduli == moduli for c in covers)
+
     def test_density_below_one_short_circuits(self):
         assert enumerate_covers([2, 3]) == []
         assert enumerate_covers([3, 4, 5, 6]) == []

@@ -10,6 +10,7 @@ from sierpinski.arith import mobius_pairs, totient
 from sierpinski.covering import BudgetExceeded
 from sierpinski.cyclotomic import (
     MAX_CYCLOTOMIC_ORDER,
+    MAX_EVAL_BITS,
     IntPolynomial,
     cyclotomic_poly,
     divisors,
@@ -107,6 +108,10 @@ def test_order_budget():
         cyclotomic_poly(MAX_CYCLOTOMIC_ORDER + 1)
     with pytest.raises(BudgetExceeded):
         eval_cyclotomic(10**9, 2)
+    # Phi_65521(1000), phi(65521) * 10 bits, is inside the size budget; a 17-bit x is not
+    assert 65520 * (1000).bit_length() <= MAX_EVAL_BITS < 65520 * (1 << 16).bit_length()
+    with pytest.raises(BudgetExceeded):
+        eval_cyclotomic(65521, 1 << 16)
 
 
 def test_first_nonquadratic_coefficient():

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 import sierpinski.arith as arith
+import sierpinski.search as search
 from sierpinski.arith import Congruence, FactorBudget
 from sierpinski.construct import least_admissible
 from sierpinski.covering import BudgetExceeded, CoveringSystem
@@ -63,7 +64,7 @@ class TestDiscoverPrimePool:
         assert pool.orders() == list(range(1, 9))
         assert pool.primes(99) == ()
 
-    @pytest.mark.parametrize("m", [34, 127])
+    @pytest.mark.parametrize("m", [10, 22, 34, 46, 127])
     def test_pools_against_sympy(self, m):
         pool = discover_prime_pool(m, 8)
         for n in range(1, 9):
@@ -86,11 +87,13 @@ class TestDiscoverPrimePool:
 
     def test_budget_marks_orders_incomplete(self):
         pool = discover_prime_pool(127, 8, FactorBudget(trial_bound=100, rho_steps=0))
-        assert sorted(pool.incomplete) == [5, 7, 8]
+        assert pool.incomplete == {7, 8}
         # only what trial division certifies survives
         assert pool.primes(7) == (43,)
         assert pool.primes(8) == (17,)
-        assert pool.primes(5) == ()  # the order of the lone prime is uncheckable
+        # Phi_5(127) is prime; the order lemma needs no factorization of p - 1
+        assert pool.primes(5) == (262209281,)
+        assert sympy.n_order(127, 262209281) == 5
         assert pool.primes(6) == (13, 1231)
 
     def test_bad_arguments(self):
@@ -240,12 +243,21 @@ class TestSearchMin:
         qs = report.triviality_primes
         for c in report.candidates:
             assert c.crt == crt_solve_for(c.cover, c.primes, base)
+            # pool primes avoid every q | m - 1, so no cell is forced trivial
             ref = k_for(c.cover, c.primes, base, qs)
-            if isinstance(ref, Trivial):
-                assert (c.k, c.trivial_q) == (None, ref.q)
-            else:
-                assert c.k == ref
-                assert c.trivial_q == next((q for q in qs if ref % q == q - 1), None)
+            assert c.k == ref and isinstance(ref, int)
+            assert c.trivial_q == next((q for q in qs if ref % q == q - 1), None)
+
+    def test_one_assignment_list_per_search(self, monkeypatch):
+        calls = []
+
+        def counting(cover, pool):
+            calls.append(cover)
+            return assignments_for_cover(cover, pool)
+
+        monkeypatch.setattr(search, "assignments_for_cover", counting)
+        report = search_min(SearchConfig(127, moduli=(6, 6, 4, 4, 3), k_scan_bound=0))
+        assert len(report.candidates) > len(calls) == 1
 
     def test_moduli_order_does_not_change_minimum(self):
         a = search_min(SearchConfig(127, moduli=(3, 4, 4, 6, 6)))
