@@ -173,10 +173,31 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
             return x == p
     if x < _TRIAL_PRIMES[-1] ** 2:
         return x > 1
+    return _pocklington_core(x, f_primes)
+
+
+def _pocklington_core(x: int, f_primes) -> bool | None:
+    """pocklington_verdict for an x above 97 with no prime factor below 100.
+
+    Tries q by q, each with the bases in order until one settles it. The
+    first base a costs one full power for all q together: with F the
+    product of f_primes, z = a**((x-1)/F) gives a**((x-1)/q) = z**(F/q)
+    and a**(x-1) = z**F.
+    """
+    bases = _POCKLINGTON_BASES
+    e = x - 1
+    F = math.prod(f_primes)
+    z = pow(bases[0], e // F, x)
+    if pow(z, F, x) != 1:
+        return False
     for q in f_primes:
-        e = (x - 1) // q
-        for a in _POCKLINGTON_BASES:
-            y = pow(a, e, x)
+        g = math.gcd(pow(z, F // q, x) - 1, x)
+        if g == 1:
+            continue
+        if g != x:
+            return False
+        for a in bases[1:]:
+            y = pow(a, e // q, x)
             if pow(y, q, x) != 1:
                 return False
             g = math.gcd(y - 1, x)

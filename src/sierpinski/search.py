@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import (
-    _DETERMINISTIC_LIMIT,
     PROVEN,
     Congruence,
     FactorBudget,
+    _pocklington_core,
+    _small_primes,
     crt_solve,
     factorize,
     mod_inverse,
-    pocklington_verdict,
     prime_verdict,
 )
 from .covering import DEFAULT_MAX_ASSIGNMENTS, CoveringSystem, enumerate_covers
@@ -41,6 +41,14 @@ from .cyclotomic import eval_cyclotomic
 TRIVIAL = "trivial"
 PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
+
+# Small-k elimination sieves its terms by the primes below this bound. On
+# the elimination calls of the search benchmark (2 cores), bounds from 1024
+# to 4096 took about the same time; 8192 and 2**16 were slower, because
+# their extra slice assignments cost more than the verdicts they save.
+SIEVE_BOUND = 2048
+_SIEVE_PRIMES = _small_primes(SIEVE_BOUND)
+_SIEVE_BLOCK_BYTES = 1 << 18  # one sieve block holds this many (k, n) terms
 
 
 class InsufficientPrimes(RuntimeError):
@@ -268,38 +276,76 @@ def eliminate_small_k(
 
     trivial when k = -1 mod some q | m - 1; otherwise prime_found with
     the least n <= n_max making k*m**n + 1 prime; otherwise survivor.
-    Scans n upward and stops at the first hit. Terms at or above 2**64
-    with m**n > k are proven prime or composite by Pocklington's theorem
-    on the factored part m**n of the term minus one; every other term,
-    and any the theorem leaves open, gets prime_verdict.
+    Scans n upward and stops at the first hit.
+
+    The terms are sieved first, one block of k at a time: a prime p not
+    dividing m divides k*m**n + 1 exactly when k = -m**(-n) (mod p), so
+    each p below SIEVE_BOUND strikes one progression of k per n. A struck
+    term above SIEVE_BOUND is composite; an unstruck one has no prime
+    factor below SIEVE_BOUND, so below SIEVE_BOUND**2 it is prime. Other
+    unstruck terms with m**n > k are proven prime or composite by
+    Pocklington's theorem on the factored part m**n of the term minus
+    one. Terms up to SIEVE_BOUND (one may be its own sieve prime), the
+    remaining ones, and any the theorem leaves open get prime_verdict.
     """
     if m < 2 or n_max < 1:
         raise ValueError("need m >= 2 and n_max >= 1")
+    if k_scan_bound < 0:
+        raise ValueError("k_scan_bound must be nonnegative")
     fac = factorize(m)
     proven = fac.is_complete and all(c == PROVEN for _, _, c in fac.factors)
     m_primes = fac.primes() if proven else None  # Pocklington needs proven primes of m
+    powers = [m**n for n in range(n_max + 1)]
+    inverses = [(p, pow(m, -1, p)) for p in _SIEVE_PRIMES if m % p]
+    block = max(1, _SIEVE_BLOCK_BYTES // n_max)
     records = []
-    for k in range(1, k_scan_bound + 1):
-        q = next((q for q in triviality_primes if k % q == q - 1), None)
-        if q is not None:
-            records.append(EliminationRecord(k=k, status=TRIVIAL, q=q))
-            continue
-        power = 1
-        hit = None
-        for n in range(1, n_max + 1):
-            power *= m
-            value = k * power + 1
-            isp = None
-            if m_primes is not None and power > k and value >= _DETERMINISTIC_LIMIT:
-                isp, certainty = pocklington_verdict(value, power, m_primes), PROVEN
-            if isp is None:
-                isp, certainty = prime_verdict(value, seed=seed)
-            if isp:
-                hit = EliminationRecord(
-                    k=k, status=PRIME_FOUND, n=n, value=value, certainty=certainty
-                )
-                break
-        records.append(hit if hit is not None else EliminationRecord(k=k, status=SURVIVOR))
+    for lo in range(1, k_scan_bound + 1, block):
+        size = min(block, k_scan_bound + 1 - lo)
+        # struck[j * n_max + n - 1] is set when a sieve prime divides (lo + j) * m**n + 1
+        struck = bytearray(size * n_max)
+        for p, inv in inverses:
+            r = 1
+            for i in range(n_max):
+                r = r * inv % p  # m**-(i + 1) mod p
+                j = (-r - lo) % p
+                if j + p < size:
+                    struck[j * n_max + i :: p * n_max] = b"\x01" * ((size - 1 - j) // p + 1)
+                elif j < size:
+                    struck[j * n_max + i] = 1
+        for j in range(size):
+            k = lo + j
+            q = next((q for q in triviality_primes if k % q == q - 1), None)
+            if q is not None:
+                records.append(EliminationRecord(k=k, status=TRIVIAL, q=q))
+                continue
+            col = j * n_max - 1  # struck[col + n] belongs to k*m**n + 1
+            hit = None
+            n = 1
+            while n <= n_max:
+                value = k * powers[n] + 1
+                if value <= SIEVE_BOUND:
+                    isp, certainty = prime_verdict(value, seed=seed)
+                elif struck[col + n]:
+                    i = struck.find(0, col + n, col + n_max + 1)
+                    if i < 0:
+                        break
+                    n = i - col
+                    continue
+                elif value < SIEVE_BOUND * SIEVE_BOUND:
+                    isp, certainty = True, PROVEN
+                else:
+                    isp = None
+                    if m_primes is not None and powers[n] > k:
+                        isp, certainty = _pocklington_core(value, m_primes), PROVEN
+                    if isp is None:
+                        isp, certainty = prime_verdict(value, seed=seed)
+                if isp:
+                    hit = EliminationRecord(
+                        k=k, status=PRIME_FOUND, n=n, value=value, certainty=certainty
+                    )
+                    break
+                n += 1
+            records.append(hit if hit is not None else EliminationRecord(k=k, status=SURVIVOR))
     return records
 
 
@@ -307,7 +353,8 @@ def search_min(config: SearchConfig) -> SearchReport:
     """Full minimum search; see the module docstring for the pipeline.
 
     The reported minimum is the least nontrivial candidate k over all
-    (cover, assignment) cells; its certificate is emitted and verified.
+    (cover, assignment) cells, one per distinct {(a, n, p)} set; its
+    certificate is emitted and verified.
     Small k below the minimum are scanned up to min(minimum - 1,
     k_scan_bound); survivors of that scan are reported as unresolved.
     """
@@ -341,9 +388,21 @@ def search_min(config: SearchConfig) -> SearchReport:
         bases = [modulus // p * mod_inverse(modulus // p, p) for p in primes]
         terms = [[r * e for r in shifts[p]] for p, e in zip(primes, bases)]
         tables.append((primes, modulus, max(primes), terms))
+    # Swapping two equal-modulus classes together with their primes gives
+    # the same {(a, n, p)} set and the same k. Keep the one cell per set
+    # whose (a, p) pairs ascend within each modulus: it is also the least
+    # under the tie-break key (k, residues, primes) below.
+    pairs = [(i, j) for j, n in enumerate(moduli) for i in range(j) if moduli[i] == n]
+    tables_for_ties: dict[tuple, list] = {}
     for cover in covers:
-        for primes, modulus, max_p, terms in tables:
-            sol = Congruence(sum(t[a] for t, a in zip(terms, cover.residues)) % modulus, modulus)
+        residues = cover.residues
+        if any(residues[i] > residues[j] for i, j in pairs):
+            continue
+        ties = tuple((i, j) for i, j in pairs if residues[i] == residues[j])
+        if ties not in tables_for_ties:
+            tables_for_ties[ties] = [t for t in tables if all(t[0][i] < t[0][j] for i, j in ties)]
+        for primes, modulus, max_p, terms in tables_for_ties[ties]:
+            sol = Congruence(sum(t[a] for t, a in zip(terms, residues)) % modulus, modulus)
             k = least_admissible(sol, m, max_p)
             tq = next((q for q in qs if k % q == q - 1), None)
             candidates.append(CandidateSolution(cover, primes, sol, k, tq))

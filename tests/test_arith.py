@@ -94,6 +94,31 @@ def _terms_above_2_64(m, count):
     return out[:count]
 
 
+def _reference_pocklington(x, f, f_primes):
+    """pocklington_verdict with one full power per prime q and base."""
+    if f < 1 or (x - 1) % f or f * f <= x:
+        raise ValueError("need f | x - 1 and f**2 > x")
+    for p in arith._TRIAL_PRIMES:
+        if x % p == 0:
+            return x == p
+    if x < arith._TRIAL_PRIMES[-1] ** 2:
+        return x > 1
+    for q in f_primes:
+        e = (x - 1) // q
+        for a in arith._POCKLINGTON_BASES:
+            y = pow(a, e, x)
+            if pow(y, q, x) != 1:
+                return False
+            g = math.gcd(y - 1, x)
+            if g == 1:
+                break
+            if g != x:
+                return False
+        else:
+            return None
+    return True
+
+
 class TestPocklingtonVerdict:
     # prime m, and m with two or three distinct primes
     BASES = (2, 7, 127, 10, 22, 1000, 30, 210)
@@ -120,6 +145,29 @@ class TestPocklingtonVerdict:
         assert sympy.isprime(x) and pocklington_verdict(x, f, (2, 5)) is True
         monkeypatch.setattr(arith, "_POCKLINGTON_BASES", (4,))
         assert pocklington_verdict(x, f, (2, 5)) is None
+
+    @pytest.mark.parametrize("bases", [None, (4,), (4, 2)])
+    @pytest.mark.parametrize("m", BASES)
+    def test_matches_per_q_reference(self, monkeypatch, m, bases):
+        # the first base's powers for every q come from one shared power;
+        # a patched list runs out of bases (None) or falls through to base 2
+        if bases is not None:
+            monkeypatch.setattr(arith, "_POCKLINGTON_BASES", bases)
+        primes = tuple(sympy.primefactors(m))
+        terms = _terms_above_2_64(m, 200) + [
+            (k * m**n + 1, m**n) for k in range(1, 60) for n in range(1, 8) if m**n > k]
+        outcomes = set()
+        for x, f in terms:
+            got = pocklington_verdict(x, f, primes)
+            assert got is _reference_pocklington(x, f, primes), x
+            assert got is None or got is sympy.isprime(x), x
+            outcomes.add(got)
+        assert {True, False} <= outcomes
+        if bases is None:
+            assert None not in outcomes
+        elif m % 2 == 0:
+            # 4 = 2**2 never settles q = 2 for a prime x, nor does 2 when x = 1 mod 8
+            assert None in outcomes
 
     @pytest.mark.parametrize("x, f", [
         (10 * 1000**7 + 1, 1000**7 + 1),  # f does not divide x - 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 import sympy
@@ -10,7 +11,7 @@ import sierpinski.arith as arith
 import sierpinski.search as search
 from sierpinski.arith import Congruence, FactorBudget
 from sierpinski.construct import least_admissible
-from sierpinski.covering import BudgetExceeded, CoveringSystem
+from sierpinski.covering import BudgetExceeded, CoveringSystem, enumerate_covers
 from sierpinski.cyclotomic import eval_cyclotomic
 from sierpinski.search import (
     PRIME_FOUND,
@@ -191,6 +192,83 @@ class TestEliminateSmallK:
             eliminate_small_k(1, 5, 30, ())
         with pytest.raises(ValueError):
             eliminate_small_k(34, 5, 0, ())
+        with pytest.raises(ValueError, match="k_scan_bound"):
+            eliminate_small_k(34, -1, 30, (3, 11))
+        assert eliminate_small_k(34, 0, 30, (3, 11)) == []
+
+    # (m, primes of m - 1, k <=); every m has prime factors below SIEVE_BOUND,
+    # which the sieve must skip (127 is one itself)
+    REFERENCE_CASES = [
+        (2, (), 400), (3, (2,), 400), (10, (3,), 300), (22, (3, 7), 300),
+        (34, (3, 11), 300), (127, (2, 3, 7), 300), (1000, (3, 37), 120),
+    ]
+
+    @pytest.mark.parametrize("n_max", [30, 60])
+    @pytest.mark.parametrize("m, qs, k_max", REFERENCE_CASES)
+    def test_matches_k_major_reference(self, m, qs, k_max, n_max):
+        got = eliminate_small_k(m, k_max, n_max, qs)
+        assert _records(got) == _reference_eliminate(m, k_max, n_max, qs)
+
+    def test_terms_equal_to_a_sieve_prime_are_prime(self):
+        # 3 * 2 + 1 = 7 is struck by 7 itself; 5 * 2**1 + 1 = 11, 1 * 2**2 + 1 = 5
+        got = eliminate_small_k(2, 5, 30, ())
+        assert [(r.k, r.n, r.value) for r in got] == [
+            (1, 1, 3), (2, 1, 5), (3, 1, 7), (4, 2, 17), (5, 1, 11)]
+        small = [r for r in eliminate_small_k(2, 400, 30, ()) if r.status == PRIME_FOUND]
+        assert sum(r.value < search.SIEVE_BOUND for r in small) > 100
+
+    @pytest.mark.parametrize("block_bytes", [60, 7 * 60, 1000])
+    def test_block_boundaries(self, monkeypatch, block_bytes):
+        # blocks of 1, 7 and 16 k at n_max = 60
+        expected = _reference_eliminate(22, 150, 60, (3, 7))
+        monkeypatch.setattr(search, "_SIEVE_BLOCK_BYTES", block_bytes)
+        assert _records(eliminate_small_k(22, 150, 60, (3, 7))) == expected
+
+    def test_memory_is_one_block(self, monkeypatch):
+        # Six blocks of k. Beyond the records it returns, the scan holds one
+        # block plus small tables (the sieve primes, the powers of m); a sieve
+        # over the whole range would hold k_max * n_max bytes.
+        block_bytes, n_max = 1 << 14, 30
+        monkeypatch.setattr(search, "_SIEVE_BLOCK_BYTES", block_bytes)
+        k_max = 6 * (block_bytes // n_max)
+        tracemalloc.start()
+        try:
+            records = eliminate_small_k(2, k_max, n_max, ())
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == k_max
+        assert peak - current < block_bytes + (32 << 10) < k_max * n_max
+
+
+def _records(records):
+    return [(r.k, r.status, r.q, r.n, r.value, r.certainty) for r in records]
+
+
+def _reference_eliminate(m, k_scan_bound, n_max, triviality_primes, seed=0):
+    """eliminate_small_k as a k-major loop without a sieve: each term gets
+    pocklington_verdict at or above 2**64 when m**n > k, else prime_verdict."""
+    fac = arith.factorize(m)
+    m_primes = fac.primes() if all(c == "proven" for _, _, c in fac.factors) else None
+    out = []
+    for k in range(1, k_scan_bound + 1):
+        q = next((q for q in triviality_primes if k % q == q - 1), None)
+        if q is not None:
+            out.append((k, TRIVIAL, q, None, None, None))
+            continue
+        record = (k, SURVIVOR, None, None, None, None)
+        for n in range(1, n_max + 1):
+            value = k * m**n + 1
+            isp = None
+            if m_primes is not None and m**n > k and value >= 2**64:
+                isp, certainty = arith.pocklington_verdict(value, m**n, m_primes), "proven"
+            if isp is None:
+                isp, certainty = arith.prime_verdict(value, seed=seed)
+            if isp:
+                record = (k, PRIME_FOUND, None, n, value, certainty)
+                break
+        out.append(record)
+    return out
 
 
 class TestSearchMin:
@@ -203,12 +281,11 @@ class TestSearchMin:
         assert report.survivors_below_minimum == ()
         assert report.minimality_established
         assert report.eliminations_all_proven
+        # (1, 0) with (5, 7) is the set of (0, 1) with (7, 5): one cell per set
         cells = [(c.cover.residues, c.primes, c.k, c.trivial_q) for c in report.candidates]
         assert cells == [
             ((0, 1), (5, 7), 29, 3),
             ((0, 1), (7, 5), 6, None),
-            ((1, 0), (5, 7), 6, None),
-            ((1, 0), (7, 5), 29, 3),
         ]
 
     def test_base_127_five_moduli(self):
@@ -220,8 +297,9 @@ class TestSearchMin:
         )
         assert best.cover.residues == (0, 0, 2, 1, 5)
         assert best.primes == (5419, 5, 1613, 13, 1231)
-        assert len(report.candidates) == 96
-        assert sum(1 for c in report.candidates if c.nontrivial) == 32
+        # one cell per {(a, n, p)} set: a quarter of the 96 (cover, primes) pairs
+        assert len(report.candidates) == 24
+        assert sum(1 for c in report.candidates if c.nontrivial) == 8
         # 1000 < minimum - 1, so minimality stays open and survivors are honest
         assert report.elimination_bound == 1000
         assert not report.minimality_established
@@ -247,6 +325,29 @@ class TestSearchMin:
             ref = k_for(c.cover, c.primes, base, qs)
             assert c.k == ref and isinstance(ref, int)
             assert c.trivial_q == next((q for q in qs if ref % q == q - 1), None)
+
+    @pytest.mark.parametrize("base, moduli", [(34, (2, 2)), (127, (3, 4, 4, 6, 6)), (10, None)])
+    def test_one_cell_per_class_set(self, base, moduli):
+        # brute force: every cover times every injective assignment, keyed by
+        # its {(a, n, p)} set; auto base 10 has covers with tied residues
+        report = search_min(SearchConfig(base, moduli=moduli, a_max=6, k_scan_bound=0))
+        qs = report.triviality_primes
+        pool = discover_prime_pool(base, 6)
+        covers = enumerate_covers(report.moduli)
+        expected = {}
+        for cover in covers:
+            for primes in assignments_for_cover(cover, pool):
+                key = frozenset((c.residue, c.modulus, p) for c, p in zip(cover.classes, primes))
+                k = k_for(cover, primes, base, qs)
+                tq = next((q for q in qs if k % q == q - 1), None)
+                assert expected.setdefault(key, (k, tq)) == (k, tq)
+        got = {}
+        for c in report.candidates:
+            key = frozenset((a.residue, a.modulus, p) for a, p in zip(c.cover.classes, c.primes))
+            assert key not in got
+            got[key] = (c.k, c.trivial_q)
+        assert got == expected
+        assert len(got) < sum(len(assignments_for_cover(c, pool)) for c in covers)
 
     def test_one_assignment_list_per_search(self, monkeypatch):
         calls = []
