@@ -57,7 +57,6 @@ from .search import (
     PrimePool,
     SearchConfig,
     SearchReport,
-    Trivial,
     assignments_for_cover,
     discover_prime_pool,
     eliminate_small_k,

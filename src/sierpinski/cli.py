@@ -233,10 +233,7 @@ def _cmd_search(args) -> int:
         print(f"moduli: {','.join(str(n) for n in report.moduli)}")
         print("candidates:")
         for c in report.candidates:
-            line = f"  cover {c.cover} primes {','.join(str(p) for p in c.primes)}: class {c.crt}, k = {c.k}"
-            if c.trivial_q is not None:
-                line += f", trivial (q = {c.trivial_q})"
-            print(line)
+            print(f"  cover {c.cover} primes {','.join(str(p) for p in c.primes)}: class {c.crt}, k = {c.k}")
         if report.minimum_nontrivial_k is None:
             print("minimum nontrivial k: none found")
         else:

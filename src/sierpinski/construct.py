@@ -174,11 +174,6 @@ class SierpinskiCertificate:
         )
 
 
-def _forbidden_residue(q: int, variant: str) -> int:
-    # q | k*m**n + 1 for all n exactly when k ≡ -1 (mod q); mirrored for riesel
-    return (q - 1) if variant == SIERPINSKI else 1
-
-
 def least_admissible(sol: Congruence, m: int, max_p: int, sign: int = 1) -> int:
     """Least k >= 1 in the class sol with k*m + sign > max_p (sol.residue itself if it qualifies)."""
     lo = max(1, (max_p - sign) // m + 1)
@@ -186,26 +181,49 @@ def least_admissible(sol: Congruence, m: int, max_p: int, sign: int = 1) -> int:
     return k if k >= lo else k - (k - lo) // sol.modulus * sol.modulus
 
 
+def triviality_primes_for(m: int, budget: FactorBudget | None = None) -> tuple[int, ...]:
+    """The primes q | m - 1; FactorBudgetExceeded when m - 1 does not
+    factor fully within budget."""
+    fac = factorize(m - 1, budget)
+    if not fac.is_complete:
+        raise FactorBudgetExceeded(f"m - 1 = {m - 1} not fully factored within budget")
+    return fac.primes()
+
+
+def trivial_prime(k: int, qs, sign: int = 1) -> int | None:
+    """The first q in qs dividing k + sign, or None.
+
+    As m = 1 mod q, q | k*m**n + sign for every n exactly when q | k + sign:
+    k is trivial exactly when some prime q | m - 1 divides k + sign.
+    """
+    return next((q for q in qs if (k + sign) % q == 0), None)
+
+
+def next_nontrivial(k: int, step: int, q_product: int, sign: int = 1) -> int:
+    """Least nontrivial k + j*step, j >= 0, given the product of the primes
+    q | m - 1; it ends when step is coprime to that product."""
+    while math.gcd(k + sign, q_product) != 1:
+        k += step
+    return k
+
+
 def _nth_admissible(sol: Congruence, m: int, max_p: int, variant: str, constraint: str, qs, index: int) -> int:
     # sol.modulus is coprime to m - 1, so each run of `period` consecutive
     # representatives meets every residue mod period once: prod(q - 1) of
     # them are nontrivial, and exactly one is a multiple of m - 1.
+    sign, step = VARIANT_SIGN[variant], sol.modulus
     if constraint == NONTRIVIAL:
         period, per_period = math.prod(qs), math.prod(q - 1 for q in qs)
     else:
         period, per_period = m - 1, 1
     skip, index = divmod(index, per_period)
-    k = least_admissible(sol, m, max_p, VARIANT_SIGN[variant]) + skip * period * sol.modulus
-    while True:
-        if constraint == NONTRIVIAL:
-            ok = all(k % q != _forbidden_residue(q, variant) for q in qs)
-        else:
-            ok = k % (m - 1) == 0
-        if ok:
-            if index == 0:
-                return k
-            index -= 1
-        k += sol.modulus
+    k = least_admissible(sol, m, max_p, sign) + skip * period * step
+    if constraint != NONTRIVIAL:
+        return k + (-k * pow(step, -1, period)) % period * step
+    k = next_nontrivial(k, step, period, sign)
+    for _ in range(index):
+        k = next_nontrivial(k + step, step, period, sign)
+    return k
 
 
 def construct(
@@ -238,10 +256,7 @@ def construct(
     if len(set(primes)) != len(primes):
         # distinctness follows from distinct multiplicative orders
         raise NoQualifyingPrime(f"cover primes for base {m} are not distinct: {primes}")
-    fac = factorize(m - 1, budget)
-    if not fac.is_complete:
-        raise FactorBudgetExceeded(f"m - 1 = {m - 1} not fully factored within budget")
-    qs = fac.primes()
+    qs = triviality_primes_for(m, budget)
     sol = crt_solve(build_congruences(m, cover, primes, variant))
     k = _nth_admissible(sol, m, max(primes), variant, multiplier_constraint, qs, index)
     return SierpinskiCertificate(
@@ -325,22 +340,21 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
         return False, "certificate primes are not pairwise distinct"
     if k * m + sign <= max(primes):
         return False, f"size condition fails: k*m{'+' if sign > 0 else '-'}1 = {k * m + sign} <= {max(primes)}"
-    if cert.base == 2:
-        if cert.triviality_primes:
-            return False, "base 2 admits no triviality primes"
-    else:
-        fac = factorize(m - 1)
-        if not fac.is_complete:
-            return False, f"could not factor m - 1 = {m - 1} to audit triviality primes"
-        if tuple(cert.triviality_primes) != fac.primes():
-            return False, (
-                f"triviality primes {list(cert.triviality_primes)} do not match "
-                f"the prime factors {list(fac.primes())} of m - 1"
-            )
+    # the triviality primes are the primes of m - 1 exactly when they are
+    # ascending primes that divide m - 1 and leave 1 once divided out
+    qs, rest = cert.triviality_primes, m - 1
+    for i, q in enumerate(qs):
+        if (i and q <= qs[i - 1]) or q < 2 or rest % q or not prime_verdict(q)[0]:
+            rest = 0
+            break
+        while rest % q == 0:
+            rest //= q
+    if rest != 1:
+        return False, f"triviality primes {list(qs)} do not match the prime factors of m - 1 = {m - 1}"
     if cert.multiplier_constraint == NONTRIVIAL:
-        for q in cert.triviality_primes:
-            if k % q == _forbidden_residue(q, cert.variant):
-                return False, f"k is trivial modulo {q}"
+        q = trivial_prime(k, qs, sign)
+        if q is not None:
+            return False, f"k is trivial modulo {q}"
     else:
         if m < 3 or k % (m - 1) != 0:
             return False, f"k = {k} is not a multiple of m - 1 = {m - 1}"

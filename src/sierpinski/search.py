@@ -3,8 +3,9 @@
 Pipeline: factor m**n - 1 layer by layer (via Phi_n(m)) into a pool of
 usable primes keyed by multiplicative order, enumerate every covering
 system on a moduli multiset, CRT each injective prime assignment into a
-candidate k, drop trivial candidates, then try to eliminate every smaller
-k by exhibiting a prime k*m**n + 1.
+candidate class, walk each class to its least nontrivial admissible k
+as construct does, then try to eliminate every smaller k by exhibiting a
+prime k*m**n + 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .arith import (
     PROVEN,
@@ -30,10 +30,12 @@ from .covering import DEFAULT_MAX_ASSIGNMENTS, CoveringSystem, enumerate_covers
 from .construct import (
     NONTRIVIAL,
     SIERPINSKI,
-    FactorBudgetExceeded,
     SierpinskiCertificate,
     build_congruences,
     least_admissible,
+    next_nontrivial,
+    trivial_prime,
+    triviality_primes_for,
     verify_certificate,
 )
 from .cyclotomic import eval_cyclotomic
@@ -57,12 +59,6 @@ class InsufficientPrimes(RuntimeError):
     def __init__(self, modulus: int):
         super().__init__(f"prime pool has too few primes of order {modulus}")
         self.modulus = modulus
-
-
-class Trivial(NamedTuple):
-    """Marker: every CRT representative is a trivial solution mod q."""
-
-    q: int
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,7 @@ class CandidateSolution:
     cover: CoveringSystem
     primes: tuple[int, ...]
     crt: Congruence
-    k: int  # least admissible representative
-    trivial_q: int | None  # q with k = -1 mod q, if any
-
-    @property
-    def nontrivial(self) -> bool:
-        return self.trivial_q is None
+    k: int  # least nontrivial admissible representative
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,7 +137,6 @@ class CandidateSolution:
             "primes": [str(p) for p in self.primes],
             "class": {"residue": str(self.crt.residue), "modulus": str(self.crt.modulus)},
             "k": str(self.k),
-            "trivial_q": None if self.trivial_q is None else str(self.trivial_q),
         }
 
 
@@ -241,19 +231,18 @@ def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[
     return [t for t in itertools.product(*choices) if len(set(t)) == len(t)]
 
 
-def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int | Trivial:
-    """Least positive k in the CRT class with k*m + 1 > max(assignment).
+def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int:
+    """Least nontrivial k in the CRT class with k*m + 1 > max(assignment).
 
-    Returns Trivial(q) when q divides the CRT modulus and the class sits
-    on the forbidden residue -1 mod q: then every representative in a
-    full triviality period is a trivial solution. (For q coprime to the
-    modulus the representatives meet every residue mod q, so some escape
-    and the least admissible k is returned as is; callers judge its own
-    triviality separately.)
+    Walks the class as construct does. Raises ValueError when an assigned
+    prime shares a factor with the product of the triviality primes:
+    then the walk could run forever.
     """
+    q_product = math.prod(triviality_primes)
+    if math.gcd(math.prod(assignment), q_product) != 1:
+        raise ValueError("assigned primes must be coprime to every prime q | m - 1")
     sol = crt_solve_for(cover, assignment, m)
-    q = next((q for q in triviality_primes if sol.modulus % q == 0 and sol.residue % q == q - 1), None)
-    return least_admissible(sol, m, max(assignment)) if q is None else Trivial(q)
+    return next_nontrivial(least_admissible(sol, m, max(assignment)), sol.modulus, q_product)
 
 
 def crt_solve_for(cover: CoveringSystem, assignment, m: int) -> Congruence:
@@ -314,7 +303,7 @@ def eliminate_small_k(
                     struck[j * n_max + i] = 1
         for j in range(size):
             k = lo + j
-            q = next((q for q in triviality_primes if k % q == q - 1), None)
+            q = trivial_prime(k, triviality_primes)
             if q is not None:
                 records.append(EliminationRecord(k=k, status=TRIVIAL, q=q))
                 continue
@@ -352,18 +341,16 @@ def eliminate_small_k(
 def search_min(config: SearchConfig) -> SearchReport:
     """Full minimum search; see the module docstring for the pipeline.
 
-    The reported minimum is the least nontrivial candidate k over all
-    (cover, assignment) cells, one per distinct {(a, n, p)} set; its
-    certificate is emitted and verified.
+    Each (cover, assignment) cell, one per distinct {(a, n, p)} set,
+    holds the least nontrivial admissible k of its CRT class; the reported
+    minimum is the least of them, and its certificate is emitted and
+    verified.
     Small k below the minimum are scanned up to min(minimum - 1,
     k_scan_bound); survivors of that scan are reported as unresolved.
     """
     m = config.base
     budget = config.budget or FactorBudget.default()
-    fac = factorize(m - 1, budget)
-    if not fac.is_complete:
-        raise FactorBudgetExceeded(f"m - 1 = {m - 1} not fully factored within budget")
-    qs = fac.primes()
+    qs = triviality_primes_for(m, budget)
     if config.moduli is not None:
         moduli = config.moduli
         pool = _pool_for(m, set(moduli), budget)
@@ -380,7 +367,8 @@ def search_min(config: SearchConfig) -> SearchReport:
     # Each cell is crt_solve_for(cover, primes, m): with the CRT basis e_p
     # (1 mod p, 0 mod the other primes), position i contributes
     # (-m**(-a) mod p_i) * e_p_i for its residue a, summed mod prod(primes).
-    # Pool primes avoid every q | m - 1, so no cell is forced trivial.
+    # Pool primes avoid every q | m - 1, so every class walks on to a
+    # nontrivial k.
     shifts = {p: [-pow(m, -a, p) % p for a in range(n)] for n in set(moduli) for p in pool.primes(n)}
     tables = []
     for primes in assignments:
@@ -391,9 +379,11 @@ def search_min(config: SearchConfig) -> SearchReport:
     # Swapping two equal-modulus classes together with their primes gives
     # the same {(a, n, p)} set and the same k. Keep the one cell per set
     # whose (a, p) pairs ascend within each modulus: it is also the least
-    # under the tie-break key (k, residues, primes) below.
+    # under the witness key (k, residues, primes) below.
     pairs = [(i, j) for j, n in enumerate(moduli) for i in range(j) if moduli[i] == n]
     tables_for_ties: dict[tuple, list] = {}
+    q_product = math.prod(qs)
+    best = best_cover = None
     for cover in covers:
         residues = cover.residues
         if any(residues[i] > residues[j] for i, j in pairs):
@@ -403,20 +393,19 @@ def search_min(config: SearchConfig) -> SearchReport:
             tables_for_ties[ties] = [t for t in tables if all(t[0][i] < t[0][j] for i, j in ties)]
         for primes, modulus, max_p, terms in tables_for_ties[ties]:
             sol = Congruence(sum(t[a] for t, a in zip(terms, residues)) % modulus, modulus)
-            k = least_admissible(sol, m, max_p)
-            tq = next((q for q in qs if k % q == q - 1), None)
-            candidates.append(CandidateSolution(cover, primes, sol, k, tq))
-    nontrivial = [c for c in candidates if c.nontrivial]
+            k = next_nontrivial(least_admissible(sol, m, max_p), modulus, q_product)
+            candidates.append(CandidateSolution(cover, primes, sol, k))
+            if best is None or (k, residues, primes) < best:
+                best, best_cover = (k, residues, primes), cover
     certificate = None
-    if nontrivial:
-        best = min(nontrivial, key=lambda c: (c.k, c.cover.residues, c.primes))
-        minimum = best.k
+    if best is not None:
+        minimum, _, best_primes = best
         certificate = SierpinskiCertificate(
             base=m,
             k=minimum,
             entries=tuple(
                 (cls.residue, cls.modulus, p)
-                for cls, p in zip(best.cover.classes, best.primes)
+                for cls, p in zip(best_cover.classes, best_primes)
             ),
             variant=SIERPINSKI,
             triviality_primes=qs,

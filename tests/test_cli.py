@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import sierpinski.cli as cli
 from sierpinski.arith import Factorization
 from sierpinski.cli import run
+from sierpinski.construct import SierpinskiCertificate, verify_certificate
 
 
 def invoke(capsys, *argv):
@@ -313,7 +315,8 @@ class TestSearchCommand:
         assert lines[1] == "moduli: 2,2"
         assert lines[2] == "candidates:"
         assert "  cover 0(2),1(2) primes 7,5: class 6 (mod 35), k = 6" in lines
-        assert "  cover 0(2),1(2) primes 5,7: class 29 (mod 35), k = 29, trivial (q = 3)" in lines
+        # 29 = -1 mod 3 is trivial, so the class walks on to 64
+        assert "  cover 0(2),1(2) primes 5,7: class 29 (mod 35), k = 64" in lines
         assert "minimum nontrivial k: 6" in lines
         assert "witness cover: 0(2),1(2)" in lines
         assert "witness primes: 7,5" in lines
@@ -333,6 +336,13 @@ class TestSearchCommand:
         code, out, _ = invoke(capsys, "search", "127", "--moduli", "3,4,4,6,6")
         assert code == 0
         assert "UNRESOLVED survivors below minimum: 64, 66," in out
+
+    def test_walked_minimum_is_found(self, capsys):
+        # the least admissible k = 37 of the witness class is -1 mod 2: the
+        # class walks on to 94 instead of dropping out of the search
+        code, out, _ = invoke(capsys, "search", "113", "--moduli", "2,2")
+        assert code == 0
+        assert "minimum nontrivial k: 94" in out.splitlines()
 
     def test_no_minimum_is_negative(self, capsys):
         code, out, _ = invoke(capsys, "search", "5", "--moduli", "2", "--kscan", "5")
@@ -433,3 +443,47 @@ def test_run_never_raises(argv, json_flag):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv + ["--json"] * json_flag)
     assert code in (0, 1, 2, 3)
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.integers(2, 80),
+    moduli=st.sampled_from(["2,2", "2,4,4"]),
+    kscan=st.integers(0, 60),
+    nmax=st.integers(1, 12),
+)
+@example(base=43, moduli="2,4,4", kscan=0, nmax=1)  # every least admissible k is trivial
+def test_search_answers_check_out(base, moduli, kscan, nmax):
+    start = time.perf_counter()
+    code, out = _run_quiet(
+        ["search", str(base), "--moduli", moduli, "--kscan", str(kscan), "--nmax", str(nmax), "--json"])
+    assert time.perf_counter() - start < 5.0
+    doc = json.loads(out)
+    if code == 0:
+        cert = SierpinskiCertificate.from_json_dict(doc["certificate"])
+        assert cert.k == int(doc["minimum_nontrivial_k"])
+        assert verify_certificate(cert) == (True, None)
+    else:
+        assert code == 1
+        assert doc["candidates"] == [] and doc["minimum_nontrivial_k"] is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.integers(2, 200), flags=st.sampled_from([[], ["--riesel"], ["--times-m-minus-1"]]))
+def test_construct_round_trips_through_verify_cert(base, flags):
+    if base == 2:
+        flags = []  # base 2 has only the plain sierpinski certificate
+    code, out = _run_quiet(["construct", str(base), "--json", *flags])
+    assert code == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(out)
+        code, out = _run_quiet(["verify-cert", str(path), "--json"])
+    assert (code, json.loads(out)) == (0, {"reason": None, "valid": True})

@@ -368,7 +368,32 @@ class TestVerifyCertificate:
     def test_base2_rejects_triviality_primes(self):
         cert = dataclasses.replace(base2_certificate(), triviality_primes=(3,))
         ok, why = verify_certificate(cert)
-        assert not ok and why == "base 2 admits no triviality primes"
+        assert not ok and why == "triviality primes [3] do not match the prime factors of m - 1 = 1"
+
+    @pytest.mark.parametrize("qs", [
+        (3,), (),            # a missing prime
+        (3, 11, 13),         # an extra prime
+        (3, 5),              # a non-divisor
+        (33,), (3, 11, 33),  # a composite divisor
+        (1, 3, 11), (-3, 11), (0, 3, 11),
+        (11, 3),             # unsorted
+        (3, 3, 11),
+    ])
+    def test_tampered_triviality_primes_rejected(self, qs):
+        # m - 1 = 33 = 3 * 11; the audit needs no factorization of it
+        cert = dataclasses.replace(construct(34), triviality_primes=qs)
+        assert verify_certificate(cert) == (
+            False, f"triviality primes {list(qs)} do not match the prime factors of m - 1 = 33")
+
+    def test_verify_does_not_factor_m_minus_1(self, monkeypatch):
+        certs = [construct(34), construct(34, RIESEL), construct(127), base2_certificate()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_certificate factored m - 1")
+
+        monkeypatch.setattr(importlib.import_module("sierpinski.construct"), "factorize", refuse)
+        for cert in certs:
+            assert verify_certificate(cert) == (True, None)
 
     def test_size_condition_implies_proper_divisors(self):
         # verify_certificate checks k*m + sign > max p only; terms grow with

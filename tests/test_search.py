@@ -1,5 +1,6 @@
 """Minimum-multiplier search: prime pools, assignments, CRT, elimination."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import sympy
 import sierpinski.arith as arith
 import sierpinski.search as search
 from sierpinski.arith import Congruence, FactorBudget
-from sierpinski.construct import least_admissible
+from sierpinski.construct import least_admissible, verify_certificate
 from sierpinski.covering import BudgetExceeded, CoveringSystem, enumerate_covers
 from sierpinski.cyclotomic import eval_cyclotomic
 from sierpinski.search import (
@@ -22,7 +23,6 @@ from sierpinski.search import (
     InsufficientPrimes,
     PrimePool,
     SearchConfig,
-    Trivial,
     assignments_for_cover,
     crt_solve_for,
     discover_prime_pool,
@@ -127,16 +127,19 @@ class TestKFor:
     def test_base_34_cells(self):
         cover = CoveringSystem.parse("0(2),1(2)")
         assert k_for(cover, (7, 5), 34, (3, 11)) == 6
-        assert k_for(cover, (5, 7), 34, (3, 11)) == 29
+        # the class of 29 = -1 mod 3 walks on to 64, as construct walks
+        assert k_for(cover, (5, 7), 34, (3, 11)) == 64
         assert crt_solve_for(cover, (7, 5), 34) == Congruence(6, 35)
         assert crt_solve_for(cover, (5, 7), 34) == Congruence(29, 35)
 
     def test_forced_trivial(self):
-        # p = q = 7 divides the CRT modulus: every representative is -1 mod 7
+        # p = q = 7 divides the CRT modulus: every representative is -1 mod 7,
+        # so the walk would never end
         cover = CoveringSystem.parse("0(1)")
-        assert k_for(cover, (7,), 8, (7,)) == Trivial(7)
-        # a q coprime to the modulus never forces: 29 = -1 mod 3 is returned
-        assert k_for(CoveringSystem.parse("0(2),1(2)"), (5, 7), 34, (3,)) == 29
+        with pytest.raises(ValueError, match="coprime"):
+            k_for(cover, (7,), 8, (7,))
+        # a q coprime to the modulus never forces: 29 = -1 mod 3 walks to 64
+        assert k_for(CoveringSystem.parse("0(2),1(2)"), (5, 7), 34, (3,)) == 64
 
     def test_least_admissible_respects_size_condition(self):
         assert least_admissible(Congruence(1, 10), 3, 100) == 41
@@ -282,24 +285,21 @@ class TestSearchMin:
         assert report.minimality_established
         assert report.eliminations_all_proven
         # (1, 0) with (5, 7) is the set of (0, 1) with (7, 5): one cell per set
-        cells = [(c.cover.residues, c.primes, c.k, c.trivial_q) for c in report.candidates]
+        # the class of 29 = -1 mod 3 walks on to its next nontrivial k, 64
+        cells = [(c.cover.residues, c.primes, c.k) for c in report.candidates]
         assert cells == [
-            ((0, 1), (5, 7), 29, 3),
-            ((0, 1), (7, 5), 6, None),
+            ((0, 1), (5, 7), 64),
+            ((0, 1), (7, 5), 6),
         ]
 
     def test_base_127_five_moduli(self):
         report = search_min(SearchConfig(127, moduli=(3, 4, 4, 6, 6)))
         assert report.minimum_nontrivial_k == 43429139464
-        best = min(
-            (c for c in report.candidates if c.nontrivial),
-            key=lambda c: (c.k, c.cover.residues, c.primes),
-        )
+        best = min(report.candidates, key=lambda c: (c.k, c.cover.residues, c.primes))
         assert best.cover.residues == (0, 0, 2, 1, 5)
         assert best.primes == (5419, 5, 1613, 13, 1231)
         # one cell per {(a, n, p)} set: a quarter of the 96 (cover, primes) pairs
         assert len(report.candidates) == 24
-        assert sum(1 for c in report.candidates if c.nontrivial) == 8
         # 1000 < minimum - 1, so minimality stays open and survivors are honest
         assert report.elimination_bound == 1000
         assert not report.minimality_established
@@ -321,10 +321,8 @@ class TestSearchMin:
         qs = report.triviality_primes
         for c in report.candidates:
             assert c.crt == crt_solve_for(c.cover, c.primes, base)
-            # pool primes avoid every q | m - 1, so no cell is forced trivial
-            ref = k_for(c.cover, c.primes, base, qs)
-            assert c.k == ref and isinstance(ref, int)
-            assert c.trivial_q == next((q for q in qs if ref % q == q - 1), None)
+            assert c.k == k_for(c.cover, c.primes, base, qs)
+            assert all((c.k + 1) % q for q in qs)
 
     @pytest.mark.parametrize("base, moduli", [(34, (2, 2)), (127, (3, 4, 4, 6, 6)), (10, None)])
     def test_one_cell_per_class_set(self, base, moduli):
@@ -339,13 +337,12 @@ class TestSearchMin:
             for primes in assignments_for_cover(cover, pool):
                 key = frozenset((c.residue, c.modulus, p) for c, p in zip(cover.classes, primes))
                 k = k_for(cover, primes, base, qs)
-                tq = next((q for q in qs if k % q == q - 1), None)
-                assert expected.setdefault(key, (k, tq)) == (k, tq)
+                assert expected.setdefault(key, k) == k
         got = {}
         for c in report.candidates:
             key = frozenset((a.residue, a.modulus, p) for a, p in zip(c.cover.classes, c.primes))
             assert key not in got
-            got[key] = (c.k, c.trivial_q)
+            got[key] = c.k
         assert got == expected
         assert len(got) < sum(len(assignments_for_cover(c, pool)) for c in covers)
 
@@ -403,3 +400,56 @@ class TestSearchMin:
         trivial = [e for e in doc["eliminations"] if e["status"] == "trivial"]
         assert trivial == [{"k": "2", "status": "trivial", "q": "3"},
                            {"k": "5", "status": "trivial", "q": "3"}]
+
+
+class TestMinimumIsLeastNontrivial:
+    """Each cell walks its class to the least nontrivial admissible k."""
+
+    @pytest.mark.parametrize("base, moduli, k, entries", [
+        # 0(2),1(2) with (19, 3): the class's least admissible k = 37 is -1 mod 2
+        (113, (2, 2), 94, ((0, 2, 19), (1, 2, 3))),
+        (203, (2, 4, 4), 242, None),
+        (43, (2, 4, 4), 2256, None),
+    ])
+    def test_walked_minima(self, base, moduli, k, entries):
+        report = search_min(SearchConfig(base, moduli=moduli, k_scan_bound=0))
+        assert report.minimum_nontrivial_k == k
+        assert report.certificate.k == k
+        assert entries is None or report.certificate.entries == entries
+        assert verify_certificate(report.certificate) == (True, None)
+
+    # A fixed scan bound, independent of what the search reports.
+    K_BOUND = 2500
+
+    @pytest.mark.parametrize("moduli", [(2, 2), (2, 4, 4)])
+    def test_matches_brute_force_definition(self, moduli):
+        for base in range(3, 61):
+            expected = _brute_force_minimum(base, moduli, self.K_BOUND)
+            got = search_min(SearchConfig(base, moduli=moduli, k_scan_bound=0)).minimum_nontrivial_k
+            if expected is None:
+                assert got is None or got > self.K_BOUND, base
+            else:
+                assert got == expected, base
+
+
+def _brute_force_minimum(m, moduli, k_bound):
+    """Least k <= k_bound that is nontrivial (no prime q | m - 1 divides
+    k + 1) and has, for some cover on the moduli, distinct primes p_i of
+    order n_i mod m with p_i | k*m**a_i + 1 and k*m + 1 > max p_i."""
+    qs = sympy.primefactors(m - 1)
+    pool = {
+        n: [p for p in sympy.primefactors(m**n - 1) if sympy.n_order(m, p) == n]
+        for n in set(moduli)
+    }
+    covers = [tuple((c.residue, c.modulus) for c in cover.classes) for cover in enumerate_covers(moduli)]
+    for k in range(1, k_bound + 1):
+        if any((k + 1) % q == 0 for q in qs):
+            continue
+        for cover in covers:
+            choices = [
+                [p for p in pool[n] if p < k * m + 1 and (k * pow(m, a, p) + 1) % p == 0]
+                for a, n in cover
+            ]
+            if any(len(set(t)) == len(t) for t in itertools.product(*choices)):
+                return k
+    return None
