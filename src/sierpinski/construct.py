@@ -159,17 +159,16 @@ class SierpinskiCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict, budget: FactorBudget | None = None) -> "SierpinskiCertificate":
-        """Rebuild from the JSON schema; triviality primes are recomputed
-        from base - 1 since the schema does not carry them."""
+        """Rebuild from the JSON schema. The schema does not carry the
+        triviality primes, so they are recomputed from base - 1;
+        FactorBudgetExceeded when base - 1 does not factor within budget."""
         base = int(doc["base"])
-        fac = factorize(base - 1, budget) if base >= 3 else None
-        qs = fac.primes() if fac is not None and fac.is_complete else ()
         return cls(
             base=base,
             k=int(doc["k"]),
             entries=tuple((int(e["a"]), int(e["n"]), int(e["p"])) for e in doc["entries"]),
             variant=doc["variant"],
-            triviality_primes=qs,
+            triviality_primes=triviality_primes_for(base, budget) if base >= 2 else (),
             multiplier_constraint=doc["constraint"],
         )
 

@@ -1,6 +1,7 @@
 """Command-line interface: output text, JSON documents, and exit codes."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import subprocess
@@ -12,11 +13,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import cyclotomic_poly, factorint, isprime, n_order, primerange
+from sympy.ntheory.modular import crt
 
 import sierpinski.cli as cli
-from sierpinski.arith import Factorization
+from sierpinski.arith import Congruence, FactorBudget, Factorization
 from sierpinski.cli import run
 from sierpinski.construct import SierpinskiCertificate, verify_certificate
+from sierpinski.covering import CoveringSystem
+from sierpinski.search import SearchReport
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def invoke(capsys, *argv):
@@ -296,6 +303,15 @@ class TestVerifyCertCommand:
         assert report["valid"] is False
         assert "coverage violated" in report["reason"]
 
+    def test_unfactored_m_minus_1_is_budget_not_invalid(self, capsys, monkeypatch, tmp_path):
+        _, out, _ = invoke(capsys, "construct", "1002", "--json")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        monkeypatch.setattr(FactorBudget, "default", staticmethod(lambda: FactorBudget(2, 0)))
+        code, out, err = invoke(capsys, "verify-cert", str(path))
+        assert (code, out) == (3, "")
+        assert "m - 1 = 1001 not fully factored" in err
+
     def test_file_errors(self, capsys, tmp_path):
         assert invoke(capsys, "verify-cert", str(tmp_path / "missing.json"))[0] == 2
         bad = tmp_path / "not_json.json"
@@ -368,6 +384,44 @@ class TestSearchCommand:
         assert json.loads(a[1])["minimum_nontrivial_k"] == "11254645362"
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("rendered an output form that was not requested")
+
+
+class TestOutputPath:
+    def test_text_output_builds_no_json_document(self, capsys, monkeypatch):
+        expected = invoke(capsys, "search", "34", "--moduli", "2,2")
+        monkeypatch.setattr(SearchReport, "to_json_dict", _refuse)
+        assert invoke(capsys, "search", "34", "--moduli", "2,2") == expected
+
+    def test_json_output_builds_no_text(self, capsys, monkeypatch):
+        expected = invoke(capsys, "search", "34", "--moduli", "2,2", "--json")
+        monkeypatch.setattr(CoveringSystem, "__str__", _refuse)
+        monkeypatch.setattr(Congruence, "__str__", _refuse)
+        assert invoke(capsys, "search", "34", "--moduli", "2,2", "--json") == expected
+
+    @pytest.mark.parametrize("command", [
+        ("cover", "verify"), ("cover", "enumerate"), ("cover", "orbit"),
+        ("cyclo", "poly"), ("cyclo", "eval"), ("factor",), ("isprime",), ("order",),
+        ("crt",), ("construct",), ("verify-cert",), ("search",),
+    ], ids=" ".join)
+    def test_every_leaf_takes_json(self, capsys, command):
+        code, out, _ = invoke(capsys, *command, "--help")
+        assert code == 0 and "--json" in out
+
+    @pytest.mark.parametrize("group", ["cover", "cyclo"])
+    def test_groups_do_not_take_json(self, capsys, group):
+        code, out, _ = invoke(capsys, group, "--help")
+        assert code == 0 and "--json" not in out
+
+
+def test_readme_transcript_matches():
+    spec = importlib.util.spec_from_file_location("transcript", ROOT / "bench" / "transcript.py")
+    transcript = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(transcript)
+    assert transcript.mismatches(ROOT / "README.md", run) == (8, [])
+
+
 class TestParserPlumbing:
     def test_help_and_usage(self, capsys):
         assert run(["--help"]) == 0
@@ -405,7 +459,7 @@ def test_import_leaves_numpy_out():
 
 def _declared_scripts() -> dict[str, str]:
     """The [project.scripts] table of the checkout's pyproject.toml."""
-    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10: read the flat key = "value" lines
@@ -450,6 +504,48 @@ def _run_quiet(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     return code, out.getvalue()
+
+
+# test_run_never_raises feeds malformed tokens; this oracle draws integers
+# only, and small primes often enough that order and isprime answer
+_PRIME_OR_INT = st.one_of(st.sampled_from(list(primerange(2, 2000))).map(str), _INT)
+_ORACLE_ARGV = st.one_of(
+    st.tuples(st.just("cyclo"), st.just("poly"), _INT),
+    st.tuples(st.just("cyclo"), st.just("eval"), _INT, _INT),
+    st.tuples(st.just("crt"), _PAIRS).map(lambda t: (t[0], *t[1])),
+    st.tuples(st.just("order"), _INT, _PRIME_OR_INT),
+    st.tuples(st.just("isprime"), _PRIME_OR_INT),
+    st.tuples(st.just("factor"), _INT),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ORACLE_ARGV.map(list))
+@example(argv=["isprime", "999983"])
+@example(argv=["factor", str(997 * 991)])
+@example(argv=["order", "10", "999983"])
+@example(argv=["crt", "1,4", "3,6"])
+def test_run_answers_match_sympy(argv):
+    code, out = _run_quiet(argv + ["--json"])
+    if code not in (0, 1):
+        return
+    args, doc = cli.build_parser().parse_args(argv), json.loads(out)
+    if argv[0] == "order":
+        assert doc["order"] == n_order(args.m, args.p)
+    elif argv[0] == "factor":
+        assert doc["complete"] and doc["cofactor"] == "1"
+        assert {int(f["p"]): f["e"] for f in doc["factors"]} == factorint(args.x)
+    elif argv[0] == "isprime":
+        assert doc["prime"] == isprime(args.x) == (code == 0)
+    elif argv[0] == "crt":
+        pairs = [token.split(",") for token in " ".join(args.pairs).split()]
+        residue, modulus = crt([int(n) for _, n in pairs], [int(a) for a, _ in pairs])
+        assert (int(doc["residue"]), int(doc["modulus"])) == (residue, modulus)
+    elif args.n <= 2000:  # sympy takes seconds on some orders above this
+        if argv[1] == "poly":
+            assert doc["coefficients"] == cyclotomic_poly(args.n, polys=True).all_coeffs()[::-1]
+        else:
+            assert int(doc["value"]) == cyclotomic_poly(args.n, args.x)
 
 
 @settings(max_examples=60, deadline=None)

@@ -308,6 +308,13 @@ class TestCertificateObject:
             back = SierpinskiCertificate.from_json_dict(doc)
             assert back == cert
 
+    def test_from_json_dict_raises_when_m_minus_1_does_not_factor(self):
+        # an empty triviality tuple would make verify reject a valid certificate
+        doc = construct(1002).to_json_dict()
+        with pytest.raises(FactorBudgetExceeded, match="1001"):
+            SierpinskiCertificate.from_json_dict(doc, FactorBudget(2, 0))
+        assert SierpinskiCertificate.from_json_dict(doc).triviality_primes == (7, 11, 13)
+
 
 class TestVerifyCertificate:
     def test_reports_reasons(self):
