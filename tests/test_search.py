@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -208,9 +211,12 @@ class TestEliminateSmallK:
 
     @pytest.mark.parametrize("n_max", [30, 60])
     @pytest.mark.parametrize("m, qs, k_max", REFERENCE_CASES)
-    def test_matches_k_major_reference(self, m, qs, k_max, n_max):
-        got = eliminate_small_k(m, k_max, n_max, qs)
-        assert _records(got) == _reference_eliminate(m, k_max, n_max, qs)
+    def test_matches_k_major_reference(self, monkeypatch, m, qs, k_max, n_max):
+        expected = _reference_eliminate(m, k_max, n_max, qs)
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            got = eliminate_small_k(m, k_max, n_max, qs)
+            assert _records(got) == expected, f"{workers} workers"
 
     def test_terms_equal_to_a_sieve_prime_are_prime(self):
         # 3 * 2 + 1 = 7 is struck by 7 itself; 5 * 2**1 + 1 = 11, 1 * 2**2 + 1 = 5
@@ -225,7 +231,9 @@ class TestEliminateSmallK:
         # blocks of 1, 7 and 16 k at n_max = 60
         expected = _reference_eliminate(22, 150, 60, (3, 7))
         monkeypatch.setattr(search, "_SIEVE_BLOCK_BYTES", block_bytes)
-        assert _records(eliminate_small_k(22, 150, 60, (3, 7))) == expected
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            assert _records(eliminate_small_k(22, 150, 60, (3, 7))) == expected, f"{workers} workers"
 
     def test_memory_is_one_block(self, monkeypatch):
         # Six blocks of k. Beyond the records it returns, the scan holds one
@@ -242,6 +250,131 @@ class TestEliminateSmallK:
             tracemalloc.stop()
         assert len(records) == k_max
         assert peak - current < block_bytes + (32 << 10) < k_max * n_max
+
+    def test_memory_is_one_block_with_two_workers(self, monkeypatch):
+        # The codes the workers share (4 bytes per k) live in an anonymous
+        # mmap, which tracemalloc does not see.
+        _force_workers(monkeypatch, 2)
+        self.test_memory_is_one_block(monkeypatch)
+
+    def test_scan_memory_is_one_block(self, monkeypatch):
+        # The records are built after the scan, so the test above no longer
+        # sees a sieve over the whole range: check the scan by itself.
+        block_bytes, n_max = 1 << 14, 30
+        monkeypatch.setattr(search, "_SIEVE_BLOCK_BYTES", block_bytes)
+        k_max = 6 * (block_bytes // n_max)
+        codes = memoryview(bytearray(4 * k_max)).cast("I")
+        powers = [2**n for n in range(n_max + 1)]
+        tracemalloc.start()
+        try:
+            search._scan(2, k_max, n_max, (), 0, powers, (2,), 1, range(k_max), codes)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(codes)
+        assert peak - current < block_bytes + (32 << 10) < k_max * n_max
+
+    def test_powers_of_m_are_cheap_at_large_n_max(self):
+        # m + 1 is prime, so the one k is settled at n = 1, but the call still
+        # builds all 2501 powers of m (23 MB). Raising m to each n from scratch
+        # took 2.3 s on 2 cores; the running product takes 0.18 s.
+        m = 10**18 + 8
+        start = time.perf_counter()
+        records = eliminate_small_k(m, 1, 2500, (1370531, 729644203597))
+        assert time.perf_counter() - start < 0.6
+        assert records == [EliminationRecord(1, PRIME_FOUND, n=1, value=m + 1, certainty="proven")]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        per = search.MIN_K_PER_WORKER
+        assert [search._worker_count(k) for k in (0, 2 * per - 1, 2 * per, 10 * per)] == [1, 1, 2, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert search._worker_count(10 * per) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert search._worker_count(10 * per) == 1
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failed_child_changes_nothing(self, monkeypatch, failure):
+        # Each child dies inside its 21st Pocklington proof, in the middle of
+        # some k: this process must classify that k and the rest of the chunk.
+        parent, scan, core = os.getpid(), search._scan, search._pocklington_core
+
+        def flaky(*args):
+            if os.getpid() == parent:
+                time.sleep(0.3)  # let the children claim chunks first
+                return scan(*args)
+            calls = itertools.count()
+
+            def dying(value, m_primes):
+                if next(calls) == 20:
+                    if failure == "exit":
+                        os._exit(3)
+                    raise RuntimeError("worker failed")
+                return core(value, m_primes)
+
+            search._pocklington_core = dying  # in this child only
+            scan(*args)
+
+        monkeypatch.setattr(search, "_scan", flaky)
+        _force_workers(monkeypatch, 3)
+        expected = _reference_eliminate(22, 300, 60, (3, 7))
+        assert _records(eliminate_small_k(22, 300, 60, (3, 7))) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_exception_here_kills_the_children(self, monkeypatch, error):
+        parent, scan = os.getpid(), search._scan
+
+        def stuck_children(*args):
+            if os.getpid() == parent:
+                raise error("interrupted")
+            time.sleep(30)  # only SIGKILL ends it in time
+
+        monkeypatch.setattr(search, "_scan", stuck_children)
+        _force_workers(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(error):
+            eliminate_small_k(22, 300, 60, (3, 7))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert time.perf_counter() - start < 10
+
+    def test_serial_without_fork(self, monkeypatch):
+        expected = _reference_eliminate(34, 300, 30, (3, 11))
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _force_workers(monkeypatch, 1)
+        assert _records(eliminate_small_k(34, 300, 30, (3, 11))) == expected
+        # another live thread keeps it serial at any worker count
+        _force_workers(monkeypatch, 2)
+        done = threading.Event()
+        helper = threading.Thread(target=done.wait)
+        helper.start()
+        try:
+            assert _records(eliminate_small_k(34, 300, 30, (3, 11))) == expected
+        finally:
+            done.set()
+            helper.join()
+        monkeypatch.delattr(os, "fork")
+        assert _records(eliminate_small_k(34, 300, 30, (3, 11))) == expected
+
+    def test_fork_failure_leaves_the_chunks_here(self, monkeypatch):
+        def failing_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        _force_workers(monkeypatch, 3)
+        expected = _reference_eliminate(34, 300, 30, (3, 11))
+        assert _records(eliminate_small_k(34, 300, 30, (3, 11))) == expected
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(search, "_worker_count", lambda k_count: workers)
 
 
 def _records(records):
@@ -356,6 +489,14 @@ class TestSearchMin:
         monkeypatch.setattr(search, "assignments_for_cover", counting)
         report = search_min(SearchConfig(127, moduli=(6, 6, 4, 4, 3), k_scan_bound=0))
         assert len(report.candidates) > len(calls) == 1
+
+    @pytest.mark.parametrize("base, moduli", [(127, (3, 4, 6, 6, 8, 8)), (34, (2, 2))])
+    def test_report_does_not_depend_on_worker_count(self, monkeypatch, base, moduli):
+        docs = []
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            docs.append(search_min(SearchConfig(base, moduli=moduli)).to_json_dict())
+        assert docs[0] == docs[1]
 
     def test_moduli_order_does_not_change_minimum(self):
         a = search_min(SearchConfig(127, moduli=(3, 4, 4, 6, 6)))
