@@ -40,7 +40,7 @@ _TRIAL_PRIMES = _small_primes(1000)
 # Verified deterministic witness set for every odd n < 2**64.
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _DETERMINISTIC_LIMIT = 1 << 64
-_MIN_RANDOM_ROUNDS = 40
+_RANDOM_ROUNDS = 40
 
 
 def _mr_witness_composite(n: int, a: int, d: int, s: int) -> bool:
@@ -113,13 +113,13 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def prime_verdict(x: int, rounds: int = _MIN_RANDOM_ROUNDS, seed: int = 0) -> tuple[bool, str]:
+def prime_verdict(x: int, seed: int = 0) -> tuple[bool, str]:
     """Primality verdict for x >= 0 as (is_prime, certainty).
 
     Certainty is "proven" except for prime verdicts at or above 2**64,
     which come from seeded Miller-Rabin rounds plus a strong Lucas test
     and are "probable". Composite verdicts are always proven (a witness
-    or divisor was found). Deterministic for fixed (x, rounds, seed).
+    or divisor was found). Deterministic for fixed (x, seed).
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -143,7 +143,7 @@ def prime_verdict(x: int, rounds: int = _MIN_RANDOM_ROUNDS, seed: int = 0) -> tu
                 return False, PROVEN
         return True, PROVEN
     rng = random.Random(f"{seed}:{x}")
-    for _ in range(max(rounds, _MIN_RANDOM_ROUNDS)):
+    for _ in range(_RANDOM_ROUNDS):
         a = rng.randrange(2, x - 1)
         if _mr_witness_composite(x, a, d, s):
             return False, PROVEN
@@ -210,8 +210,8 @@ def _pocklington_core(x: int, f_primes) -> bool | None:
     return True
 
 
-def is_prime(x: int, rounds: int = _MIN_RANDOM_ROUNDS, seed: int = 0) -> bool:
-    return prime_verdict(x, rounds=rounds, seed=seed)[0]
+def is_prime(x: int, seed: int = 0) -> bool:
+    return prime_verdict(x, seed=seed)[0]
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,7 @@ def _trial_division(x: int, bound: int) -> tuple[list[int], int]:
     return found, n
 
 
-def factorize(x: int, budget: FactorBudget | None = None, seed: int = 0) -> Factorization:
+def factorize(x: int, budget: FactorBudget | None = None) -> Factorization:
     """Factor x >= 1 within the given budget.
 
     Trial division by 2, 3 and the 6k +/- 1 candidates up to
@@ -382,10 +382,10 @@ def factorize(x: int, budget: FactorBudget | None = None, seed: int = 0) -> Fact
     if budget is None:
         budget = FactorBudget.default()
     found, rest = _trial_division(x, budget.trial_bound)
-    return _factor_rest(x, found, rest, budget, seed)
+    return _factor_rest(x, found, rest, budget)
 
 
-def _factor_rest(x: int, found, rest: int, budget: FactorBudget, seed: int = 0) -> Factorization:
+def _factor_rest(x: int, found, rest: int, budget: FactorBudget) -> Factorization:
     """Rho stage of factorize, from the result of _trial_division(x, ...)."""
     counts: dict[int, list] = {}
 
@@ -401,7 +401,7 @@ def _factor_rest(x: int, found, rest: int, budget: FactorBudget, seed: int = 0) 
         pending = [rest]
         while pending:
             c = pending.pop()
-            isp, certainty = prime_verdict(c, seed=seed)
+            isp, certainty = prime_verdict(c)
             if isp:
                 record(c, certainty)
                 continue

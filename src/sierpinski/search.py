@@ -29,9 +29,10 @@ from .arith import (
     mod_inverse,
     prime_verdict,
 )
-from .covering import DEFAULT_MAX_ASSIGNMENTS, CoveringSystem, enumerate_covers
+from .covering import CoveringSystem, enumerate_covers
 from .construct import (
     NONTRIVIAL,
+    FactorBudgetExceeded,
     SIERPINSKI,
     SierpinskiCertificate,
     build_congruences,
@@ -47,13 +48,16 @@ TRIVIAL = "trivial"
 PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
 
-# Small-k elimination sieves its terms by the primes below this bound. On
-# the elimination calls of the search benchmark (2 cores), bounds from 1024
-# to 4096 took about the same time; 8192 and 2**16 were slower, because
-# their extra slice assignments cost more than the verdicts they save.
+# Small-k elimination tests its terms for a prime factor below this bound.
+# On the two elimination calls of the search benchmark (2 cores, medians of
+# 7 interleaved runs), bounds from 1024 to 16384 took 151-170 ms, within
+# their run-to-run spread.
 SIEVE_BOUND = 2048
-_SIEVE_PRIMES = _small_primes(SIEVE_BOUND)
-_SIEVE_BLOCK_BYTES = 1 << 18  # one sieve block holds this many (k, n) terms
+# The test takes a gcd with the product of the primes below 128 first: on the
+# same calls one gcd with the whole product took 8% longer with one worker
+# and 19% longer with two.
+_SMALL_PRIMORIAL = math.prod(_small_primes(128))
+_LARGE_PRIMORIAL = math.prod(_small_primes(SIEVE_BOUND)) // _SMALL_PRIMORIAL
 # Each elimination worker gets at least this many k. Two workers took 0.59-1.34x the time of one
 # at k <= 200, 0.53-1.08x at 500 and 0.56-0.83x at 1000 (six bases, n_max 30 and 60, 2 cores).
 MIN_K_PER_WORKER = 250
@@ -74,7 +78,6 @@ class SearchConfig:
     a_max: int = 8
     n_max_elimination: int = 30
     k_scan_bound: int = 1000
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
     seed: int = 0
     budget: FactorBudget | None = None
 
@@ -85,7 +88,7 @@ class SearchConfig:
             object.__setattr__(self, "moduli", tuple(int(n) for n in self.moduli))
             if not self.moduli or any(n < 1 for n in self.moduli):
                 raise ValueError("moduli must be positive integers")
-        for name in ("a_max", "n_max_elimination", "max_assignments"):
+        for name in ("a_max", "n_max_elimination"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.k_scan_bound < 0:
@@ -273,15 +276,13 @@ def eliminate_small_k(
     the least n <= n_max making k*m**n + 1 prime; otherwise survivor.
     Scans n upward and stops at the first hit.
 
-    The terms are sieved first, one block of k at a time: a prime p not
-    dividing m divides k*m**n + 1 exactly when k = -m**(-n) (mod p), so
-    each p below SIEVE_BOUND strikes one progression of k per n. A struck
-    term above SIEVE_BOUND is composite; an unstruck one has no prime
-    factor below SIEVE_BOUND, so below SIEVE_BOUND**2 it is prime. Other
-    unstruck terms with m**n > k are proven prime or composite by
-    Pocklington's theorem on the factored part m**n of the term minus
-    one. Terms up to SIEVE_BOUND (one may be its own sieve prime), the
-    remaining ones, and any the theorem leaves open get prime_verdict.
+    A gcd with the product of the primes below SIEVE_BOUND tests each term
+    for a small factor; no prime of m divides k*m**n + 1. Above SIEVE_BOUND
+    a term with such a factor is composite, and one without it is prime
+    below SIEVE_BOUND**2. Other terms with m**n > k are proven prime or
+    composite by Pocklington's theorem on the factored part m**n of the
+    term minus one. Terms up to SIEVE_BOUND (one may be a small prime
+    itself), the rest, and any the theorem leaves open get prime_verdict.
 
     This process and _worker_count() - 1 forked children (none beside a live
     thread: the child could deadlock) claim chunks of k from a pipe and write
@@ -296,10 +297,9 @@ def eliminate_small_k(
     fac = factorize(m)
     proven = fac.is_complete and all(c == PROVEN for _, _, c in fac.factors)
     m_primes = fac.primes() if proven else None  # Pocklington needs proven primes of m
-    powers = list(itertools.accumulate(itertools.repeat(m, n_max), int.__mul__, initial=1))
     span = -(-k_scan_bound // 256) or 1  # so that one byte names each chunk
     chunks = range(-(-k_scan_bound // span))  # chunk c holds c*span < k <= c*span + span
-    args = (m, k_scan_bound, n_max, triviality_primes, seed, powers, m_primes, span)
+    args = (m, k_scan_bound, n_max, triviality_primes, seed, m_primes, span)
     codes = memoryview(mmap.mmap(-1, 4 * k_scan_bound or 4)).cast("I")  # shared with forked workers
     workers = _worker_count(k_scan_bound) if hasattr(os, "fork") and not _thread._count() else 1
     r, w = os.pipe()
@@ -337,7 +337,7 @@ def eliminate_small_k(
         elif n > n_max:
             records.append(EliminationRecord(k, SURVIVOR))
         else:
-            records.append(EliminationRecord(k, PRIME_FOUND, None, n, k * powers[n] + 1, (PROVEN, PROBABLE)[code & 1]))
+            records.append(EliminationRecord(k, PRIME_FOUND, None, n, k * m**n + 1, (PROVEN, PROBABLE)[code & 1]))
     return records
 
 
@@ -347,53 +347,35 @@ def _worker_count(k_count: int) -> int:
     return max(1, min(cpus, k_count // MIN_K_PER_WORKER))
 
 
-def _scan(m, k_scan_bound, n_max, qs, seed, powers, m_primes, span, claims, codes):
+def _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes):
     """Set codes[k - 1], 0 until then, for the k of each claimed chunk: 1 for
     a trivial k, else n << 1 | probable for the least n <= n_max with k*m**n + 1
     prime (probable is 1 if not proven), n = n_max + 1 when there is none."""
-    inverses = [(p, pow(m, -1, p)) for p in _SIEVE_PRIMES if m % p]
-    block = max(1, _SIEVE_BLOCK_BYTES // n_max)
-    lo = size = 0
     for c in claims:
         for k in range(c * span + 1, min(c * span + span, k_scan_bound) + 1):
             if trivial_prime(k, qs) is not None:
                 codes[k - 1] = 1
                 continue
-            if k >= lo + size:  # sieve the block of k that holds this one
-                lo = k - (k - 1) % block
-                size = min(block, k_scan_bound + 1 - lo)
-                # struck[j * n_max + n - 1] is set when a sieve prime divides (lo + j) * m**n + 1
-                struck = bytearray(size * n_max)
-                for p, inv in inverses:
-                    r = 1
-                    for i in range(n_max):
-                        r = r * inv % p  # m**-(i + 1) mod p
-                        j = (-r - lo) % p
-                        if j + p < size:
-                            struck[j * n_max + i :: p * n_max] = b"\x01" * ((size - 1 - j) // p + 1)
-                        elif j < size:
-                            struck[j * n_max + i] = 1
-            col = (k - lo) * n_max - 1  # struck[col + n] belongs to k*m**n + 1
-            n = 1
-            while n <= n_max:
-                value = k * powers[n] + 1
+            power = 1
+            for n in range(1, n_max + 1):
+                power *= m
+                value = k * power + 1
                 if value <= SIEVE_BOUND:
                     isp, certainty = prime_verdict(value, seed=seed)
-                elif struck[col + n]:
-                    i = struck.find(0, col + n, col + n_max + 1)
-                    n = i - col if i >= 0 else n_max + 1
+                elif math.gcd(value, _SMALL_PRIMORIAL) > 1 or math.gcd(value, _LARGE_PRIMORIAL) > 1:
                     continue
                 elif value < SIEVE_BOUND * SIEVE_BOUND:
                     isp, certainty = True, PROVEN
                 else:
                     isp = None
-                    if m_primes is not None and powers[n] > k:
+                    if m_primes is not None and power > k:
                         isp, certainty = _pocklington_core(value, m_primes), PROVEN
                     if isp is None:
                         isp, certainty = prime_verdict(value, seed=seed)
                 if isp:
                     break
-                n += 1
+            else:
+                n = n_max + 1
             # set only once final, as a child may die at any point; n > n_max: no prime
             codes[k - 1] = n << 1 | (n <= n_max and certainty != PROVEN)
 
@@ -407,6 +389,7 @@ def search_min(config: SearchConfig) -> SearchReport:
     verified.
     Small k below the minimum are scanned up to min(minimum - 1,
     k_scan_bound); survivors of that scan are reported as unresolved.
+    Raises FactorBudgetExceeded when a Phi_n(m) of the pool does not factor.
     """
     m = config.base
     budget = config.budget or FactorBudget.default()
@@ -417,8 +400,10 @@ def search_min(config: SearchConfig) -> SearchReport:
     else:
         pool = discover_prime_pool(m, config.a_max, budget)
         moduli = tuple(n for n in pool.orders() for _ in pool.primes(n))
+    if pool.incomplete:  # a minimum from a partial pool would be unfounded
+        raise FactorBudgetExceeded(f"Phi_n({m}) not fully factored for n in {sorted(pool.incomplete)}")
     candidates: list[CandidateSolution] = []
-    covers = enumerate_covers(moduli, config.max_assignments) if moduli else []
+    covers = enumerate_covers(moduli) if moduli else []
     try:
         # every cover keeps the moduli in the given order, so one list serves all
         assignments = assignments_for_cover(covers[0], pool) if covers else []

@@ -370,6 +370,12 @@ class TestSearchCommand:
         assert code == 3
         assert "exceeds the budget" in err
 
+    def test_incomplete_pool_is_budget_not_negative(self, capsys, monkeypatch):
+        monkeypatch.setattr(FactorBudget, "default", staticmethod(lambda: FactorBudget(100, 0)))
+        code, out, err = invoke(capsys, "search", "127", "--moduli", "3,4,6,6,8,8")
+        assert (code, out) == (3, "")
+        assert "Phi_n(127) not fully factored for n in [8]" in err
+
     def test_cyclotomic_budget(self, capsys):
         start = time.perf_counter()
         code, _, err = invoke(capsys, "search", "34", "--moduli", "70000")

@@ -14,7 +14,7 @@ import sympy
 import sierpinski.arith as arith
 import sierpinski.search as search
 from sierpinski.arith import Congruence, FactorBudget
-from sierpinski.construct import least_admissible, verify_certificate
+from sierpinski.construct import FactorBudgetExceeded, least_admissible, verify_certificate
 from sierpinski.covering import BudgetExceeded, CoveringSystem, enumerate_covers
 from sierpinski.cyclotomic import eval_cyclotomic
 from sierpinski.search import (
@@ -203,7 +203,7 @@ class TestEliminateSmallK:
         assert eliminate_small_k(34, 0, 30, (3, 11)) == []
 
     # (m, primes of m - 1, k <=); every m has prime factors below SIEVE_BOUND,
-    # which the sieve must skip (127 is one itself)
+    # which never divide a term (127 is one itself)
     REFERENCE_CASES = [
         (2, (), 400), (3, (2,), 400), (10, (3,), 300), (22, (3, 7), 300),
         (34, (3, 11), 300), (127, (2, 3, 7), 300), (1000, (3, 37), 120),
@@ -219,29 +219,17 @@ class TestEliminateSmallK:
             assert _records(got) == expected, f"{workers} workers"
 
     def test_terms_equal_to_a_sieve_prime_are_prime(self):
-        # 3 * 2 + 1 = 7 is struck by 7 itself; 5 * 2**1 + 1 = 11, 1 * 2**2 + 1 = 5
+        # 3 * 2 + 1 = 7 shares 7 with the small primes; 5 * 2**1 + 1 = 11, 1 * 2**2 + 1 = 5
         got = eliminate_small_k(2, 5, 30, ())
         assert [(r.k, r.n, r.value) for r in got] == [
             (1, 1, 3), (2, 1, 5), (3, 1, 7), (4, 2, 17), (5, 1, 11)]
         small = [r for r in eliminate_small_k(2, 400, 30, ()) if r.status == PRIME_FOUND]
         assert sum(r.value < search.SIEVE_BOUND for r in small) > 100
 
-    @pytest.mark.parametrize("block_bytes", [60, 7 * 60, 1000])
-    def test_block_boundaries(self, monkeypatch, block_bytes):
-        # blocks of 1, 7 and 16 k at n_max = 60
-        expected = _reference_eliminate(22, 150, 60, (3, 7))
-        monkeypatch.setattr(search, "_SIEVE_BLOCK_BYTES", block_bytes)
-        for workers in (1, 2, 3):
-            _force_workers(monkeypatch, workers)
-            assert _records(eliminate_small_k(22, 150, 60, (3, 7))) == expected, f"{workers} workers"
-
-    def test_memory_is_one_block(self, monkeypatch):
-        # Six blocks of k. Beyond the records it returns, the scan holds one
-        # block plus small tables (the sieve primes, the powers of m); a sieve
-        # over the whole range would hold k_max * n_max bytes.
-        block_bytes, n_max = 1 << 14, 30
-        monkeypatch.setattr(search, "_SIEVE_BLOCK_BYTES", block_bytes)
-        k_max = 6 * (block_bytes // n_max)
+    def test_memory_is_one_block(self):
+        # Beyond the records it returns, the scan holds one term at a time and
+        # small tables; a sieve over the whole range would hold k_max * n_max bytes.
+        k_max, n_max = 3000, 30
         tracemalloc.start()
         try:
             records = eliminate_small_k(2, k_max, n_max, ())
@@ -249,40 +237,51 @@ class TestEliminateSmallK:
         finally:
             tracemalloc.stop()
         assert len(records) == k_max
-        assert peak - current < block_bytes + (32 << 10) < k_max * n_max
+        assert peak - current < (32 << 10) < k_max * n_max
 
     def test_memory_is_one_block_with_two_workers(self, monkeypatch):
         # The codes the workers share (4 bytes per k) live in an anonymous
         # mmap, which tracemalloc does not see.
         _force_workers(monkeypatch, 2)
-        self.test_memory_is_one_block(monkeypatch)
+        self.test_memory_is_one_block()
 
-    def test_scan_memory_is_one_block(self, monkeypatch):
-        # The records are built after the scan, so the test above no longer
-        # sees a sieve over the whole range: check the scan by itself.
-        block_bytes, n_max = 1 << 14, 30
-        monkeypatch.setattr(search, "_SIEVE_BLOCK_BYTES", block_bytes)
-        k_max = 6 * (block_bytes // n_max)
+    def test_scan_memory_is_one_block(self):
+        # The records are built after the scan, so the test above does not
+        # see what the scan holds: check the scan by itself.
+        k_max, n_max = 3000, 30
         codes = memoryview(bytearray(4 * k_max)).cast("I")
-        powers = [2**n for n in range(n_max + 1)]
         tracemalloc.start()
         try:
-            search._scan(2, k_max, n_max, (), 0, powers, (2,), 1, range(k_max), codes)
+            search._scan(2, k_max, n_max, (), 0, (2,), 1, range(k_max), codes)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert all(codes)
-        assert peak - current < block_bytes + (32 << 10) < k_max * n_max
+        assert peak - current < (32 << 10) < k_max * n_max
 
     def test_powers_of_m_are_cheap_at_large_n_max(self):
-        # m + 1 is prime, so the one k is settled at n = 1, but the call still
-        # builds all 2501 powers of m (23 MB). Raising m to each n from scratch
-        # took 2.3 s on 2 cores; the running product takes 0.18 s.
+        # m + 1 is prime, so the one k is settled at n = 1. A table of all 2501
+        # powers of m took 0.18 s and 25 MB; raising m to each n from scratch
+        # took 2.3 s (2 cores).
         m = 10**18 + 8
         start = time.perf_counter()
-        records = eliminate_small_k(m, 1, 2500, (1370531, 729644203597))
+        tracemalloc.start()
+        try:
+            records = eliminate_small_k(m, 1, 2500, (1370531, 729644203597))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - start < 0.6
+        assert peak < 1 << 20
         assert records == [EliminationRecord(1, PRIME_FOUND, n=1, value=m + 1, certainty="proven")]
+
+    def test_cost_follows_the_k_scanned(self):
+        # Five k, settled at small n, at n_max = 10000. A block sieve strikes
+        # pi(2048) * n_max progressions however few k there are (0.72 s).
+        start = time.perf_counter()
+        records = eliminate_small_k(34, 5, 10000, (3, 11))
+        assert time.perf_counter() - start < 0.1
+        assert [r.status for r in records] == [PRIME_FOUND, TRIVIAL, PRIME_FOUND, PRIME_FOUND, TRIVIAL]
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -507,6 +506,13 @@ class TestSearchMin:
     def test_auto_moduli_exceed_assignment_budget(self):
         with pytest.raises(BudgetExceeded):
             search_min(SearchConfig(34))
+
+    def test_incomplete_pool_exceeds_the_budget(self):
+        # Phi_8(127) does not factor by trial division to 100: a minimum from
+        # the partial pool would rest on primes that were never found
+        budget = FactorBudget(trial_bound=100, rho_steps=0)
+        with pytest.raises(FactorBudgetExceeded, match=r"Phi_n\(127\) .* n in \[8\]$"):
+            search_min(SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8), budget=budget))
 
     def test_insufficient_primes_covers_skipped(self):
         report = search_min(SearchConfig(34, moduli=(2, 2, 2), k_scan_bound=10))
