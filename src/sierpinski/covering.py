@@ -196,6 +196,8 @@ def enumerate_covers(
         raise ValueError("moduli must be a nonempty sequence")
     if any(n < 1 for n in moduli):
         raise ValueError("moduli must be positive integers")
+    if max_assignments < 1:
+        raise ValueError(f"max_assignments must be positive, not {max_assignments}")
     if len(moduli) > MAX_CLASSES:
         raise BudgetExceeded(f"{len(moduli)} classes exceed the enumeration budget of {MAX_CLASSES}")
     if sum(Fraction(1, n) for n in moduli) < 1:

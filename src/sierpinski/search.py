@@ -22,11 +22,10 @@ from .arith import (
     PROVEN,
     Congruence,
     FactorBudget,
-    _pocklington_core,
-    _small_primes,
     crt_solve,
     factorize,
     mod_inverse,
+    pocklington_verdict,
     prime_verdict,
 )
 from .covering import CoveringSystem, enumerate_covers
@@ -48,16 +47,6 @@ TRIVIAL = "trivial"
 PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
 
-# Small-k elimination tests its terms for a prime factor below this bound.
-# On the two elimination calls of the search benchmark (2 cores, medians of
-# 7 interleaved runs), bounds from 1024 to 16384 took 151-170 ms, within
-# their run-to-run spread.
-SIEVE_BOUND = 2048
-# The test takes a gcd with the product of the primes below 128 first: on the
-# same calls one gcd with the whole product took 8% longer with one worker
-# and 19% longer with two.
-_SMALL_PRIMORIAL = math.prod(_small_primes(128))
-_LARGE_PRIMORIAL = math.prod(_small_primes(SIEVE_BOUND)) // _SMALL_PRIMORIAL
 # Each elimination worker gets at least this many k. Two workers took 0.59-1.34x the time of one
 # at k <= 200, 0.53-1.08x at 500 and 0.56-0.83x at 1000 (six bases, n_max 30 and 60, 2 cores).
 MIN_K_PER_WORKER = 250
@@ -276,13 +265,9 @@ def eliminate_small_k(
     the least n <= n_max making k*m**n + 1 prime; otherwise survivor.
     Scans n upward and stops at the first hit.
 
-    A gcd with the product of the primes below SIEVE_BOUND tests each term
-    for a small factor; no prime of m divides k*m**n + 1. Above SIEVE_BOUND
-    a term with such a factor is composite, and one without it is prime
-    below SIEVE_BOUND**2. Other terms with m**n > k are proven prime or
-    composite by Pocklington's theorem on the factored part m**n of the
-    term minus one. Terms up to SIEVE_BOUND (one may be a small prime
-    itself), the rest, and any the theorem leaves open get prime_verdict.
+    A term with m**n > k goes to pocklington_verdict with the factored part
+    m**n of the term minus one, which proves it prime or composite at any
+    size; the rest, and any the theorem leaves open, get prime_verdict.
 
     This process and _worker_count() - 1 forked children (none beside a live
     thread: the child could deadlock) claim chunks of k from a pipe and write
@@ -360,18 +345,11 @@ def _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes):
             for n in range(1, n_max + 1):
                 power *= m
                 value = k * power + 1
-                if value <= SIEVE_BOUND:
+                isp = None
+                if m_primes is not None and power > k:  # then power**2 > value
+                    isp, certainty = pocklington_verdict(value, power, m_primes), PROVEN
+                if isp is None:
                     isp, certainty = prime_verdict(value, seed=seed)
-                elif math.gcd(value, _SMALL_PRIMORIAL) > 1 or math.gcd(value, _LARGE_PRIMORIAL) > 1:
-                    continue
-                elif value < SIEVE_BOUND * SIEVE_BOUND:
-                    isp, certainty = True, PROVEN
-                else:
-                    isp = None
-                    if m_primes is not None and power > k:
-                        isp, certainty = _pocklington_core(value, m_primes), PROVEN
-                    if isp is None:
-                        isp, certainty = prime_verdict(value, seed=seed)
                 if isp:
                     break
             else:

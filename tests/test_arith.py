@@ -82,6 +82,27 @@ class TestPrimeVerdict:
         p = 618970019642690137449562111  # 2^89 - 1
         assert prime_verdict(p * p)[0] is False
 
+    def test_screen_edges_against_sympy(self):
+        # the screen looks x up below SCREEN_BOUND and proves it prime below
+        # the bound squared when no prime below the bound divides it
+        bound = arith.SCREEN_BOUND
+        xs = list(range(3 * bound)) + list(range(bound**2 - 3000, bound**2 + 3000))
+        for x in xs:
+            assert prime_verdict(x) == (sympy.isprime(x), "proven"), x
+
+    @pytest.mark.parametrize("x", [2053**2, 2053 * 2063, 2063 * (10**9 + 7)])
+    def test_products_of_primes_above_the_screen_are_composite(self, x):
+        assert arith._screen(x) is None
+        assert prime_verdict(x) == (False, "proven")
+
+    def test_primes_past_2_64_stay_probable(self):
+        primes = 0
+        for x in range(2**64, 2**64 + 400):
+            isp = sympy.isprime(x)
+            assert prime_verdict(x) == (isp, "probable" if isp else "proven"), x
+            primes += isp
+        assert primes >= 5
+
 
 def _terms_above_2_64(m, count):
     """(x, m**n) for x = k*m**n + 1 >= 2**64 with m**n > k, k and n small."""
@@ -98,10 +119,10 @@ def _reference_pocklington(x, f, f_primes):
     """pocklington_verdict with one full power per prime q and base."""
     if f < 1 or (x - 1) % f or f * f <= x:
         raise ValueError("need f | x - 1 and f**2 > x")
-    for p in arith._TRIAL_PRIMES:
+    for p in sympy.primerange(2048):
         if x % p == 0:
             return x == p
-    if x < arith._TRIAL_PRIMES[-1] ** 2:
+    if x < 2048**2:
         return x > 1
     for q in f_primes:
         e = (x - 1) // q
@@ -145,6 +166,16 @@ class TestPocklingtonVerdict:
         assert sympy.isprime(x) and pocklington_verdict(x, f, (2, 5)) is True
         monkeypatch.setattr(arith, "_POCKLINGTON_BASES", (4,))
         assert pocklington_verdict(x, f, (2, 5)) is None
+
+    @pytest.mark.parametrize("m", BASES)
+    def test_screened_terms_agree_with_sympy(self, m):
+        # terms k*m**n + 1 with m**n > k below SCREEN_BOUND**2: the screen decides
+        primes = tuple(sympy.primefactors(m))
+        bound = arith.SCREEN_BOUND**2
+        terms = [(k * m**n + 1, m**n) for n in range(1, 22) for k in range(1, min(m**n, bound // m**n))]
+        assert len(terms) > 300 and min(terms)[0] < arith.SCREEN_BOUND
+        for x, f in terms:
+            assert pocklington_verdict(x, f, primes) is sympy.isprime(x), x
 
     @pytest.mark.parametrize("bases", [None, (4,), (4, 2)])
     @pytest.mark.parametrize("m", BASES)

@@ -77,6 +77,11 @@ class TestCoverCommands:
         assert code == 3
         assert "exceeds the budget" in err
 
+    def test_enumerate_nonpositive_limit_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "cover", "enumerate", "2,2", "--limit", "-1")
+        assert (code, out) == (2, "")
+        assert "max_assignments must be positive" in err
+
     def test_enumerate_class_budget(self, capsys):
         # the DFS recurses once per class, so the class count stays far below the recursion limit
         code, _, err = invoke(capsys, "cover", "enumerate", ",".join(["1"] * 1200))

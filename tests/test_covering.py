@@ -255,6 +255,13 @@ class TestEnumerateCovers:
         with pytest.raises(ValueError):
             enumerate_covers([])
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_nonpositive_budget_is_malformed(self, limit):
+        # an argument error, not an exhausted budget; even where nothing can cover
+        for moduli in ([2, 2], [2, 3]):
+            with pytest.raises(ValueError, match="max_assignments"):
+                enumerate_covers(moduli, max_assignments=limit)
+
     def test_complete_against_brute_force(self):
         for moduli in ([2, 2], [2, 4, 4], [2, 3, 6], [1, 5]):
             found = {c.residues for c in enumerate_covers(moduli)}

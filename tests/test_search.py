@@ -202,8 +202,8 @@ class TestEliminateSmallK:
             eliminate_small_k(34, -1, 30, (3, 11))
         assert eliminate_small_k(34, 0, 30, (3, 11)) == []
 
-    # (m, primes of m - 1, k <=); every m has prime factors below SIEVE_BOUND,
-    # which never divide a term (127 is one itself)
+    # (m, primes of m - 1, k <=); every m has prime factors below
+    # arith.SCREEN_BOUND, which never divide a term (127 is one itself)
     REFERENCE_CASES = [
         (2, (), 400), (3, (2,), 400), (10, (3,), 300), (22, (3, 7), 300),
         (34, (3, 11), 300), (127, (2, 3, 7), 300), (1000, (3, 37), 120),
@@ -218,13 +218,29 @@ class TestEliminateSmallK:
             got = eliminate_small_k(m, k_max, n_max, qs)
             assert _records(got) == expected, f"{workers} workers"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_against_sympy(self, monkeypatch, workers):
+        # _reference_eliminate shares arith's verdicts; this check does not
+        _force_workers(monkeypatch, workers)
+        records = eliminate_small_k(22, 300, 60, (3, 7))
+        assert [r.k for r in records] == list(range(1, 301))
+        assert {r.status for r in records} == {TRIVIAL, PRIME_FOUND, SURVIVOR}
+        for r in records:
+            if r.status == TRIVIAL:
+                assert r.q in (3, 7) and r.k % r.q == r.q - 1
+                continue
+            last = r.n if r.status == PRIME_FOUND else 61
+            assert not any(sympy.isprime(r.k * 22**n + 1) for n in range(1, last)), r.k
+            if r.status == PRIME_FOUND:
+                assert r.value == r.k * 22**r.n + 1 and sympy.isprime(r.value), r.k
+
     def test_terms_equal_to_a_sieve_prime_are_prime(self):
         # 3 * 2 + 1 = 7 shares 7 with the small primes; 5 * 2**1 + 1 = 11, 1 * 2**2 + 1 = 5
         got = eliminate_small_k(2, 5, 30, ())
         assert [(r.k, r.n, r.value) for r in got] == [
             (1, 1, 3), (2, 1, 5), (3, 1, 7), (4, 2, 17), (5, 1, 11)]
         small = [r for r in eliminate_small_k(2, 400, 30, ()) if r.status == PRIME_FOUND]
-        assert sum(r.value < search.SIEVE_BOUND for r in small) > 100
+        assert sum(r.value < arith.SCREEN_BOUND for r in small) > 100
 
     def test_memory_is_one_block(self):
         # Beyond the records it returns, the scan holds one term at a time and
@@ -295,9 +311,9 @@ class TestEliminateSmallK:
 
     @pytest.mark.parametrize("failure", ["raise", "exit"])
     def test_failed_child_changes_nothing(self, monkeypatch, failure):
-        # Each child dies inside its 21st Pocklington proof, in the middle of
+        # Each child dies inside its 21st Pocklington verdict, in the middle of
         # some k: this process must classify that k and the rest of the chunk.
-        parent, scan, core = os.getpid(), search._scan, search._pocklington_core
+        parent, scan, verdict = os.getpid(), search._scan, search.pocklington_verdict
 
         def flaky(*args):
             if os.getpid() == parent:
@@ -305,14 +321,14 @@ class TestEliminateSmallK:
                 return scan(*args)
             calls = itertools.count()
 
-            def dying(value, m_primes):
+            def dying(value, f, m_primes):
                 if next(calls) == 20:
                     if failure == "exit":
                         os._exit(3)
                     raise RuntimeError("worker failed")
-                return core(value, m_primes)
+                return verdict(value, f, m_primes)
 
-            search._pocklington_core = dying  # in this child only
+            search.pocklington_verdict = dying  # in this child only
             scan(*args)
 
         monkeypatch.setattr(search, "_scan", flaky)
