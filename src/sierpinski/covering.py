@@ -19,7 +19,7 @@ from .arith import NotCoprime, totient
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
 # verify_cover works on one bitset of the period: at most 2 MiB.
 MAX_PERIOD = 1 << 24
-# enumerate_covers recurses once per class; 64 classes of modulus >= 2 span 2**64 assignments.
+# enumerate_cover_rows recurses once per class; 64 classes of modulus >= 2 span 2**64 assignments.
 MAX_CLASSES = 64
 
 
@@ -173,21 +173,41 @@ def swap_equal_moduli(system: CoveringSystem, i: int, j: int) -> CoveringSystem:
     return CoveringSystem(classes)
 
 
-def _systems(rows, moduli) -> list[CoveringSystem]:
-    """One system per residue row, sharing one ResidueClass per (a, n)."""
-    shared = {n: [ResidueClass(a, n) for a in range(n)] for n in set(moduli)}
+def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
+    """One system per residue row over the moduli, in row order.
+
+    Each row holds one residue 0 <= a < n per modulus n, as
+    enumerate_cover_rows gives them; ValueError otherwise. The systems
+    share one ResidueClass per (a, n) and one period lcm, and skip the
+    per-system checks of CoveringSystem(...), to which they are equal.
+    """
+    moduli = tuple(int(n) for n in moduli)
+    shared = {n: {a: ResidueClass(a, n) for a in range(n)} for n in set(moduli)}
     columns = [shared[n] for n in moduli]
-    return [CoveringSystem([col[a] for col, a in zip(columns, row)]) for row in rows]
+    lcm = math.lcm(*moduli)
+    systems = []
+    for row in rows:
+        try:
+            classes = tuple(map(dict.__getitem__, columns, row))
+        except KeyError:
+            classes = ()
+        if not classes or len(row) != len(moduli):
+            raise ValueError(f"row {row} does not fit the moduli {moduli}")
+        system = object.__new__(CoveringSystem)
+        object.__setattr__(system, "classes", classes)
+        object.__setattr__(system, "lcm", lcm)
+        systems.append(system)
+    return systems
 
 
-def enumerate_covers(
+def enumerate_cover_rows(
     moduli,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
-) -> list[CoveringSystem]:
-    """All residue assignments to the moduli multiset that cover Z.
+) -> list[tuple[int, ...]]:
+    """The residue rows (a_1, ..., a_t) whose classes a_i(n_i) cover Z.
 
-    Returns systems in lexicographic residue order, preserving the given
-    moduli order positionally. Returns [] straight away when the density
+    Rows come in lexicographic order, position i holding the residue for
+    the i-th given modulus. Returns [] straight away when the density
     sum(1/n) is below 1 (no assignment can cover). Raises BudgetExceeded
     above MAX_CLASSES moduli or an assignment space prod(n) > max_assignments.
     """
@@ -207,7 +227,16 @@ def enumerate_covers(
         raise BudgetExceeded(
             f"assignment space {space} exceeds the budget of {max_assignments}"
         )
-    return _systems(_cover_kernels.enumerate_cover_tuples(moduli), moduli)
+    return _cover_kernels.enumerate_cover_tuples(moduli)
+
+
+def enumerate_covers(
+    moduli,
+    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
+) -> list[CoveringSystem]:
+    """The systems of enumerate_cover_rows, in its order and with its checks."""
+    moduli = tuple(moduli)
+    return systems_from_rows(enumerate_cover_rows(moduli, max_assignments), moduli)
 
 
 def _equal_moduli_permutations(moduli) -> list[tuple[int, ...]]:
@@ -261,4 +290,4 @@ def affine_orbit(seed: CoveringSystem) -> set[CoveringSystem]:
             images.add(tuple((r - b) * v % n for r, v, n in zip(residues, invs, moduli)))
     perms = _equal_moduli_permutations(moduli)
     rows = {tuple(image[j] for j in perm) for image in images for perm in perms}
-    return set(_systems(rows, moduli))
+    return set(systems_from_rows(rows, moduli))

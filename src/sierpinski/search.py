@@ -1,21 +1,26 @@
 """Minimum Sierpinski-number search for a base m.
 
 Pipeline: factor m**n - 1 layer by layer (via Phi_n(m)) into a pool of
-usable primes keyed by multiplicative order, enumerate every covering
-system on a moduli multiset, CRT each injective prime assignment into a
-candidate class, walk each class to its least nontrivial admissible k
-as construct does, then try to eliminate every smaller k by exhibiting a
-prime k*m**n + 1.
+usable primes keyed by multiplicative order, enumerate the residue rows
+of every covering system on a moduli multiset, CRT each injective prime
+assignment into a candidate class, and take the least nontrivial
+admissible k over the classes, each walked as construct does. Every k of
+a class is at least its residue, so a class whose residue exceeds the
+best k so far is not walked. Then try to eliminate every smaller k by
+exhibiting a prime k*m**n + 1. The report's cell list is built only when
+it is read.
 """
 
 from __future__ import annotations
 
 import _thread
+import functools
 import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .arith import (
     PROBABLE,
@@ -28,7 +33,7 @@ from .arith import (
     pocklington_verdict,
     prime_verdict,
 )
-from .covering import CoveringSystem, enumerate_covers
+from .covering import CoveringSystem, enumerate_cover_rows, systems_from_rows
 from .construct import (
     NONTRIVIAL,
     FactorBudgetExceeded,
@@ -140,15 +145,22 @@ class CandidateSolution:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """What search_min found; candidates is built by build_cells on first read."""
+
     config: SearchConfig
     moduli: tuple[int, ...]
     triviality_primes: tuple[int, ...]
-    candidates: tuple[CandidateSolution, ...]
     eliminations: tuple[EliminationRecord, ...]
     elimination_bound: int
     minimum_nontrivial_k: int | None
     certificate: SierpinskiCertificate | None
     survivors_below_minimum: tuple[int, ...]
+    build_cells: Callable[[], tuple[CandidateSolution, ...]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def candidates(self) -> tuple[CandidateSolution, ...]:
+        """Every cell of the grid, one per {(a, n, p)} set, in search order."""
+        return self.build_cells()
 
     @property
     def eliminations_all_proven(self) -> bool:
@@ -358,13 +370,35 @@ def _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes):
             codes[k - 1] = n << 1 | (n <= n_max and certainty != PROVEN)
 
 
+def _grid(rows, moduli, tables):
+    """Each cover row kept, with the tables of its cells, in row order.
+
+    Swapping two equal-modulus classes together with their primes gives
+    the same {(a, n, p)} set and the same k. Keep the one cell per set
+    whose (a, p) pairs ascend within each modulus: it is also the least
+    under the witness key (k, residues, primes) of search_min.
+    """
+    pairs = [(i, j) for j, n in enumerate(moduli) for i in range(j) if moduli[i] == n]
+    tables_for_ties: dict[tuple, list] = {}
+    for row in rows:
+        if any(row[i] > row[j] for i, j in pairs):
+            continue
+        ties = tuple((i, j) for i, j in pairs if row[i] == row[j])
+        if ties not in tables_for_ties:
+            tables_for_ties[ties] = [t for t in tables if all(t[0][i] < t[0][j] for i, j in ties)]
+        yield row, tables_for_ties[ties]
+
+
 def search_min(config: SearchConfig) -> SearchReport:
     """Full minimum search; see the module docstring for the pipeline.
 
     Each (cover, assignment) cell, one per distinct {(a, n, p)} set,
     holds the least nontrivial admissible k of its CRT class; the reported
     minimum is the least of them, and its certificate is emitted and
-    verified.
+    verified. A cell's k is at least its class residue, so only cells whose
+    residue is at most the best k so far are walked. The report's
+    candidates, one CandidateSolution per cell, are built from the search's
+    rows and tables when first read.
     Small k below the minimum are scanned up to min(minimum - 1,
     k_scan_bound); survivors of that scan are reported as unresolved.
     Raises FactorBudgetExceeded when a Phi_n(m) of the pool does not factor.
@@ -380,11 +414,10 @@ def search_min(config: SearchConfig) -> SearchReport:
         moduli = tuple(n for n in pool.orders() for _ in pool.primes(n))
     if pool.incomplete:  # a minimum from a partial pool would be unfounded
         raise FactorBudgetExceeded(f"Phi_n({m}) not fully factored for n in {sorted(pool.incomplete)}")
-    candidates: list[CandidateSolution] = []
-    covers = enumerate_covers(moduli) if moduli else []
+    rows = enumerate_cover_rows(moduli) if moduli else []
     try:
         # every cover keeps the moduli in the given order, so one list serves all
-        assignments = assignments_for_cover(covers[0], pool) if covers else []
+        assignments = assignments_for_cover(systems_from_rows(rows[:1], moduli)[0], pool) if rows else []
     except InsufficientPrimes:
         assignments = []
     # Each cell is crt_solve_for(cover, primes, m): with the CRT basis e_p
@@ -399,37 +432,37 @@ def search_min(config: SearchConfig) -> SearchReport:
         bases = [modulus // p * mod_inverse(modulus // p, p) for p in primes]
         terms = [[r * e for r in shifts[p]] for p, e in zip(primes, bases)]
         tables.append((primes, modulus, max(primes), terms))
-    # Swapping two equal-modulus classes together with their primes gives
-    # the same {(a, n, p)} set and the same k. Keep the one cell per set
-    # whose (a, p) pairs ascend within each modulus: it is also the least
-    # under the witness key (k, residues, primes) below.
-    pairs = [(i, j) for j, n in enumerate(moduli) for i in range(j) if moduli[i] == n]
-    tables_for_ties: dict[tuple, list] = {}
     q_product = math.prod(qs)
-    best = best_cover = None
-    for cover in covers:
-        residues = cover.residues
-        if any(residues[i] > residues[j] for i, j in pairs):
-            continue
-        ties = tuple((i, j) for i, j in pairs if residues[i] == residues[j])
-        if ties not in tables_for_ties:
-            tables_for_ties[ties] = [t for t in tables if all(t[0][i] < t[0][j] for i, j in ties)]
-        for primes, modulus, max_p, terms in tables_for_ties[ties]:
-            sol = Congruence(sum(t[a] for t, a in zip(terms, residues)) % modulus, modulus)
-            k = next_nontrivial(least_admissible(sol, m, max_p), modulus, q_product)
-            candidates.append(CandidateSolution(cover, primes, sol, k))
-            if best is None or (k, residues, primes) < best:
-                best, best_cover = (k, residues, primes), cover
+
+    def walk(sol: Congruence, max_p: int) -> int:
+        return next_nontrivial(least_admissible(sol, m, max_p), sol.modulus, q_product)
+
+    best = None
+    for row, group in _grid(rows, moduli, tables):
+        for primes, modulus, max_p, terms in group:
+            residue = sum(map(list.__getitem__, terms, row)) % modulus
+            if best is not None and residue > best[0]:
+                continue  # both walks only move up from the residue
+            key = (walk(Congruence(residue, modulus), max_p), row, primes)
+            if best is None or key < best:
+                best = key
+
+    def build_cells() -> tuple[CandidateSolution, ...]:
+        kept = list(_grid(rows, moduli, tables))
+        cells = []
+        for cover, (row, group) in zip(systems_from_rows([row for row, _ in kept], moduli), kept):
+            for primes, modulus, max_p, terms in group:
+                sol = Congruence(sum(map(list.__getitem__, terms, row)) % modulus, modulus)
+                cells.append(CandidateSolution(cover, primes, sol, walk(sol, max_p)))
+        return tuple(cells)
+
     certificate = None
     if best is not None:
-        minimum, _, best_primes = best
+        minimum, best_row, best_primes = best
         certificate = SierpinskiCertificate(
             base=m,
             k=minimum,
-            entries=tuple(
-                (cls.residue, cls.modulus, p)
-                for cls, p in zip(best_cover.classes, best_primes)
-            ),
+            entries=tuple(zip(best_row, moduli, best_primes)),
             variant=SIERPINSKI,
             triviality_primes=qs,
             multiplier_constraint=NONTRIVIAL,
@@ -447,10 +480,10 @@ def search_min(config: SearchConfig) -> SearchReport:
         config=config,
         moduli=tuple(moduli),
         triviality_primes=qs,
-        candidates=tuple(candidates),
         eliminations=tuple(eliminations),
         elimination_bound=bound,
         minimum_nontrivial_k=minimum,
         certificate=certificate,
         survivors_below_minimum=survivors,
+        build_cells=build_cells,
     )

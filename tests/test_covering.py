@@ -21,6 +21,7 @@ from sierpinski.covering import (
     ResidueClass,
     affine_orbit,
     affine_transform,
+    enumerate_cover_rows,
     enumerate_covers,
     split_class,
     swap_equal_moduli,
@@ -282,6 +283,34 @@ class TestEnumerateCovers:
         covers = enumerate_covers([3, 4, 6, 6, 8, 8])
         assert len(covers) == 48
         assert any(c.residues == (1, 1, 0, 2, 3, 7) for c in covers)
+
+    @pytest.mark.parametrize("moduli", [(2, 2), (3, 4, 4, 6, 6), (8, 3, 6, 4, 8, 6), (2, 3, 4, 5, 6, 8, 10, 12)])
+    def test_systems_equal_checked_construction(self, moduli):
+        # the rows' systems skip CoveringSystem.__init__; == and hash must not notice
+        rows = enumerate_cover_rows(moduli)
+        covers = enumerate_covers(moduli)
+        checked = [CoveringSystem(zip(row, moduli)) for row in rows]
+        assert [c.residues for c in covers] == rows
+        assert covers == checked
+        assert [hash(c) for c in covers] == [hash(c) for c in checked]
+        assert [c.lcm for c in covers] == [math.lcm(*moduli)] * len(rows)
+
+    def test_rows_share_the_checks(self):
+        assert enumerate_cover_rows([2, 3]) == []
+        with pytest.raises(BudgetExceeded):
+            enumerate_cover_rows([2] * 25, max_assignments=1000)
+        with pytest.raises(BudgetExceeded):
+            enumerate_cover_rows([2] * 65, max_assignments=2**70)
+        for bad in ([], [2, 0]):
+            with pytest.raises(ValueError):
+                enumerate_cover_rows(bad)
+        with pytest.raises(ValueError, match="max_assignments"):
+            enumerate_cover_rows([2, 2], max_assignments=0)
+
+    @pytest.mark.parametrize("row", [(0, 2), (0, -1), (0,), (0, 1, 0)])
+    def test_systems_from_malformed_rows(self, row):
+        with pytest.raises(ValueError):
+            covering.systems_from_rows([row], (2, 2))
 
 class TestAffineOrbit:
     def test_two_class_orbit(self):

@@ -10,12 +10,14 @@ import tracemalloc
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sierpinski.arith as arith
 import sierpinski.search as search
 from sierpinski.arith import Congruence, FactorBudget
-from sierpinski.construct import FactorBudgetExceeded, least_admissible, verify_certificate
-from sierpinski.covering import BudgetExceeded, CoveringSystem, enumerate_covers
+from sierpinski.construct import FactorBudgetExceeded, least_admissible, next_nontrivial, verify_certificate
+from sierpinski.covering import BudgetExceeded, CoveringSystem, enumerate_covers, systems_from_rows
 from sierpinski.cyclotomic import eval_cyclotomic
 from sierpinski.search import (
     PRIME_FOUND,
@@ -563,6 +565,70 @@ class TestSearchMin:
         trivial = [e for e in doc["eliminations"] if e["status"] == "trivial"]
         assert trivial == [{"k": "2", "status": "trivial", "q": "3"},
                            {"k": "5", "status": "trivial", "q": "3"}]
+
+
+class TestPrunedGrid:
+    """search_min walks a class only when its residue is at most the best k so far."""
+
+    @given(
+        m=st.integers(2, 10**6),
+        modulus=st.integers(1, 10**15),
+        residue=st.integers(0, 10**15),
+        max_p=st.integers(2, 10**20),
+    )
+    def test_walk_never_goes_below_the_residue(self, m, modulus, residue, max_p):
+        q_product = math.prod(sympy.primefactors(m - 1))
+        # strip every q | m - 1 from the step (modulus < 2**50), or the walk may not end
+        modulus //= math.gcd(modulus, q_product**50)
+        sol = Congruence(residue % modulus, modulus)
+        k = next_nontrivial(least_admissible(sol, m, max_p), sol.modulus, q_product)
+        assert k >= sol.residue and k % modulus == sol.residue
+
+    @pytest.mark.parametrize("base, moduli, minimum", [
+        (34, (2, 2), 6),
+        (127, (3, 4, 4, 6, 6), 43429139464),
+        (127, (3, 4, 6, 6, 8, 8), 11254645362),
+        (127, (3, 4, 6, 6, 8, 8, 12), 5390467794624),
+        (10, None, 35545344),
+        # pool-filling bases on 3,4,6,6,8,8
+        (10, (3, 4, 6, 6, 8, 8), 62207001),
+        (31, (3, 4, 6, 6, 8, 8), 335031910),
+        (12, (3, 4, 6, 6, 8, 8), 50349114),
+        (85, (3, 4, 6, 6, 8, 8), 113954504463472),
+        (43, (3, 4, 6, 6, 8, 8), 118850742),
+        (27, (3, 4, 6, 6, 8, 8), 27930316662),
+        (49, (3, 4, 6, 6, 8, 8), 3928688653626),
+        (37, (3, 4, 6, 6, 8, 8), 455010772),
+    ])
+    def test_witness_is_least_cell(self, base, moduli, minimum):
+        report = search_min(SearchConfig(base, moduli=moduli, a_max=6, k_scan_bound=0))
+        best = min(report.candidates, key=lambda c: (c.k, c.cover.residues, c.primes))
+        entries = tuple((c.residue, c.modulus, p) for c, p in zip(best.cover.classes, best.primes))
+        assert (report.minimum_nontrivial_k, report.certificate.entries) == (best.k, entries)
+        assert report.minimum_nontrivial_k == minimum
+
+    def test_cells_built_when_read(self, monkeypatch):
+        made, systems = [], []
+
+        def counting_cells(*args):
+            made.append(args)
+            return CandidateSolution(*args)
+
+        def counting_systems(rows, moduli):
+            built = systems_from_rows(rows, moduli)
+            systems.extend(built)
+            return built
+
+        monkeypatch.setattr(search, "CandidateSolution", counting_cells)
+        monkeypatch.setattr(search, "systems_from_rows", counting_systems)
+        report = search_min(SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8, 12), k_scan_bound=0))
+        # one system, the template for the assignment list; no cell
+        assert (len(made), len(systems)) == (0, 1)
+        cells = report.candidates
+        assert len(cells) == len(made) == 6912
+        assert all(type(c) is CandidateSolution for c in cells)
+        assert report.candidates is cells and len(made) == 6912
+        assert report.minimum_nontrivial_k == min(c.k for c in cells)
 
 
 class TestMinimumIsLeastNontrivial:
