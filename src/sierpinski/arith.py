@@ -185,7 +185,12 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
     The small-prime screen settles x first, then each q in turn with the
     bases in order. The first base a costs one full power for all q
     together: with F the product of f_primes, z = a**((x-1)/F) gives
-    a**((x-1)/q) = z**(F/q) and a**(x-1) = z**F.
+    a**((x-1)/q) = z**(F/q) and a**(x-1) = z**F. The first base is the
+    least listed one with Jacobi symbol (a/x) = -1, or the first listed (2)
+    when none has it; the others follow in list order. For a prime x that
+    a has a**((x-1)/2) = -1, so it settles q = 2 as well, and a prime x
+    mostly costs one full power. Base 2 would not: it is a square modulo
+    every x = 1 (mod 8), as x = k*m**n + 1 is for even m and n >= 3.
     """
     if f < 1 or (x - 1) % f or f * f <= x:
         raise ValueError("need f | x - 1 and f**2 > x")
@@ -193,9 +198,10 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
     if verdict is not None:
         return verdict
     bases = _POCKLINGTON_BASES
+    first = next((a for a in bases if _jacobi(a, x) == -1), bases[0])
     e = x - 1
     F = math.prod(f_primes)
-    z = pow(bases[0], e // F, x)
+    z = pow(first, e // F, x)
     if pow(z, F, x) != 1:
         return False
     for q in f_primes:
@@ -204,7 +210,9 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
             continue
         if g != x:
             return False
-        for a in bases[1:]:
+        for a in bases:
+            if a == first:
+                continue
             y = pow(a, e // q, x)
             if pow(y, q, x) != 1:
                 return False

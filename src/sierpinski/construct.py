@@ -303,10 +303,14 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
 
     Order: structure, coverage, primality, p | m**n - 1, the k congruences,
     distinctness, the size condition, triviality-prime bookkeeping, the
-    multiplier constraint, then a direct dividing-prime spot check for
-    n = 1..spot_check_limit. Terms grow with n, so the size condition
-    k*m + sign > max p_i gives term(n) > p for every n >= 1 and every
-    certificate prime p: each divisor the spot check finds is proper.
+    multiplier constraint, then a spot check that some certificate prime
+    divides term(n) for each n = 1..spot_check_limit. It walks each entry
+    (a, N, p) over n = a (mod N) with k*m**n mod p as a running product,
+    rests on no earlier check, and names the least n no entry covers, the
+    least n with dividing_prime(n) None. Terms grow with n, so the size
+    condition k*m + sign > max p_i gives term(n) > p for every n >= 1 and
+    every certificate prime p: each divisor the spot check finds is
+    proper.
     """
     if cert.variant not in VARIANT_SIGN:
         return False, f"unknown variant {cert.variant!r}"
@@ -357,7 +361,16 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
     else:
         if m < 3 or k % (m - 1) != 0:
             return False, f"k = {k} is not a multiple of m - 1 = {m - 1}"
-    for n in range(1, spot_check_limit + 1):
-        if cert.dividing_prime(n) is None:
-            return False, f"no certificate prime divides term n = {n}"
+    covered = bytearray(max(spot_check_limit + 1, 1))  # covered[e]: some p | term(e)
+    for a, n, p in cert.entries:
+        e = a or n
+        t, step = k * pow(m, e, p) % p, pow(m, n, p)
+        while e <= spot_check_limit:
+            if (t + sign) % p == 0:
+                covered[e] = 1
+            t = t * step % p
+            e += n
+    missing = covered.find(0, 1)
+    if missing > 0:
+        return False, f"no certificate prime divides term n = {missing}"
     return True, None

@@ -155,6 +155,44 @@ class TestPocklingtonVerdict:
             composites_past_trial_division += not isp and all(x % p for p in range(2, 1000))
         assert primes_seen >= 5 and composites_past_trial_division >= 10
 
+    def test_even_bases_agree_with_sympy(self):
+        # for even m every term with 8 | m**n is 1 (mod 8), where 2 is a
+        # square; the Jacobi-chosen first base still settles every term
+        rng = random.Random(14)
+        evens = (2, 4, 6, 10, 12, 18, 22, 34, 210, 1000)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 40:
+            m = rng.choice(evens)
+            n = rng.randrange(3, 60)
+            k = rng.randrange(1, min(m**n, 10**6))
+            x = k * m**n + 1
+            got = pocklington_verdict(x, m**n, tuple(sympy.primefactors(m)))
+            assert got is sympy.isprime(x), (k, m, n)
+            seen[got] += 1
+
+    @pytest.mark.parametrize("m", (2, 4, 8, 1024))
+    def test_prime_term_costs_one_full_power(self, monkeypatch, m):
+        # f = 2**j: the one power z = a**((x-1)/2) must settle q = 2, which
+        # a base with (a/x) = -1 does for every prime x; 2 itself never does
+        # for these x = 1 (mod 8)
+        full = []
+
+        def counting_pow(a, e, mod=None):
+            if mod is not None and e > 2:  # z**F and z**(F/q) have e <= F = 2
+                full.append(e)
+            return pow(a, e, mod)
+
+        monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+        primes = 0
+        for x, f in _terms_above_2_64(m, 400):
+            if sympy.isprime(x):
+                assert x % 8 == 1
+                full.clear()
+                assert pocklington_verdict(x, f, (2,)) is True
+                assert len(full) == 1, x
+                primes += 1
+        assert primes >= 5
+
     def test_small_values_go_by_trial_division(self):
         assert pocklington_verdict(7, 3, (3,)) is True  # 6 = 2 * 3, 9 > 7
         assert pocklington_verdict(9, 4, (2,)) is False

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import random
 import time
 
 import pytest
@@ -411,6 +412,27 @@ class TestVerifyCertificate:
                 for n in range(1, 513):
                     p = cert.dividing_prime(n)
                     assert p is not None and cert.term(n) > p, (m, variant, n)
+
+    @pytest.mark.parametrize("limit", [-512, -2, -1, 0, 1, 7, 100, 512])
+    def test_spot_check_names_least_uncovered_n(self, monkeypatch, limit):
+        # coverage waved through, a certificate missing one entry reaches the
+        # spot check, which names the least n with no dividing prime, or
+        # checks nothing when the limit is below 1
+        monkeypatch.setattr(importlib.import_module("sierpinski.construct"),
+                            "verify_cover", lambda cover: (True, None))
+        rng = random.Random(14)
+        failures = 0
+        for m in rng.sample(range(3, 3000), 6) + [127]:  # 127: the 13-class cover
+            for variant in (SIERPINSKI, RIESEL):
+                cert = construct(m, variant)
+                for i in range(len(cert.entries)):
+                    cut = dataclasses.replace(cert, entries=cert.entries[:i] + cert.entries[i + 1:])
+                    n = next((n for n in range(1, limit + 1) if cut.dividing_prime(n) is None), None)
+                    expected = (True, None) if n is None else (
+                        False, f"no certificate prime divides term n = {n}")
+                    assert verify_certificate(cut, limit) == expected, (m, variant, i)
+                    failures += n is not None
+        assert (failures > 0) == (limit >= 1)
 
     def test_spot_check_depth(self):
         cert = construct(34)

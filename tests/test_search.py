@@ -183,6 +183,15 @@ class TestEliminateSmallK:
             if r.value >= 2**64:
                 assert sympy.isprime(r.value)
 
+    def test_base_18_hit_one_mod_8_is_proven(self):
+        # 2 is a square modulo this term, as modulo every 18-term with n >= 3;
+        # a first base with Jacobi symbol -1 settles q = 2 with one power
+        value = 26912943123502831701590017
+        assert value == 38 * 18**19 + 1 and value % 8 == 1 and value > 2**64
+        records = eliminate_small_k(18, 40, 30, (17,))
+        assert records[37] == EliminationRecord(
+            k=38, status=PRIME_FOUND, n=19, value=value, certainty="proven")
+
     def test_unsettled_terms_fall_back_to_prime_verdict(self, monkeypatch):
         proven = eliminate_small_k(1000, 60, 60, (3, 37))
         monkeypatch.setattr(arith, "_POCKLINGTON_BASES", (4,))  # never settles q = 2
