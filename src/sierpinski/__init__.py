@@ -2,9 +2,11 @@
 cyclotomic polynomials, compositeness certificates, and minimum search."""
 
 from .arith import (
+    BudgetExceeded,
     Congruence,
     Factorization,
     FactorBudget,
+    FactorBudgetExceeded,
     ModuliNotCoprime,
     NotCoprime,
     crt_solve,
@@ -15,7 +17,6 @@ from .arith import (
     prime_verdict,
 )
 from .covering import (
-    BudgetExceeded,
     CoveringSystem,
     ModulusMismatch,
     ResidueClass,
@@ -33,7 +34,6 @@ from .construct import (
     NONTRIVIAL,
     RIESEL,
     SIERPINSKI,
-    FactorBudgetExceeded,
     NoQualifyingPrime,
     SierpinskiCertificate,
     base2_certificate,

@@ -26,6 +26,14 @@ class ModuliNotCoprime(ValueError):
     """CRT input moduli are not pairwise coprime."""
 
 
+class BudgetExceeded(RuntimeError):
+    """Work (period, assignment space, orbit, order, size) over its budget."""
+
+
+class FactorBudgetExceeded(BudgetExceeded):
+    """A required factorization did not complete within its budget."""
+
+
 def _small_primes(limit: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * limit
     sieve[0:2] = b"\x00\x00"
@@ -509,8 +517,8 @@ def multiplicative_order(m: int, p: int, budget: FactorBudget | None = None) -> 
     """Order of m in (Z/pZ)* for prime p not dividing m.
 
     Starts from p - 1 and strips prime factors while the power still
-    equals 1, so the cost is one factorization of p - 1 plus O(log p)
-    modular powers. Raises ValueError for a composite p.
+    equals 1: one factorization of p - 1 (FactorBudgetExceeded if it does
+    not finish) and O(log p) modular powers. ValueError for a composite p.
     """
     if p < 2 or not prime_verdict(p)[0]:
         raise ValueError(f"p must be a prime, got {p}")
@@ -518,7 +526,7 @@ def multiplicative_order(m: int, p: int, budget: FactorBudget | None = None) -> 
         raise NotCoprime(f"{m} and {p} are not coprime")
     fac = factorize(p - 1, budget)
     if not fac.is_complete:
-        raise ArithmeticError(f"could not fully factor {p - 1} within budget")
+        raise FactorBudgetExceeded(f"could not fully factor {p - 1} within budget")
     order = p - 1
     for q in fac.primes():
         while order % q == 0 and pow(m, order // q, p) == 1:

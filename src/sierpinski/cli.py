@@ -13,10 +13,9 @@ import json
 import sys
 from collections import Counter
 
-from .arith import Congruence, crt_solve, factorize, multiplicative_order, prime_verdict
+from .arith import BudgetExceeded, Congruence, crt_solve, factorize, multiplicative_order, prime_verdict
 from .covering import (
     DEFAULT_MAX_ASSIGNMENTS,
-    BudgetExceeded,
     CoveringSystem,
     affine_orbit,
     enumerate_covers,
@@ -27,7 +26,6 @@ from .construct import (
     NONTRIVIAL,
     RIESEL,
     SIERPINSKI,
-    FactorBudgetExceeded,
     NoQualifyingPrime,
     SierpinskiCertificate,
     base2_certificate,
@@ -307,7 +305,9 @@ def run(argv) -> int:
     """Parse argv and dispatch; never raises for expected failure modes.
 
     Each handler returns its exit code and two zero-argument renderers, the
-    JSON document's and the text's; only the requested one is called.
+    JSON document's and the text's; only the requested one is called. Exit 3
+    is exactly a BudgetExceeded and exit 2 a ValueError or OSError; any
+    other exception but NoQualifyingPrime (exit 1) is a fault and propagates.
     """
     parser = build_parser()
     try:
@@ -322,13 +322,13 @@ def run(argv) -> int:
         code, doc, text = args.handler(args)
         print(_dumps(doc()) if args.json else text())
         return code
-    except (BudgetExceeded, FactorBudgetExceeded, ArithmeticError) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NoQualifyingPrime as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .arith import (
     Congruence,
     FactorBudget,
+    FactorBudgetExceeded,
     _factor_rest,
     _trial_division,
     crt_solve,
@@ -45,10 +46,6 @@ MERSENNE_COVER = CoveringSystem.parse(
 
 class NoQualifyingPrime(RuntimeError):
     """No prime factor of Phi_n(m) is coprime to n (within budget)."""
-
-
-class FactorBudgetExceeded(RuntimeError):
-    """A required factorization did not complete within its budget."""
 
 
 def is_mersenne_like(m: int) -> tuple[bool, int | None]:
@@ -159,18 +156,38 @@ class SierpinskiCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict, budget: FactorBudget | None = None) -> "SierpinskiCertificate":
-        """Rebuild from the JSON schema. The schema does not carry the
-        triviality primes, so they are recomputed from base - 1;
+        """Rebuild from the JSON schema of to_json_dict. Each integer field
+        takes an int or a decimal string, variant and constraint take
+        strings, and entries a list of objects; anything else raises a
+        ValueError that names the malformed field. The schema does not carry
+        the triviality primes, so they are recomputed from base - 1;
         FactorBudgetExceeded when base - 1 does not factor within budget."""
-        base = int(doc["base"])
+        base = _json_field(doc, "base", int)
+        entries = _json_field(doc, "entries", list)
         return cls(
             base=base,
-            k=int(doc["k"]),
-            entries=tuple((int(e["a"]), int(e["n"]), int(e["p"])) for e in doc["entries"]),
-            variant=doc["variant"],
+            k=_json_field(doc, "k", int),
+            entries=tuple(tuple(_json_field(e, key, int) for key in "anp") for e in entries),
+            variant=_json_field(doc, "variant", str),
             triviality_primes=triviality_primes_for(base, budget) if base >= 2 else (),
-            multiplier_constraint=doc["constraint"],
+            multiplier_constraint=_json_field(doc, "constraint", str),
         )
+
+
+_JSON_KINDS = {int: "an integer or a decimal string", str: "a string", list: "a list"}
+
+
+def _json_field(doc, key: str, kind: type):
+    """doc[key] as an int (from an int or a decimal string), a str or a list;
+    ValueError when doc is not an object or the field is missing or of another kind."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed certificate: expected an object, got a {type(doc).__name__}")
+    value = doc.get(key)
+    if kind is int and isinstance(value, str) and value.removeprefix("-").isdecimal():
+        return int(value)
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"malformed certificate: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
 
 
 def least_admissible(sol: Congruence, m: int, max_p: int, sign: int = 1) -> int:
@@ -247,8 +264,6 @@ def construct(
         raise ValueError(f"unknown multiplier constraint {multiplier_constraint!r}")
     if index < 0:
         raise ValueError("index must be nonnegative")
-    if budget is None:
-        budget = FactorBudget.default()
     mers, _ = is_mersenne_like(m)
     cover = MERSENNE_COVER if mers else GENERIC_COVER
     primes = [select_cover_prime(m, cls.modulus, budget) for cls in cover.classes]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _cover_kernels
-from .arith import NotCoprime, totient
+from .arith import BudgetExceeded, NotCoprime, totient
 
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
 # verify_cover works on one bitset of the period: at most 2 MiB.
@@ -25,10 +25,6 @@ MAX_CLASSES = 64
 
 class ModulusMismatch(ValueError):
     """Swap requested between classes with different moduli."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Work (period, assignment space or orbit size) over its budget."""
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .arith import mobius_pairs, totient
-from .covering import BudgetExceeded
+from .arith import BudgetExceeded, mobius_pairs, totient
 
 # Largest n that cyclotomic_poly builds: phi(n) < 2**16 coefficients.
 MAX_CYCLOTOMIC_ORDER = 1 << 16

@@ -25,8 +25,10 @@ from typing import Callable
 from .arith import (
     PROBABLE,
     PROVEN,
+    BudgetExceeded,
     Congruence,
     FactorBudget,
+    FactorBudgetExceeded,
     crt_solve,
     factorize,
     mod_inverse,
@@ -36,7 +38,6 @@ from .arith import (
 from .covering import CoveringSystem, enumerate_cover_rows, systems_from_rows
 from .construct import (
     NONTRIVIAL,
-    FactorBudgetExceeded,
     SIERPINSKI,
     SierpinskiCertificate,
     build_congruences,
@@ -197,7 +198,7 @@ class SearchReport:
         }
 
 
-def _pool_for(m: int, ns, budget: FactorBudget) -> PrimePool:
+def _pool_for(m: int, ns, budget: FactorBudget | None) -> PrimePool:
     orders: dict[int, tuple[int, ...]] = {}
     incomplete = set()
     for n in sorted(set(int(n) for n in ns)):
@@ -223,7 +224,7 @@ def discover_prime_pool(m: int, a_max: int, budget: FactorBudget | None = None) 
         raise ValueError("base must be at least 2")
     if a_max < 1:
         raise ValueError("a_max must be positive")
-    return _pool_for(m, range(1, a_max + 1), budget or FactorBudget.default())
+    return _pool_for(m, range(1, a_max + 1), budget)
 
 
 def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[int, ...]]:
@@ -284,7 +285,9 @@ def eliminate_small_k(
     This process and _worker_count() - 1 forked children (none beside a live
     thread: the child could deadlock) claim chunks of k from a pipe and write
     a code per k to shared memory. This process scans what a failed child
-    left, so the records do not depend on the number of workers.
+    left, so the records do not depend on the number of workers. Raises
+    BudgetExceeded, naming k_scan_bound, when those 4 bytes per k cannot be
+    mapped.
     """
     if m < 2 or n_max < 1:
         raise ValueError("need m >= 2 and n_max >= 1")
@@ -297,7 +300,11 @@ def eliminate_small_k(
     span = -(-k_scan_bound // 256) or 1  # so that one byte names each chunk
     chunks = range(-(-k_scan_bound // span))  # chunk c holds c*span < k <= c*span + span
     args = (m, k_scan_bound, n_max, triviality_primes, seed, m_primes, span)
-    codes = memoryview(mmap.mmap(-1, 4 * k_scan_bound or 4)).cast("I")  # shared with forked workers
+    try:
+        codes = memoryview(mmap.mmap(-1, 4 * k_scan_bound or 4)).cast("I")  # shared with forked workers
+    except (OverflowError, OSError) as exc:
+        raise BudgetExceeded(
+            f"k_scan_bound {k_scan_bound} is over budget: its 4 bytes per k could not be mapped ({exc})") from None
     workers = _worker_count(k_scan_bound) if hasattr(os, "fork") and not _thread._count() else 1
     r, w = os.pipe()
     os.write(w, bytes(chunks))  # at most PIPE_BUF bytes: this cannot block
@@ -404,13 +411,12 @@ def search_min(config: SearchConfig) -> SearchReport:
     Raises FactorBudgetExceeded when a Phi_n(m) of the pool does not factor.
     """
     m = config.base
-    budget = config.budget or FactorBudget.default()
-    qs = triviality_primes_for(m, budget)
+    qs = triviality_primes_for(m, config.budget)
     if config.moduli is not None:
         moduli = config.moduli
-        pool = _pool_for(m, set(moduli), budget)
+        pool = _pool_for(m, set(moduli), config.budget)
     else:
-        pool = discover_prime_pool(m, config.a_max, budget)
+        pool = discover_prime_pool(m, config.a_max, config.budget)
         moduli = tuple(n for n in pool.orders() for _ in pool.primes(n))
     if pool.incomplete:  # a minimum from a partial pool would be unfounded
         raise FactorBudgetExceeded(f"Phi_n({m}) not fully factored for n in {sorted(pool.incomplete)}")

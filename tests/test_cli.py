@@ -189,6 +189,17 @@ class TestFactorCommand:
     def test_zero_rejected(self, capsys):
         assert invoke(capsys, "factor", "0")[0] == 2
 
+    @pytest.mark.parametrize("error", [ZeroDivisionError, TypeError])
+    def test_faults_propagate(self, monkeypatch, error):
+        # exit 3 is a BudgetExceeded and exit 2 a ValueError or OSError: a
+        # fault of another kind is neither a budget stop nor a usage error
+        def fault(x):
+            raise error("fault")
+
+        monkeypatch.setattr(cli, "factorize", fault)
+        with pytest.raises(error):
+            run(["factor", "391"])
+
     @pytest.mark.parametrize("value", ["abc", "1"])
     def test_bad_factor_bound_env_is_named(self, capsys, monkeypatch, value):
         monkeypatch.setenv("SIERPINSKI_FACTOR_BOUND", value)
@@ -322,9 +333,16 @@ class TestVerifyCertCommand:
         bad = tmp_path / "not_json.json"
         bad.write_text("{nope")
         assert invoke(capsys, "verify-cert", str(bad))[0] == 2
-        incomplete = tmp_path / "incomplete.json"
-        incomplete.write_text(json.dumps({"base": "34"}))
-        assert invoke(capsys, "verify-cert", str(incomplete))[0] == 2
+        _, out, _ = invoke(capsys, "construct", "34", "--json")
+        valid = json.loads(out)
+        # a list, an entries number, a missing k, a list variant and a float base
+        for doc in ([1], {**valid, "entries": 5}, {"base": "34"}, {**valid, "variant": []},
+                    {**valid, "base": 34.5}):
+            malformed = tmp_path / "malformed.json"
+            malformed.write_text(json.dumps(doc))
+            code, out, err = invoke(capsys, "verify-cert", str(malformed))
+            assert (code, out) == (2, "")
+            assert "malformed certificate" in err
 
 
 class TestSearchCommand:
@@ -380,6 +398,14 @@ class TestSearchCommand:
         code, out, err = invoke(capsys, "search", "127", "--moduli", "3,4,6,6,8,8")
         assert (code, out) == (3, "")
         assert "Phi_n(127) not fully factored for n in [8]" in err
+
+    def test_kscan_budget(self, capsys):
+        # 3 alone covers nothing, so the scan bound is the whole --kscan
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "search", "34", "--moduli", "3", "--kscan", str(10**20))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "k_scan_bound" in err
 
     def test_cyclotomic_budget(self, capsys):
         start = time.perf_counter()

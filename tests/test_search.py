@@ -13,10 +13,20 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sierpinski
 import sierpinski.arith as arith
 import sierpinski.search as search
-from sierpinski.arith import Congruence, FactorBudget
-from sierpinski.construct import FactorBudgetExceeded, least_admissible, next_nontrivial, verify_certificate
+from sierpinski.arith import Congruence, FactorBudget, multiplicative_order
+from sierpinski.construct import (
+    FactorBudgetExceeded,
+    SierpinskiCertificate,
+    construct,
+    least_admissible,
+    next_nontrivial,
+    select_cover_prime,
+    triviality_primes_for,
+    verify_certificate,
+)
 from sierpinski.covering import BudgetExceeded, CoveringSystem, enumerate_covers, systems_from_rows
 from sierpinski.cyclotomic import eval_cyclotomic
 from sierpinski.search import (
@@ -212,6 +222,9 @@ class TestEliminateSmallK:
         with pytest.raises(ValueError, match="k_scan_bound"):
             eliminate_small_k(34, -1, 30, (3, 11))
         assert eliminate_small_k(34, 0, 30, (3, 11)) == []
+        # 4 bytes per k: the code array cannot be mapped, and nothing is allocated
+        with pytest.raises(BudgetExceeded, match="k_scan_bound"):
+            eliminate_small_k(34, 10**20, 1, (3, 11))
 
     # (m, primes of m - 1, k <=); every m has prime factors below
     # arith.SCREEN_BOUND, which never divide a term (127 is one itself)
@@ -691,3 +704,23 @@ def _brute_force_minimum(m, moduli, k_bound):
             if any(len(set(t)) == len(t) for t in itertools.product(*choices)):
                 return k
     return None
+
+
+# p = 24000864002377 is prime, and p - 1 = 2**3 * 3 * 1000003 * 1000033 has
+# two prime factors above a trial bound of 2
+FACTORING_STOPS = {
+    "select_cover_prime": lambda: select_cover_prime(34, 2, FactorBudget(2, 0)),
+    "triviality_primes_for": lambda: triviality_primes_for(1002, FactorBudget(2, 0)),
+    "from_json_dict": lambda: SierpinskiCertificate.from_json_dict(
+        construct(1002).to_json_dict(), FactorBudget(2, 0)),
+    "search_min_pool": lambda: search_min(
+        SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8), budget=FactorBudget(100, 0))),
+    "multiplicative_order": lambda: multiplicative_order(3, 24000864002377, FactorBudget(2, 0)),
+}
+
+
+@pytest.mark.parametrize("stop", FACTORING_STOPS.values(), ids=list(FACTORING_STOPS))
+def test_every_factoring_stop_is_a_budget_exceeded(stop):
+    with pytest.raises(sierpinski.BudgetExceeded) as info:
+        stop()
+    assert info.type is FactorBudgetExceeded
