@@ -1,16 +1,18 @@
 """Compositeness certificates for k*m**n + 1 (and k*m**n - 1) families.
 
-A certificate pins a covering system {a_i(n_i)} and distinct primes p_i
-with p_i | m**n_i - 1 and p_i | k*m**a_i +/- 1; together those force a
-proper prime divisor of every term k*m**n +/- 1, n >= 1, so k is a
-Sierpinski (or Riesel) number base m.
+A certificate pins a covering system {a_i(n_i)} and divisors d_i > 1 with
+d_i | m**n_i - 1 and d_i | k*m**a_i +/- 1; with k*m +/- 1 > max d_i, d_i is
+a proper divisor of every term k*m**n +/- 1 with n = a_i (mod n_i), so k is
+a Sierpinski (or Riesel) number base m. Neither primality nor distinctness
+of the d_i is needed; construct still picks distinct primes for its CRT.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import (
     Congruence,
@@ -22,7 +24,6 @@ from .arith import (
     factorize,
     mod_inverse,
     multiplicative_order,
-    prime_verdict,
 )
 from .covering import CoveringSystem, verify_cover
 from .cyclotomic import eval_cyclotomic
@@ -113,9 +114,9 @@ class SierpinskiCertificate:
 
     base: int
     k: int
-    entries: tuple[tuple[int, int, int], ...]  # (a_i, n_i, p_i)
+    entries: tuple[tuple[int, int, int], ...]  # (a_i, n_i, d_i)
     variant: str = SIERPINSKI
-    triviality_primes: tuple[int, ...] = ()
+    triviality_primes: tuple[int, ...] = field(default=(), compare=False)  # display only
     multiplier_constraint: str = NONTRIVIAL
 
     @property
@@ -134,7 +135,7 @@ class SierpinskiCertificate:
         return self.k * self.base ** n + self.sign
 
     def dividing_prime(self, n: int) -> int | None:
-        """A certificate prime dividing term(n), if any."""
+        """A certificate divisor d_i dividing term(n), if any."""
         for a, mod, p in self.entries:
             if (n - a) % mod == 0 and (self.k * pow(self.base, n, p) + self.sign) % p == 0:
                 return p
@@ -142,11 +143,11 @@ class SierpinskiCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "base": str(self.base),
-            "k": str(self.k),
+            "base": _decimal_str(self.base),
+            "k": _decimal_str(self.k),
             "variant": self.variant,
             "entries": [
-                {"a": a, "n": n, "p": str(p)} for a, n, p in self.entries
+                {"a": a, "n": n, "p": _decimal_str(p)} for a, n, p in self.entries
             ],
             "constraint": self.multiplier_constraint,
         }
@@ -155,23 +156,24 @@ class SierpinskiCertificate:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, doc: dict, budget: FactorBudget | None = None) -> "SierpinskiCertificate":
+    def from_json_dict(cls, doc: dict) -> "SierpinskiCertificate":
         """Rebuild from the JSON schema of to_json_dict. Each integer field
         takes an int or a decimal string, variant and constraint take
         strings, and entries a list of objects; anything else raises a
         ValueError that names the malformed field. The schema does not carry
-        the triviality primes, so they are recomputed from base - 1;
-        FactorBudgetExceeded when base - 1 does not factor within budget."""
-        base = _json_field(doc, "base", int)
-        entries = _json_field(doc, "entries", list)
+        the display-only triviality primes, which stay empty."""
         return cls(
-            base=base,
+            base=_json_field(doc, "base", int),
             k=_json_field(doc, "k", int),
-            entries=tuple(tuple(_json_field(e, key, int) for key in "anp") for e in entries),
+            entries=tuple(tuple(_json_field(e, key, int) for key in "anp") for e in _json_field(doc, "entries", list)),
             variant=_json_field(doc, "variant", str),
-            triviality_primes=triviality_primes_for(base, budget) if base >= 2 else (),
             multiplier_constraint=_json_field(doc, "constraint", str),
         )
+
+
+def _decimal_str(x: int) -> str:
+    """str(x), exact at any length: Decimal converts without Python's int/str digit cap."""
+    return str(decimal.Decimal(x))
 
 
 _JSON_KINDS = {int: "an integer or a decimal string", str: "a string", list: "a list"}
@@ -184,7 +186,7 @@ def _json_field(doc, key: str, kind: type):
         raise ValueError(f"malformed certificate: expected an object, got a {type(doc).__name__}")
     value = doc.get(key)
     if kind is int and isinstance(value, str) and value.removeprefix("-").isdecimal():
-        return int(value)
+        return int(decimal.Decimal(value))  # exact, and free of the int/str digit cap
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise ValueError(f"malformed certificate: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
@@ -216,8 +218,8 @@ def trivial_prime(k: int, qs, sign: int = 1) -> int | None:
 
 
 def next_nontrivial(k: int, step: int, q_product: int, sign: int = 1) -> int:
-    """Least nontrivial k + j*step, j >= 0, given the product of the primes
-    q | m - 1; it ends when step is coprime to that product."""
+    """Least nontrivial k + j*step, j >= 0, given m - 1 or any product of
+    exactly its primes; it ends when step is coprime to m - 1."""
     while math.gcd(k + sign, q_product) != 1:
         k += step
     return k
@@ -266,10 +268,8 @@ def construct(
         raise ValueError("index must be nonnegative")
     mers, _ = is_mersenne_like(m)
     cover = MERSENNE_COVER if mers else GENERIC_COVER
+    # distinct: each prime has order exactly its modulus, and a cover's moduli are distinct
     primes = [select_cover_prime(m, cls.modulus, budget) for cls in cover.classes]
-    if len(set(primes)) != len(primes):
-        # distinctness follows from distinct multiplicative orders
-        raise NoQualifyingPrime(f"cover primes for base {m} are not distinct: {primes}")
     qs = triviality_primes_for(m, budget)
     sol = crt_solve(build_congruences(m, cover, primes, variant))
     k = _nth_admissible(sol, m, max(primes), variant, multiplier_constraint, qs, index)
@@ -316,16 +316,16 @@ def base2_certificate(index: int = 0) -> SierpinskiCertificate:
 def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512) -> tuple[bool, str | None]:
     """Check every certificate invariant; (True, None) or (False, reason).
 
-    Order: structure, coverage, primality, p | m**n - 1, the k congruences,
-    distinctness, the size condition, triviality-prime bookkeeping, the
-    multiplier constraint, then a spot check that some certificate prime
-    divides term(n) for each n = 1..spot_check_limit. It walks each entry
-    (a, N, p) over n = a (mod N) with k*m**n mod p as a running product,
-    rests on no earlier check, and names the least n no entry covers, the
-    least n with dividing_prime(n) None. Terms grow with n, so the size
-    condition k*m + sign > max p_i gives term(n) > p for every n >= 1 and
-    every certificate prime p: each divisor the spot check finds is
-    proper.
+    Order: structure (residue classes, every d > 1), coverage, d | m**N - 1
+    and d | k*m**a + sign for each entry (a, N, d), the size condition
+    k*m + sign > max d, the multiplier constraint, then a spot check. So d
+    divides every term(n) with n = a (mod N), and as terms grow with n the
+    size condition makes it a proper divisor: no primality test, no distinct
+    d and no factoring is needed. k is trivial exactly when
+    g = gcd(k + sign, m - 1) > 1, as m = 1 (mod g) puts g in every term. The
+    spot check walks each entry over n = a (mod N) with k*m**n mod d as a
+    running product, rests on no earlier check, and names the least
+    n <= spot_check_limit no entry covers (dividing_prime(n) is None).
     """
     if cert.variant not in VARIANT_SIGN:
         return False, f"unknown variant {cert.variant!r}"
@@ -337,53 +337,36 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
         return False, f"multiplier {cert.k} is not positive"
     if not cert.entries:
         return False, "certificate has no entries"
-    for a, n, p in cert.entries:
+    for a, n, d in cert.entries:
         if n < 1 or not 0 <= a < n:
-            return False, f"entry ({a},{n},{p}) is not a residue class"
-        if p < 2:
-            return False, f"entry ({a},{n},{p}) has no prime"
+            return False, f"entry ({a},{n},{d}) is not a residue class"
+        if d < 2:
+            return False, f"entry ({a},{n},{d}) has no divisor above 1"
     ok, witness = verify_cover(cert.cover)
     if not ok:
         return False, f"coverage violated (uncovered exponent {witness})"
     m, k, sign = cert.base, cert.k, cert.sign
-    for a, n, p in cert.entries:
-        if not prime_verdict(p)[0]:
-            return False, f"{p} is not prime"
-        if pow(m, n, p) != 1:
-            return False, f"{p} does not divide {m}^{n} - 1"
-        if (k * pow(m, a, p) + sign) % p != 0:
-            return False, f"{p} does not divide k*{m}^{a} {'+' if sign > 0 else '-'} 1"
-    primes = cert.primes
-    if len(set(primes)) != len(primes):
-        return False, "certificate primes are not pairwise distinct"
-    if k * m + sign <= max(primes):
-        return False, f"size condition fails: k*m{'+' if sign > 0 else '-'}1 = {k * m + sign} <= {max(primes)}"
-    # the triviality primes are the primes of m - 1 exactly when they are
-    # ascending primes that divide m - 1 and leave 1 once divided out
-    qs, rest = cert.triviality_primes, m - 1
-    for i, q in enumerate(qs):
-        if (i and q <= qs[i - 1]) or q < 2 or rest % q or not prime_verdict(q)[0]:
-            rest = 0
-            break
-        while rest % q == 0:
-            rest //= q
-    if rest != 1:
-        return False, f"triviality primes {list(qs)} do not match the prime factors of m - 1 = {m - 1}"
+    for a, n, d in cert.entries:
+        if pow(m, n, d) != 1:
+            return False, f"{d} does not divide {m}^{n} - 1"
+        if (k * pow(m, a, d) + sign) % d != 0:
+            return False, f"{d} does not divide k*{m}^{a} {'+' if sign > 0 else '-'} 1"
+    if k * m + sign <= max(cert.primes):
+        return False, f"size condition fails: k*m{'+' if sign > 0 else '-'}1 = {k * m + sign} <= {max(cert.primes)}"
     if cert.multiplier_constraint == NONTRIVIAL:
-        q = trivial_prime(k, qs, sign)
-        if q is not None:
-            return False, f"k is trivial modulo {q}"
-    else:
-        if m < 3 or k % (m - 1) != 0:
-            return False, f"k = {k} is not a multiple of m - 1 = {m - 1}"
-    covered = bytearray(max(spot_check_limit + 1, 1))  # covered[e]: some p | term(e)
-    for a, n, p in cert.entries:
+        g = math.gcd(k + sign, m - 1)
+        if g > 1:
+            return False, f"k is trivial modulo {g}"
+    elif m < 3 or k % (m - 1) != 0:
+        return False, f"k is not a multiple of m - 1 = {m - 1}"
+    covered = bytearray(max(spot_check_limit + 1, 1))  # covered[e]: some d | term(e)
+    for a, n, d in cert.entries:
         e = a or n
-        t, step = k * pow(m, e, p) % p, pow(m, n, p)
+        t, step = k * pow(m, e, d) % d, pow(m, n, d)
         while e <= spot_check_limit:
-            if (t + sign) % p == 0:
+            if (t + sign) % d == 0:
                 covered[e] = 1
-            t = t * step % p
+            t = t * step % d
             e += n
     missing = covered.find(0, 1)
     if missing > 0:

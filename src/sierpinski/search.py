@@ -438,10 +438,9 @@ def search_min(config: SearchConfig) -> SearchReport:
         bases = [modulus // p * mod_inverse(modulus // p, p) for p in primes]
         terms = [[r * e for r in shifts[p]] for p, e in zip(primes, bases)]
         tables.append((primes, modulus, max(primes), terms))
-    q_product = math.prod(qs)
 
     def walk(sol: Congruence, max_p: int) -> int:
-        return next_nontrivial(least_admissible(sol, m, max_p), sol.modulus, q_product)
+        return next_nontrivial(least_admissible(sol, m, max_p), sol.modulus, m - 1)
 
     best = None
     for row, group in _grid(rows, moduli, tables):

@@ -320,13 +320,29 @@ class TestVerifyCertCommand:
         assert "coverage violated" in report["reason"]
 
     def test_unfactored_m_minus_1_is_budget_not_invalid(self, capsys, monkeypatch, tmp_path):
+        # verify-cert factors nothing, so no factoring budget can stop it
         _, out, _ = invoke(capsys, "construct", "1002", "--json")
         path = tmp_path / "cert.json"
         path.write_text(out)
         monkeypatch.setattr(FactorBudget, "default", staticmethod(lambda: FactorBudget(2, 0)))
-        code, out, err = invoke(capsys, "verify-cert", str(path))
-        assert (code, out) == (3, "")
-        assert "m - 1 = 1001 not fully factored" in err
+        assert invoke(capsys, "verify-cert", str(path)) == (0, "certificate: valid\n", "")
+
+    def test_valid_without_a_primality_test(self, capsys, monkeypatch, tmp_path):
+        # construct 511 has the prime 4658179917019270871041 > 2**64, which
+        # prime_verdict could only call probable; verify-cert never asks
+        _, out, _ = invoke(capsys, "construct", "511", "--json")
+        assert '"4658179917019270871041"' in out
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-cert tested primality")
+
+        for name in ("sierpinski.arith", "sierpinski.construct"):
+            module = importlib.import_module(name)
+            if hasattr(module, "prime_verdict"):
+                monkeypatch.setattr(module, "prime_verdict", refuse)
+        assert invoke(capsys, "verify-cert", str(path)) == (0, "certificate: valid\n", "")
 
     def test_file_errors(self, capsys, tmp_path):
         assert invoke(capsys, "verify-cert", str(tmp_path / "missing.json"))[0] == 2

@@ -5,13 +5,16 @@ import importlib
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sierpinski.arith as arith
-from sierpinski.arith import FactorBudget, Factorization, crt_solve
+from sierpinski.arith import Congruence, FactorBudget, Factorization, crt_solve
 from sierpinski.construct import (
     GENERIC_COVER,
     MERSENNE_COVER,
@@ -309,12 +312,37 @@ class TestCertificateObject:
             back = SierpinskiCertificate.from_json_dict(doc)
             assert back == cert
 
-    def test_from_json_dict_raises_when_m_minus_1_does_not_factor(self):
-        # an empty triviality tuple would make verify reject a valid certificate
-        doc = construct(1002).to_json_dict()
-        with pytest.raises(FactorBudgetExceeded, match="1001"):
-            SierpinskiCertificate.from_json_dict(doc, FactorBudget(2, 0))
-        assert SierpinskiCertificate.from_json_dict(doc).triviality_primes == (7, 11, 13)
+    def test_json_round_trip_beyond_the_digit_cap(self):
+        # outside cli.run Python's int/str digit cap (4,300 digits) holds
+        cert = construct(34)
+        M = math.prod(cert.primes)
+        capped = hasattr(sys, "set_int_max_str_digits")  # Python 3.11 on
+        if capped:
+            old_cap = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(4300)
+        try:
+            big = dataclasses.replace(cert, k=cert.k + 10**5000)
+            doc = json.loads(big.to_json())
+            assert doc["k"] == "1" + "0" * (5000 - 11) + str(cert.k)
+            assert SierpinskiCertificate.from_json_dict(doc) == big
+            # the same multiplier class mod 33 * M: still a valid certificate
+            same = dataclasses.replace(cert, k=cert.k + 33 * M * 10**5000)
+            back = SierpinskiCertificate.from_json_dict(json.loads(same.to_json()))
+            assert back == same and verify_certificate(back) == (True, None)
+            assert verify_certificate(big) == (False, "397 does not divide k*34^0 + 1")
+            # the constraint reason does not quote k, so it needs no int-to-str conversion
+            assert verify_certificate(dataclasses.replace(same, multiplier_constraint=MULTIPLE_OF_M_MINUS_1)) == (
+                False, "k is not a multiple of m - 1 = 33")
+        finally:
+            if capped:
+                sys.set_int_max_str_digits(old_cap)
+
+    def test_triviality_primes_are_display_only(self):
+        # the JSON schema does not carry them and == does not compare them
+        cert = construct(34)
+        assert cert.triviality_primes == (3, 11)
+        back = SierpinskiCertificate.from_json_dict(json.loads(cert.to_json()))
+        assert back.triviality_primes == () and back == cert
 
 
 class TestVerifyCertificate:
@@ -333,20 +361,29 @@ class TestVerifyCertificate:
         assert "unknown multiplier constraint" in reason(multiplier_constraint="weird")
         assert "not a residue class" in reason(entries=((5, 2, 5),) + cert.entries[1:])
         assert "coverage violated" in reason(entries=cert.entries[1:])
-        assert "is not prime" in reason(
-            entries=((0, 2, 35),) + cert.entries[1:])
+        assert "has no divisor above 1" in reason(entries=((0, 2, 1),) + cert.entries[1:])
+        # 35 | 34**2 - 1 = 3 * 5 * 7 * 11, but 7 does not divide k + 1
+        assert reason(entries=((0, 2, 35),) + cert.entries[1:]) == "35 does not divide k*34^0 + 1"
         assert "does not divide 34^2 - 1" in reason(
             entries=((0, 2, 13),) + cert.entries[1:3] + ((5, 6, 1123), (7, 12, 1069)))
         assert "does not divide k*34^0" in reason(k=cert.k + 1)
-        assert "triviality primes [5] do not match" in reason(triviality_primes=(5,))
 
-    def test_duplicate_primes_rejected(self):
+    def test_duplicate_primes_accepted(self):
         base2 = base2_certificate()
         # (2,4,3) passes order and congruence checks (2**2 ≡ 1 mod 3) and the
-        # extra class only enlarges coverage, so only distinctness can fail
+        # extra class only enlarges coverage; the proof never needs distinct divisors
         cert = dataclasses.replace(base2, entries=base2.entries + ((2, 4, 3),))
-        ok, why = verify_certificate(cert)
-        assert (ok, why) == (False, "certificate primes are not pairwise distinct")
+        assert verify_certificate(cert) == (True, None)
+
+    def test_composite_divisor_accepted(self):
+        # 35 = 5 * 7 divides 34**2 - 1 and k + 1, so it divides every
+        # even-n term; k is the least nontrivial admissible k of the CRT class
+        entries = ((0, 2, 35), (0, 3, 397), (1, 4, 13), (5, 6, 1123), (7, 12, 1069))
+        cert = SierpinskiCertificate(base=34, k=141286944469, entries=entries)
+        assert crt_solve(Congruence(-pow(34, -a, d), d) for a, _, d in entries).residue == cert.k
+        assert verify_certificate(cert) == (True, None)
+        for n in range(2, 200, 2):
+            assert cert.term(n) % 35 == 0
 
     def test_size_condition_failure(self):
         # 2 | 3**n - 1 for every n, but k*m - 1 = 2 never exceeds p = 2
@@ -373,11 +410,6 @@ class TestVerifyCertificate:
             dataclasses.replace(cert, multiplier_constraint=MULTIPLE_OF_M_MINUS_1))
         assert not ok and "is not a multiple of m - 1 = 33" in why
 
-    def test_base2_rejects_triviality_primes(self):
-        cert = dataclasses.replace(base2_certificate(), triviality_primes=(3,))
-        ok, why = verify_certificate(cert)
-        assert not ok and why == "triviality primes [3] do not match the prime factors of m - 1 = 1"
-
     @pytest.mark.parametrize("qs", [
         (3,), (),            # a missing prime
         (3, 11, 13),         # an extra prime
@@ -387,21 +419,36 @@ class TestVerifyCertificate:
         (11, 3),             # unsorted
         (3, 3, 11),
     ])
-    def test_tampered_triviality_primes_rejected(self, qs):
-        # m - 1 = 33 = 3 * 11; the audit needs no factorization of it
-        cert = dataclasses.replace(construct(34), triviality_primes=qs)
-        assert verify_certificate(cert) == (
-            False, f"triviality primes {list(qs)} do not match the prime factors of m - 1 = 33")
+    def test_triviality_primes_field_is_not_read(self, qs):
+        # nontriviality is gcd(k + sign, m - 1) = 1, whatever the field holds
+        for cert in (construct(34), base2_certificate()):
+            assert verify_certificate(dataclasses.replace(cert, triviality_primes=qs)) == (True, None)
+
+    def test_trivial_modulus_may_be_composite(self):
+        # m - 1 = 2 * 3 * 5 * 7 = 210 for m = 211; a k with 6 | k + 1 is trivial
+        # modulo 6, since m = 1 (mod 6) puts 6 in every term
+        cert = construct(211)
+        M = math.prod(cert.primes)
+        k = next(k for k in range(cert.k, cert.k + 210 * M, M) if math.gcd(k + 1, 210) == 6)
+        assert verify_certificate(dataclasses.replace(cert, k=k)) == (False, "k is trivial modulo 6")
 
     def test_verify_does_not_factor_m_minus_1(self, monkeypatch):
-        certs = [construct(34), construct(34, RIESEL), construct(127), base2_certificate()]
+        # nor test anything for primality, from the JSON document on; the
+        # 511 certificate has the prime 4658179917019270871041 > 2**64, which
+        # prime_verdict could only call probable
+        certs = [construct(34), construct(34, RIESEL), construct(127), construct(511), base2_certificate()]
+        assert 4658179917019270871041 in certs[3].primes
 
         def refuse(*args, **kwargs):
-            raise AssertionError("verify_certificate factored m - 1")
+            raise AssertionError("verification factored or tested primality")
 
-        monkeypatch.setattr(importlib.import_module("sierpinski.construct"), "factorize", refuse)
+        for module in (arith, importlib.import_module("sierpinski.construct")):
+            for name in ("factorize", "prime_verdict"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         for cert in certs:
-            assert verify_certificate(cert) == (True, None)
+            back = SierpinskiCertificate.from_json_dict(json.loads(cert.to_json()))
+            assert verify_certificate(back) == (True, None)
 
     def test_size_condition_implies_proper_divisors(self):
         # verify_certificate checks k*m + sign > max p only; terms grow with
@@ -437,3 +484,56 @@ class TestVerifyCertificate:
     def test_spot_check_depth(self):
         cert = construct(34)
         assert verify_certificate(cert, spot_check_limit=2000) == (True, None)
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A construct certificate for a base in 3..3000, with up to three of:
+    an entry's d times 2..6, k shifted by a multiple of some d (or of their
+    product), an entry dropped, an entry (a, n, d) added with d = g, g // 2
+    or g // 3 for g = gcd(m**n - 1, k*m**a + sign) (1 in place of 0), and k
+    moved within its class onto a value trivial modulo a prime of m - 1."""
+    m = draw(st.integers(3, 3000))
+    cert = construct(m, draw(st.sampled_from((SIERPINSKI, RIESEL))))
+    for kind in draw(st.lists(st.sampled_from(("scale", "shift", "drop", "add", "trivial")), max_size=3)):
+        entries, k = list(cert.entries), cert.k
+        i = draw(st.integers(0, len(entries) - 1))
+        if kind == "scale":
+            a, n, d = entries[i]
+            entries[i] = (a, n, d * draw(st.integers(2, 6)))
+        elif kind == "shift":
+            step = draw(st.sampled_from([d for _, _, d in entries] + [math.prod(cert.primes)]))
+            k += draw(st.integers(-3, 3)) * step
+        elif kind == "drop" and len(entries) > 1:
+            del entries[i]
+        elif kind == "add":
+            n = draw(st.integers(1, 24))
+            a = draw(st.integers(0, n - 1))
+            g = math.gcd(m**n - 1, k * m**a + cert.sign)
+            entries.append((a, n, g // draw(st.sampled_from([1, 1, 2, 3])) or 1))
+        elif kind == "trivial":
+            qs = sympy.primefactors(m - 1)
+            q = draw(st.sampled_from(qs))
+            M = math.prod(d for _, _, d in entries)
+            if M % q:  # a k = -sign (mod q) in the class mod M
+                k += (-cert.sign - k) * pow(M, -1, q) % q * M
+        cert = dataclasses.replace(cert, k=max(k, 1), entries=tuple(entries))
+    return cert
+
+
+class TestVerifySoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_certificates())
+    def test_valid_means_composite_and_nontrivial(self, cert):
+        # brute-force definitions: every term up to n = 200 has a proper
+        # divisor d > 1 among the entries, and no prime of m - 1 divides
+        # k + sign (which would make every term divisible by it)
+        if verify_certificate(cert) != (True, None):
+            return
+        m, k, sign = cert.base, cert.k, cert.sign
+        power = 1
+        for n in range(1, 201):
+            power *= m
+            term = k * power + sign
+            assert any(1 < d < term and term % d == 0 for _, _, d in cert.entries), n
+        assert not [q for q in sympy.primefactors(m - 1) if (k + sign) % q == 0]

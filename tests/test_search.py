@@ -19,7 +19,6 @@ import sierpinski.search as search
 from sierpinski.arith import Congruence, FactorBudget, multiplicative_order
 from sierpinski.construct import (
     FactorBudgetExceeded,
-    SierpinskiCertificate,
     construct,
     least_admissible,
     next_nontrivial,
@@ -711,8 +710,6 @@ def _brute_force_minimum(m, moduli, k_bound):
 FACTORING_STOPS = {
     "select_cover_prime": lambda: select_cover_prime(34, 2, FactorBudget(2, 0)),
     "triviality_primes_for": lambda: triviality_primes_for(1002, FactorBudget(2, 0)),
-    "from_json_dict": lambda: SierpinskiCertificate.from_json_dict(
-        construct(1002).to_json_dict(), FactorBudget(2, 0)),
     "search_min_pool": lambda: search_min(
         SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8), budget=FactorBudget(100, 0))),
     "multiplicative_order": lambda: multiplicative_order(3, 24000864002377, FactorBudget(2, 0)),
