@@ -30,6 +30,7 @@ from sierpinski.construct import (
     construct,
     is_mersenne_like,
     select_cover_prime,
+    triviality_primes_for,
     verify_certificate,
 )
 from sierpinski.covering import verify_cover
@@ -423,6 +424,34 @@ class TestVerifyCertificate:
         # nontriviality is gcd(k + sign, m - 1) = 1, whatever the field holds
         for cert in (construct(34), base2_certificate()):
             assert verify_certificate(dataclasses.replace(cert, triviality_primes=qs)) == (True, None)
+
+    @pytest.mark.parametrize("qs", [
+        (3,), (),            # a missing prime
+        (3, 11, 13),         # an extra prime
+        (3, 5),              # a non-divisor
+        (33,), (3, 11, 33),  # a composite divisor
+        (1, 3, 11), (-3, 11), (0, 3, 11),
+        (11, 3),             # unsorted
+        (3, 3, 11),
+    ])
+    def test_tampered_triviality_primes_rejected(self, qs):
+        # a trivial k stays rejected whatever primes the field claims
+        cert = construct(34)
+        M = math.prod(cert.primes)
+        trivial = {3: 2, 11: 10}  # k + 1 = 0 (mod q) for q | 33
+        for q, r in trivial.items():
+            k = next(k for k in range(cert.k, cert.k + q * M, M) if k % q == r)
+            tampered = dataclasses.replace(cert, k=k, triviality_primes=qs)
+            assert verify_certificate(tampered) == (False, f"k is trivial modulo {math.gcd(k + 1, 33)}")
+
+    def test_base2_rejects_triviality_primes(self):
+        # m - 1 = 1 has no prime factors, so no base-2 k is trivial: 78557 + 1
+        # is a multiple of 3, which would make k trivial in base 4, yet a
+        # field claiming 3 leaves the base-2 certificate valid
+        assert triviality_primes_for(2) == ()
+        cert = base2_certificate()
+        assert cert.triviality_primes == () and (cert.k + 1) % 3 == 0
+        assert verify_certificate(dataclasses.replace(cert, triviality_primes=(3,))) == (True, None)
 
     def test_trivial_modulus_may_be_composite(self):
         # m - 1 = 2 * 3 * 5 * 7 = 210 for m = 211; a k with 6 | k + 1 is trivial
