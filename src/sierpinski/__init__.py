@@ -28,6 +28,7 @@ from .covering import (
     verify_cover,
 )
 from .construct import (
+    BASE2_COVER,
     GENERIC_COVER,
     MERSENNE_COVER,
     MULTIPLE_OF_M_MINUS_1,
@@ -36,7 +37,6 @@ from .construct import (
     SIERPINSKI,
     NoQualifyingPrime,
     SierpinskiCertificate,
-    base2_certificate,
     build_congruences,
     construct,
     is_mersenne_like,

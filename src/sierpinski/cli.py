@@ -26,9 +26,7 @@ from .construct import (
     NONTRIVIAL,
     RIESEL,
     SIERPINSKI,
-    NoQualifyingPrime,
     SierpinskiCertificate,
-    base2_certificate,
     construct,
     verify_certificate,
 )
@@ -167,12 +165,7 @@ def _construct_text(cert) -> str:
 def _cmd_construct(args):
     variant = RIESEL if args.riesel else SIERPINSKI
     constraint = MULTIPLE_OF_M_MINUS_1 if args.times_m_minus_1 else NONTRIVIAL
-    if args.base == 2:
-        if variant != SIERPINSKI or constraint != NONTRIVIAL:
-            raise ValueError("base 2 supports only the plain sierpinski certificate")
-        cert = base2_certificate(args.index)
-    else:
-        cert = construct(args.base, variant, constraint, args.index)
+    cert = construct(args.base, variant, constraint, args.index)
     return EXIT_OK, cert.to_json_dict, lambda: _construct_text(cert)
 
 
@@ -307,7 +300,8 @@ def run(argv) -> int:
     Each handler returns its exit code and two zero-argument renderers, the
     JSON document's and the text's; only the requested one is called. Exit 3
     is exactly a BudgetExceeded and exit 2 a ValueError or OSError; any
-    other exception but NoQualifyingPrime (exit 1) is a fault and propagates.
+    other exception is a fault and propagates, NoQualifyingPrime too: by
+    Zsigmondy's theorem every Phi_n(m) of construct's covers has one.
     """
     parser = build_parser()
     try:
@@ -325,9 +319,6 @@ def run(argv) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NoQualifyingPrime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

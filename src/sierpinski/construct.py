@@ -23,7 +23,6 @@ from .arith import (
     crt_solve,
     factorize,
     mod_inverse,
-    multiplicative_order,
 )
 from .covering import CoveringSystem, verify_cover
 from .cyclotomic import eval_cyclotomic
@@ -38,11 +37,13 @@ CONSTRAINTS = (NONTRIVIAL, MULTIPLE_OF_M_MINUS_1)
 
 # 5-class system for generic bases; the n=2 class needs an odd prime from
 # Phi_2(m) = m+1, which does not exist when m+1 is a power of two, so
-# those bases use the 13-class system avoiding moduli 1 and 2.
+# those bases use the 13-class system avoiding moduli 1 and 2. Base 2 uses
+# the classical cover of k = 78557, avoiding 6 as Phi_6(2) = 3 divides 6.
 GENERIC_COVER = CoveringSystem.parse("0(2),0(3),1(4),5(6),7(12)")
 MERSENNE_COVER = CoveringSystem.parse(
     "2(4),4(8),8(16),8(24),0(48),1(3),5(6),3(12),1(5),7(10),3(15),9(20),15(30)"
 )
+BASE2_COVER = CoveringSystem.parse("0(2),1(4),1(3),11(12),15(18),27(36),3(9)")
 
 
 class NoQualifyingPrime(RuntimeError):
@@ -251,23 +252,24 @@ def construct(
     index: int = 0,
     budget: FactorBudget | None = None,
 ) -> SierpinskiCertificate:
-    """Certificate for the index-th smallest admissible k in base m >= 3.
+    """Certificate for the index-th smallest admissible k in base m >= 2.
 
-    Picks the covering system by the m = 2**l - 1 test, selects the
-    smallest qualifying prime from each Phi_{n_i}(m), solves the CRT
-    system, then walks representatives until the side conditions hold
-    (k >= 1, k*m + sign > max p_i, and the multiplier constraint).
+    Picks the covering system (BASE2_COVER for m = 2, MERSENNE_COVER when
+    m = 2**l - 1, GENERIC_COVER otherwise), selects the smallest
+    qualifying prime from each Phi_{n_i}(m), solves the CRT system, then
+    walks representatives until the side conditions hold (k >= 1,
+    k*m + sign > max p_i, and the multiplier constraint). For m = 2 the
+    least is the classical k = 78557, and as m - 1 = 1 every k qualifies.
     """
-    if m < 3:
-        raise ValueError("construct needs m >= 3 (base 2 has its own stored certificate)")
+    if m < 2:
+        raise ValueError("construct needs m >= 2")
     if variant not in VARIANT_SIGN:
         raise ValueError(f"unknown variant {variant!r}")
     if multiplier_constraint not in CONSTRAINTS:
         raise ValueError(f"unknown multiplier constraint {multiplier_constraint!r}")
     if index < 0:
         raise ValueError("index must be nonnegative")
-    mers, _ = is_mersenne_like(m)
-    cover = MERSENNE_COVER if mers else GENERIC_COVER
+    cover = BASE2_COVER if m == 2 else MERSENNE_COVER if is_mersenne_like(m)[0] else GENERIC_COVER
     # distinct: each prime has order exactly its modulus, and a cover's moduli are distinct
     primes = [select_cover_prime(m, cls.modulus, budget) for cls in cover.classes]
     qs = triviality_primes_for(m, budget)
@@ -280,36 +282,6 @@ def construct(
         variant=variant,
         triviality_primes=qs,
         multiplier_constraint=multiplier_constraint,
-    )
-
-
-_BASE2_K = 78557
-_BASE2_PRIMES = (3, 5, 7, 13, 19, 37, 73)
-
-
-def base2_certificate(index: int = 0) -> SierpinskiCertificate:
-    """The classical base-2 certificate family starting at k = 78557.
-
-    Exponents (a_i, n_i) are derived from the stored prime set: n_i is
-    the order of 2 mod p_i and a_i the residue with p_i | 78557*2**a_i + 1.
-    Adding multiples of prod(p_i) preserves every congruence, so index
-    walks an infinite family (m - 1 = 1 leaves no triviality screen).
-    """
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    entries = []
-    for p in _BASE2_PRIMES:
-        n = multiplicative_order(2, p)
-        a = next(a for a in range(n) if (_BASE2_K * pow(2, a, p) + 1) % p == 0)
-        entries.append((a, n, p))
-    k = _BASE2_K + index * math.prod(_BASE2_PRIMES)
-    return SierpinskiCertificate(
-        base=2,
-        k=k,
-        entries=tuple(entries),
-        variant=SIERPINSKI,
-        triviality_primes=(),
-        multiplier_constraint=NONTRIVIAL,
     )
 
 
@@ -332,33 +304,34 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
     if cert.multiplier_constraint not in CONSTRAINTS:
         return False, f"unknown multiplier constraint {cert.multiplier_constraint!r}"
     if cert.base < 2:
-        return False, f"base {cert.base} is below 2"
+        return False, f"base {_decimal_str(cert.base)} is below 2"
     if cert.k < 1:
-        return False, f"multiplier {cert.k} is not positive"
+        return False, f"multiplier {_decimal_str(cert.k)} is not positive"
     if not cert.entries:
         return False, "certificate has no entries"
     for a, n, d in cert.entries:
         if n < 1 or not 0 <= a < n:
-            return False, f"entry ({a},{n},{d}) is not a residue class"
+            return False, f"entry ({','.join(map(_decimal_str, (a, n, d)))}) is not a residue class"
         if d < 2:
-            return False, f"entry ({a},{n},{d}) has no divisor above 1"
+            return False, f"entry ({','.join(map(_decimal_str, (a, n, d)))}) has no divisor above 1"
     ok, witness = verify_cover(cert.cover)
     if not ok:
-        return False, f"coverage violated (uncovered exponent {witness})"
+        return False, f"coverage violated (uncovered exponent {_decimal_str(witness)})"
     m, k, sign = cert.base, cert.k, cert.sign
+    pm = "+" if sign > 0 else "-"
     for a, n, d in cert.entries:
         if pow(m, n, d) != 1:
-            return False, f"{d} does not divide {m}^{n} - 1"
+            return False, f"{_decimal_str(d)} does not divide {_decimal_str(m)}^{_decimal_str(n)} - 1"
         if (k * pow(m, a, d) + sign) % d != 0:
-            return False, f"{d} does not divide k*{m}^{a} {'+' if sign > 0 else '-'} 1"
+            return False, f"{_decimal_str(d)} does not divide k*{_decimal_str(m)}^{_decimal_str(a)} {pm} 1"
     if k * m + sign <= max(cert.primes):
-        return False, f"size condition fails: k*m{'+' if sign > 0 else '-'}1 = {k * m + sign} <= {max(cert.primes)}"
+        return False, f"size condition fails: k*m{pm}1 = {_decimal_str(k * m + sign)} <= {_decimal_str(max(cert.primes))}"
     if cert.multiplier_constraint == NONTRIVIAL:
         g = math.gcd(k + sign, m - 1)
         if g > 1:
-            return False, f"k is trivial modulo {g}"
-    elif m < 3 or k % (m - 1) != 0:
-        return False, f"k is not a multiple of m - 1 = {m - 1}"
+            return False, f"k is trivial modulo {_decimal_str(g)}"
+    elif k % (m - 1) != 0:
+        return False, f"k is not a multiple of m - 1 = {_decimal_str(m - 1)}"
     covered = bytearray(max(spot_check_limit + 1, 1))  # covered[e]: some d | term(e)
     for a, n, d in cert.entries:
         e = a or n
@@ -370,5 +343,5 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
             e += n
     missing = covered.find(0, 1)
     if missing > 0:
-        return False, f"no certificate prime divides term n = {missing}"
+        return False, f"no certificate prime divides term n = {_decimal_str(missing)}"
     return True, None

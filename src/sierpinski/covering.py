@@ -113,14 +113,23 @@ def verify_cover(system: CoveringSystem) -> tuple[bool, int | None]:
     """Exhaustively test one full period as an OR of class bitsets.
 
     Returns (True, None) for a cover, else (False, w) where w is the
-    smallest uncovered nonnegative integer. Raises BudgetExceeded when
-    the period exceeds MAX_PERIOD.
+    smallest uncovered nonnegative integer. A period over MAX_PERIOD is
+    scanned only when the density d = sum(1/n) < 1: the t classes then
+    cover fewer than d*X + t < X of the first X = t // (1 - d) + 1
+    integers, so the witness lies below X and only those X are scanned.
+    Raises BudgetExceeded when the scan would still exceed MAX_PERIOD.
     """
-    L = system.lcm
+    L, classes = system.lcm, system.classes
     if L > MAX_PERIOD:
-        raise BudgetExceeded(f"period {L} exceeds the verification budget of {MAX_PERIOD}")
+        density = sum(Fraction(1, c.modulus) for c in classes)
+        if density < 1:
+            L = min(L, len(classes) // (1 - density) + 1)
+            classes = [c for c in classes if c.residue < L]
+        if L > MAX_PERIOD:
+            raise BudgetExceeded(f"period {system.lcm} exceeds the verification budget of {MAX_PERIOD}")
     acc = 0
-    for c in system.classes:
+    # with L cut below the period a mask may reach past L; a gap below L is still the lowest bit
+    for c in classes:
         acc |= _cover_kernels.comb(c.modulus, L) << c.residue
     gaps = ((1 << L) - 1) ^ acc
     if not gaps:

@@ -22,7 +22,6 @@ from sierpinski.construct import (
     MULTIPLE_OF_M_MINUS_1,
     RIESEL,
     SIERPINSKI,
-    base2_certificate,
     construct,
     is_mersenne_like,
     verify_certificate,
@@ -148,7 +147,7 @@ def test_05_classical_base_2_coverage(capsys):
             if not any((78557 * pow(2, n, p) + 1) % p == 0 for p in primes)
         ]
         assert failures == []
-        cert = base2_certificate()
+        cert = construct(2)
         assert cert.primes == primes
 
 

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -92,11 +93,19 @@ class TestCoverCommands:
 
     @pytest.mark.parametrize("subcommand", ["verify", "orbit"])
     def test_period_budget(self, capsys, subcommand):
+        # density at least 1 and a period over MAX_PERIOD: no window to scan
         start = time.perf_counter()
-        code, _, err = invoke(capsys, "cover", subcommand, "0(997),0(991),0(983),0(977)")
+        code, _, err = invoke(capsys, "cover", subcommand, "0(2),1(2),0(997),0(991),0(983),0(977)")
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "exceeds the verification budget" in err
+
+    def test_sparse_system_beyond_the_period_budget(self, capsys):
+        # density below 1: the witness is found below the period budget
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "cover", "verify", "0(997),0(991),0(983),0(977)")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "not a cover: witness 1\n")
 
     def test_orbit(self, capsys):
         code, out, _ = invoke(capsys, "cover", "orbit", "0(2),1(2)")
@@ -284,9 +293,13 @@ class TestConstructCommand:
         code, out, _ = invoke(capsys, "verify-cert", str(path))
         assert (code, out) == (0, "certificate: valid\n")
 
-    def test_base2_variants_rejected(self, capsys):
-        assert invoke(capsys, "construct", "2", "--riesel")[0] == 2
-        assert invoke(capsys, "construct", "2", "--times-m-minus-1")[0] == 2
+    def test_base2_variants_accepted(self, capsys, tmp_path):
+        for flag in ("--riesel", "--times-m-minus-1"):
+            code, out, _ = invoke(capsys, "construct", "2", flag, "--json")
+            assert code == 0
+            path = tmp_path / "cert.json"
+            path.write_text(out)
+            assert invoke(capsys, "verify-cert", str(path)) == (0, "certificate: valid\n", "")
 
     def test_times_m_minus_1(self, capsys):
         code, out, _ = invoke(capsys, "construct", "10", "--times-m-minus-1", "--json")
@@ -475,6 +488,14 @@ def test_readme_transcript_matches():
     assert transcript.mismatches(ROOT / "README.md", run) == (8, [])
 
 
+def test_readme_python_blocks_run():
+    # each fenced python block of the README runs as written, asserts included
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})
+
+
 class TestParserPlumbing:
     def test_help_and_usage(self, capsys):
         assert run(["--help"]) == 0
@@ -640,8 +661,6 @@ def test_search_answers_check_out(base, moduli, kscan, nmax):
 @settings(max_examples=30, deadline=None)
 @given(base=st.integers(2, 200), flags=st.sampled_from([[], ["--riesel"], ["--times-m-minus-1"]]))
 def test_construct_round_trips_through_verify_cert(base, flags):
-    if base == 2:
-        flags = []  # base 2 has only the plain sierpinski certificate
     code, out = _run_quiet(["construct", str(base), "--json", *flags])
     assert code == 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import sierpinski.arith as arith
 from sierpinski.arith import Congruence, FactorBudget, Factorization, crt_solve
 from sierpinski.construct import (
+    BASE2_COVER,
     GENERIC_COVER,
     MERSENNE_COVER,
     MULTIPLE_OF_M_MINUS_1,
@@ -25,7 +26,6 @@ from sierpinski.construct import (
     FactorBudgetExceeded,
     NoQualifyingPrime,
     SierpinskiCertificate,
-    base2_certificate,
     build_congruences,
     construct,
     is_mersenne_like,
@@ -55,6 +55,9 @@ class TestBuiltinCovers:
         # the mersenne system must avoid moduli 1 and 2
         assert min(MERSENNE_COVER.moduli) == 3
         assert len(MERSENNE_COVER.classes) == 13
+        assert verify_cover(BASE2_COVER) == (True, None)
+        # Phi_6(2) = 3 has no prime coprime to 6, so the base-2 system avoids 6
+        assert 6 not in BASE2_COVER.moduli
 
 
 class TestSelectCoverPrime:
@@ -261,7 +264,7 @@ class TestConstruct:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            construct(2)
+            construct(1)
         with pytest.raises(ValueError):
             construct(34, variant="bogus")
         with pytest.raises(ValueError):
@@ -276,7 +279,7 @@ class TestConstruct:
 
 class TestBase2Certificate:
     def test_classical_values(self):
-        cert = base2_certificate()
+        cert = construct(2)
         assert cert.k == 78557
         assert cert.base == 2
         assert cert.entries == (
@@ -288,11 +291,11 @@ class TestBase2Certificate:
     def test_index_steps_by_prime_product(self):
         step = math.prod((3, 5, 7, 13, 19, 37, 73))
         assert step == 70050435
-        cert = base2_certificate(3)
+        cert = construct(2, index=3)
         assert cert.k == 78557 + 3 * step == 210229862
         assert verify_certificate(cert) == (True, None)
         with pytest.raises(ValueError):
-            base2_certificate(-1)
+            construct(2, index=-1)
 
 
 class TestCertificateObject:
@@ -305,7 +308,7 @@ class TestCertificateObject:
             assert cert.term(n) % p == 0
 
     def test_json_round_trip(self):
-        for cert in (construct(34), construct(7), base2_certificate(),
+        for cert in (construct(34), construct(7), construct(2),
                      construct(10, multiplier_constraint=MULTIPLE_OF_M_MINUS_1)):
             doc = json.loads(cert.to_json())
             assert doc == cert.to_json_dict()
@@ -370,7 +373,7 @@ class TestVerifyCertificate:
         assert "does not divide k*34^0" in reason(k=cert.k + 1)
 
     def test_duplicate_primes_accepted(self):
-        base2 = base2_certificate()
+        base2 = construct(2)
         # (2,4,3) passes order and congruence checks (2**2 ≡ 1 mod 3) and the
         # extra class only enlarges coverage; the proof never needs distinct divisors
         cert = dataclasses.replace(base2, entries=base2.entries + ((2, 4, 3),))
@@ -385,6 +388,36 @@ class TestVerifyCertificate:
         assert verify_certificate(cert) == (True, None)
         for n in range(2, 200, 2):
             assert cert.term(n) % 35 == 0
+
+    def test_reasons_beyond_the_digit_cap(self):
+        # outside cli.run Python's int/str digit cap (4,300 digits) holds, and
+        # a reason quoting an integer over it is still returned, not raised
+        big, digits = 10**5000, "1" + "0" * 5000
+        m = big + 1  # m - 1 = big
+        cases = [
+            (SierpinskiCertificate(base=34, k=5, entries=((0, 1, big + 1),)),
+             f"{digits[:-1]}1 does not divide 34^1 - 1"),
+            (SierpinskiCertificate(base=-big, k=5, entries=((0, 1, 3),)), f"base -{digits} is below 2"),
+            (SierpinskiCertificate(base=34, k=-big, entries=((0, 1, 3),)), f"multiplier -{digits} is not positive"),
+            (SierpinskiCertificate(base=34, k=5, entries=((big, 2, 3),)),
+             f"entry ({digits},2,3) is not a residue class"),
+            (SierpinskiCertificate(base=m, k=1, entries=((0, 1, big),), variant=RIESEL),
+             f"size condition fails: k*m-1 = {digits} <= {digits}"),
+            (SierpinskiCertificate(base=m, k=big - 1, entries=((0, 1, big),)), f"k is trivial modulo {digits}"),
+            (SierpinskiCertificate(base=m, k=big - 1, entries=((0, 1, big),),
+                                   multiplier_constraint=MULTIPLE_OF_M_MINUS_1),
+             f"k is not a multiple of m - 1 = {digits}"),
+        ]
+        capped = hasattr(sys, "set_int_max_str_digits")  # Python 3.11 on
+        if capped:
+            old_cap = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(4300)
+        try:
+            verdicts = [verify_certificate(cert) for cert, _ in cases]
+        finally:
+            if capped:
+                sys.set_int_max_str_digits(old_cap)
+        assert verdicts == [(False, reason) for _, reason in cases]
 
     def test_size_condition_failure(self):
         # 2 | 3**n - 1 for every n, but k*m - 1 = 2 never exceeds p = 2
@@ -422,7 +455,7 @@ class TestVerifyCertificate:
     ])
     def test_triviality_primes_field_is_not_read(self, qs):
         # nontriviality is gcd(k + sign, m - 1) = 1, whatever the field holds
-        for cert in (construct(34), base2_certificate()):
+        for cert in (construct(34), construct(2)):
             assert verify_certificate(dataclasses.replace(cert, triviality_primes=qs)) == (True, None)
 
     @pytest.mark.parametrize("qs", [
@@ -449,7 +482,7 @@ class TestVerifyCertificate:
         # is a multiple of 3, which would make k trivial in base 4, yet a
         # field claiming 3 leaves the base-2 certificate valid
         assert triviality_primes_for(2) == ()
-        cert = base2_certificate()
+        cert = construct(2)
         assert cert.triviality_primes == () and (cert.k + 1) % 3 == 0
         assert verify_certificate(dataclasses.replace(cert, triviality_primes=(3,))) == (True, None)
 
@@ -465,7 +498,7 @@ class TestVerifyCertificate:
         # nor test anything for primality, from the JSON document on; the
         # 511 certificate has the prime 4658179917019270871041 > 2**64, which
         # prime_verdict could only call probable
-        certs = [construct(34), construct(34, RIESEL), construct(127), construct(511), base2_certificate()]
+        certs = [construct(34), construct(34, RIESEL), construct(127), construct(511), construct(2)]
         assert 4658179917019270871041 in certs[3].primes
 
         def refuse(*args, **kwargs):
@@ -482,7 +515,7 @@ class TestVerifyCertificate:
     def test_size_condition_implies_proper_divisors(self):
         # verify_certificate checks k*m + sign > max p only; terms grow with
         # n, so every divisor the spot check finds is a proper one
-        for m in range(3, 200):
+        for m in range(2, 200):
             for variant in (SIERPINSKI, RIESEL):
                 cert = construct(m, variant)
                 for n in range(1, 513):
@@ -517,12 +550,12 @@ class TestVerifyCertificate:
 
 @st.composite
 def mutated_certificates(draw):
-    """A construct certificate for a base in 3..3000, with up to three of:
+    """A construct certificate for a base in 2..3000, with up to three of:
     an entry's d times 2..6, k shifted by a multiple of some d (or of their
     product), an entry dropped, an entry (a, n, d) added with d = g, g // 2
     or g // 3 for g = gcd(m**n - 1, k*m**a + sign) (1 in place of 0), and k
     moved within its class onto a value trivial modulo a prime of m - 1."""
-    m = draw(st.integers(3, 3000))
+    m = draw(st.integers(2, 3000))
     cert = construct(m, draw(st.sampled_from((SIERPINSKI, RIESEL))))
     for kind in draw(st.lists(st.sampled_from(("scale", "shift", "drop", "add", "trivial")), max_size=3)):
         entries, k = list(cert.entries), cert.k
@@ -540,7 +573,7 @@ def mutated_certificates(draw):
             a = draw(st.integers(0, n - 1))
             g = math.gcd(m**n - 1, k * m**a + cert.sign)
             entries.append((a, n, g // draw(st.sampled_from([1, 1, 2, 3])) or 1))
-        elif kind == "trivial":
+        elif kind == "trivial" and m > 2:  # m - 1 = 1 has no prime
             qs = sympy.primefactors(m - 1)
             q = draw(st.sampled_from(qs))
             M = math.prod(d for _, _, d in entries)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,11 +156,40 @@ class TestVerifyCover:
 
     def test_period_budget(self):
         assert verify_cover(CoveringSystem([(1, MAX_PERIOD)])) == (False, 0)
-        big = CoveringSystem.parse("0(997),0(991),0(983),0(977)")
+        # density at least 1 and a period over MAX_PERIOD: no window to scan
+        big = CoveringSystem.parse("0(2),1(2),0(997),0(991),0(983),0(977)")
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="period"):
             verify_cover(big)
         assert time.perf_counter() - start < 1.0
+
+    def test_sparse_system_beyond_the_period_budget(self):
+        # density about 0.004: the witness lies below 4 // (1 - density) + 1 = 5
+        sparse = CoveringSystem.parse("0(997),0(991),0(983),0(977)")
+        assert sparse.lcm > MAX_PERIOD
+        start = time.perf_counter()
+        assert verify_cover(sparse) == (False, 1)
+        # a class starting past the window is not shifted into place
+        far = CoveringSystem.parse("0(3),1(3),99999999999(100000000000)")
+        assert verify_cover(far) == (False, 2)
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_systems(), st.integers(1, 64))
+    def test_density_window_matches_numpy_oracle(self, system, budget):
+        # with the period budget lowered, a system of density below 1 is
+        # still answered from the first t // (1 - density) + 1 integers
+        density = sum(Fraction(1, n) for n in system.moduli)
+        window = system.lcm
+        if density < 1:
+            window = min(window, len(system.classes) // (1 - density) + 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(covering, "MAX_PERIOD", budget)
+            if window > budget:
+                with pytest.raises(BudgetExceeded):
+                    verify_cover(system)
+            else:
+                assert verify_cover(system) == numpy_is_cover(system)
 
 
 class TestSplitClass:
@@ -357,7 +387,7 @@ class TestAffineOrbit:
         assert elapsed < 5.0
 
     def test_budget(self, monkeypatch):
-        big = CoveringSystem.parse("0(997),0(991),0(983),0(977)")
+        big = CoveringSystem.parse("0(2),1(2),0(997),0(991),0(983),0(977)")
         with pytest.raises(BudgetExceeded):
             affine_orbit(big)
         # 3,4,6,6,8,8: L * phi(L) = 24 * 8 images, times 2! * 2! permutations

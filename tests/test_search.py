@@ -485,6 +485,14 @@ class TestSearchMin:
             (1, 3, 5419), (1, 4, 5), (0, 6, 13),
             (2, 6, 1231), (3, 8, 17), (7, 8, 137))
 
+    def test_base_2_classical_moduli(self):
+        # on the moduli of the classical cover the grid's least k is 78557,
+        # with the entries construct(2) takes from that stored cover
+        report = search_min(SearchConfig(2, moduli=(2, 3, 4, 9, 12, 18, 36), k_scan_bound=0))
+        assert report.minimum_nontrivial_k == 78557
+        assert set(report.certificate.entries) == set(construct(2).entries)
+        assert verify_certificate(report.certificate) == (True, None)
+
     @pytest.mark.parametrize("base, moduli", [(127, (3, 4, 6, 6, 8, 8)), (34, (2, 2))])
     def test_grid_cells_match_per_cell_reference(self, base, moduli):
         report = search_min(SearchConfig(base, moduli=moduli, k_scan_bound=0))
