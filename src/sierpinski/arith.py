@@ -240,7 +240,8 @@ def is_prime(x: int, seed: int = 0) -> bool:
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Work caps for factorize: trial-division bound and total rho steps."""
+    """Work caps for factorize: trial-division bound and the modular
+    multiplications all rho runs may spend together (one per step of x**2 + c)."""
 
     trial_bound: int = 100_000
     rho_steps: int = 4_000_000
@@ -282,12 +283,17 @@ class Factorization:
         return tuple(p for p, _, _ in self.factors)
 
 
-def _brent_rho(n: int, max_steps: int) -> tuple[int | None, int]:
-    """Brent's cycle variant of Pollard rho with batched gcds.
+def _brent_rho(n: int, max_steps: int, e: int = 2) -> tuple[int | None, int]:
+    """Brent's cycle variant of Pollard rho on x -> x**e + c, with batched gcds.
 
-    Deterministic restart schedule; returns (proper factor or None, steps
-    used). n must be odd, composite, and coprime to the trial primes.
+    Deterministic restart schedule; returns (proper factor or None, work
+    used). Work counts modular multiplications, bit_length(e) + popcount(e)
+    - 2 per step, so e = 2 counts steps. n must be odd, composite, and
+    coprime to the trial primes. An even e pays off when every prime of n
+    is 1 (mod e) (Brent & Pollard 1981): x**e then takes about (p - 1)/e
+    values modulo p, and the expected cycle shrinks by about sqrt(e - 1).
     """
+    cost = e.bit_length() + e.bit_count() - 2
     used = 0
     attempt = 0
     while used < max_steps:
@@ -299,85 +305,99 @@ def _brent_rho(n: int, max_steps: int) -> tuple[int | None, int]:
         while g == 1 and used < max_steps:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
-            used += r
+                y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+            used += r * cost
             k = 0
             while k < r and g == 1:
                 ys = y
                 block = min(m, r - k)
                 for _ in range(block):
-                    y = (y * y + c) % n
+                    y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
                     q = q * abs(x - y) % n
-                used += block
+                used += block * cost
                 g = math.gcd(q, n)
                 k += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
+                ys = ((ys * ys if e == 2 else pow(ys, e, n)) + c) % n
                 g = math.gcd(abs(x - ys), n)
-                used += 1
+                used += cost
         if 1 < g < n:
             return g, used
         attempt += 1
     return None, used
 
 
-# Trial candidates are 5, 7, 11, 13, ... (6k +/- 1); a block is a run of
-# this many of them (even, so every block starts at some 6k + 5).
+# For order n, trial candidates are the c = 1 (mod step), step = lcm(2, n),
+# with 3 not dividing c: a prime of Phi_n(m) that does not divide n has order
+# n modulo it, so it is 1 (mod n), and odd. Order 1 gives 5, 7, 11, 13, ...
+# (6k +/- 1). A block is a run of _TRIAL_BLOCK of them.
 _TRIAL_BLOCK = 1024
 
 
-def _candidate_after(t: int) -> int:
-    """The least trial candidate above t."""
-    c = max(t + 1, 5)
-    while c % 6 not in (1, 5):
-        c += 1
-    return c
+def _progression(step: int) -> tuple[int, tuple[int, ...], int]:
+    """(period, offsets, span): from any lo = 1 (mod period) the candidates
+    are lo + o + j*period for o in offsets, and a block spans span integers."""
+    period = step if step % 3 == 0 else 3 * step
+    offsets = tuple(o for o in range(step, period + 1, step) if (1 + o) % 3)
+    return period, offsets, _TRIAL_BLOCK // len(offsets) * period
+
+
+def _candidate_after(t: int, step: int) -> int:
+    """The least trial candidate above t in the progression 1 (mod step)."""
+    c = max(t, 3) + 1
+    c += (1 - c) % step
+    return c if c % 3 else c + step
 
 
 @functools.lru_cache(maxsize=256)
-def _block_product(block: int, clip: int) -> int:
+def _block_product(step: int, block: int, clip: int) -> int:
     """Product of the candidates of the given block that are <= clip."""
-    lo = 3 * _TRIAL_BLOCK * block + 5
-    return math.prod(range(lo, clip + 1, 6)) * math.prod(range(lo + 2, clip + 1, 6))
+    period, offsets, span = _progression(step)
+    lo = 1 + block * span
+    return math.prod(math.prod(range(lo + o, clip + 1, period)) for o in offsets)
 
 
-def _trial_division(x: int, bound: int) -> tuple[list[int], int]:
+def _trial_division(x: int, bound: int, order: int = 1) -> tuple[list[int], int]:
     """Trial stage of factorize: (primes of x found, with repeats, ascending; rest).
 
-    Strips 2 and 3, then the candidates 5, 7, 11, 13, ... in order until
-    the next candidate d exceeds bound or d*d exceeds what is left; a rest
-    with d*d > rest is prime and joins the primes. Each block of candidates
-    costs one gcd with their product, and a further pass over the block
-    only when that gcd is not 1. The returned rest is 1 or has only prime
-    factors above bound.
+    Every prime of x above 3 that does not divide order must be 1 (mod
+    order), as for x = Phi_order(m); order 1 fits every x. Strips 2, 3 and
+    the primes of order, then the candidates 1 (mod lcm(2, order)) in turn
+    until the next candidate d exceeds bound or d*d exceeds what is
+    left; a rest with d*d > rest is prime and joins the primes. Each block
+    of candidates costs one gcd with their product, and a further pass over
+    the block only when that gcd is not 1. The returned rest is 1 or has
+    only prime factors above bound.
     """
     found = []
     n = x
-    for p in (2, 3):
+    # a composite divisor of order divides nothing left once its primes are gone
+    for p in (2, 3, *(d for d in range(5, order + 1) if order % d == 0)):
         while n % p == 0:
             n //= p
             found.append(p)
+    step = math.lcm(2, order)
+    _, offsets, span = _progression(step)
     block = 0
     while True:
         # where the candidate-by-candidate loop stops, now that no candidate
         # below this block divides n
-        d = _candidate_after(min(bound, math.isqrt(n)))
-        first = 3 * _TRIAL_BLOCK * block + 5
-        if d <= first:
+        limit = min(bound, math.isqrt(n))
+        lo = 1 + block * span
+        if lo + offsets[0] > limit:
             break
-        g = math.gcd(n, _block_product(block, min(bound, first + 3 * _TRIAL_BLOCK - 4)))
-        c, step = first, 2
+        g = math.gcd(n, _block_product(step, block, min(bound, lo + span)))
+        c = lo + step
         while c * c <= g:
-            if g % c == 0:
+            if c % 3 and g % c == 0:
                 while n % c == 0:
                     n //= c
                     found.append(c)
                 g = math.gcd(g, n)
             c += step
-            step = 6 - step
         # a g > 1 left has no prime factor up to its square root: it is prime
         if g > 1:
             while n % g == 0:
@@ -385,9 +405,11 @@ def _trial_division(x: int, bound: int) -> tuple[list[int], int]:
                 found.append(g)
         block += 1
     # every candidate below d was tested, so d*d > n proves n prime
+    d = _candidate_after(limit, step)
     if n > 1 and d * d > n:
         found.append(n)
         n = 1
+    found.sort()
     return found, n
 
 
@@ -397,9 +419,9 @@ def factorize(x: int, budget: FactorBudget | None = None) -> Factorization:
     Trial division by 2, 3 and the 6k +/- 1 candidates up to
     budget.trial_bound, taken as one gcd per block of candidates against
     their product, then Brent rho on what is left, splitting recursively
-    until every piece passes prime_verdict or the shared rho step budget
-    runs out. Anything unfactored lands in the cofactor, so reassemble()
-    always returns x.
+    until every piece passes prime_verdict or the shared rho budget of
+    modular multiplications runs out. Anything unfactored lands in the
+    cofactor, so reassemble() always returns x.
     """
     if x < 1:
         raise ValueError("x must be a positive integer")
@@ -409,8 +431,10 @@ def factorize(x: int, budget: FactorBudget | None = None) -> Factorization:
     return _factor_rest(x, found, rest, budget)
 
 
-def _factor_rest(x: int, found, rest: int, budget: FactorBudget) -> Factorization:
-    """Rho stage of factorize, from the result of _trial_division(x, ...)."""
+def _factor_rest(x: int, found, rest: int, budget: FactorBudget, order: int = 1) -> Factorization:
+    """Rho stage of factorize, from the result of _trial_division(x, ..., order):
+    every prime left is 1 (mod e), e = lcm(2, order), so rho iterates x**e + c."""
+    e = math.lcm(2, order)
     counts: dict[int, list] = {}
 
     def record(p: int, certainty: str):
@@ -432,7 +456,7 @@ def _factor_rest(x: int, found, rest: int, budget: FactorBudget) -> Factorizatio
             if steps_left <= 0:
                 cofactor *= c
                 continue
-            f, used = _brent_rho(c, steps_left)
+            f, used = _brent_rho(c, steps_left, e)
             steps_left -= used
             if f is None:
                 cofactor *= c

@@ -63,22 +63,23 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     """Smallest prime p | Phi_n(m) with gcd(p, n) = 1.
 
     Such a p has multiplicative order exactly n mod m, hence for n >= 2
-    also gcd(p, m - 1) = 1 (checked; ArithmeticError otherwise). Trial
-    division runs first: a qualifying prime it finds below the
-    trial-division bound is the minimum, because every prime rho could
-    still find is larger, so rho never runs. Otherwise rho goes on as in
-    factorize, and an incomplete factorization raises
-    FactorBudgetExceeded.
+    also gcd(p, m - 1) = 1 (checked; ArithmeticError otherwise), and
+    p = 1 (mod n): trial division tests only that progression, and rho
+    iterates x**L + c with L = lcm(2, n). Trial division runs first: a
+    qualifying prime it finds below the trial-division bound is the
+    minimum, because every prime rho could still find is larger, so rho
+    never runs. Otherwise rho goes on as in factorize, and an incomplete
+    factorization raises FactorBudgetExceeded.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
     if budget is None:
         budget = FactorBudget.default()
     value = eval_cyclotomic(n, m)
-    found, rest = _trial_division(value, budget.trial_bound)
+    found, rest = _trial_division(value, budget.trial_bound, n)
     p = next((q for q in found if math.gcd(q, n) == 1), None)
     if p is None or p >= budget.trial_bound:
-        fac = _factor_rest(value, found, rest, budget)
+        fac = _factor_rest(value, found, rest, budget, n)
         if not fac.is_complete:
             raise FactorBudgetExceeded(
                 f"Phi_{n}({m}) = {value} not fully factored within budget"

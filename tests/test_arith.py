@@ -10,10 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sierpinski.arith as arith
+from sierpinski.construct import select_cover_prime
+from sierpinski.cyclotomic import eval_cyclotomic
 
 from sierpinski.arith import (
     Congruence,
     FactorBudget,
+    FactorBudgetExceeded,
     Factorization,
     ModuliNotCoprime,
     NotCoprime,
@@ -302,6 +305,28 @@ class TestFactorize:
         assert f.primes() == (2, 3, 65537)
 
 
+def reference_trial(x, bound):
+    """The trial stage as it was before block gcds: one % per 6k +/- 1
+    candidate. Returns (primes found with repeats, ascending; rest)."""
+    found = []
+    n = x
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+            found.append(p)
+    d, step = 5, 2
+    while d <= bound and d * d <= n:
+        while n % d == 0:
+            n //= d
+            found.append(d)
+        d += step
+        step = 6 - step
+    if n > 1 and d * d > n:
+        found.append(n)
+        n = 1
+    return found, n
+
+
 def reference_factorize(x, budget):
     """factorize as it was before block gcds: one % per 6k +/- 1 candidate.
 
@@ -312,21 +337,9 @@ def reference_factorize(x, budget):
     def record(p, certainty):
         found.setdefault(p, [0, certainty])[0] += 1
 
-    n = x
-    for p in (2, 3):
-        while n % p == 0:
-            n //= p
-            record(p, "proven")
-    d, step = 5, 2
-    while d <= budget.trial_bound and d * d <= n:
-        while n % d == 0:
-            n //= d
-            record(d, "proven")
-        d += step
-        step = 6 - step
-    if n > 1 and d * d > n:
-        record(n, "proven")
-        n = 1
+    primes, n = reference_trial(x, budget.trial_bound)
+    for p in primes:
+        record(p, "proven")
     cofactor = 1
     steps_left = budget.rho_steps
     pending = [n] if n > 1 else []
@@ -389,6 +402,123 @@ class TestFactorizeAgainstReference:
             for x in range(1, 4000):
                 fac = factorize(x, budget)
                 assert (fac.factors, fac.cofactor) == reference_factorize(x, budget), (x, bound)
+
+
+# Phi_n(m) for m < 80, n < 50: the orders of every stored cover and beyond
+CYCLOTOMIC_GRID = [(m, n) for m in range(2, 80) for n in range(1, 50)]
+
+
+class TestTrialDivisionAlongProgression:
+    """_trial_division(Phi_n(m), bound, n) tests only the candidates 1 (mod lcm(2, n))."""
+
+    def test_matches_candidate_loop_at_1000(self):
+        for m, n in CYCLOTOMIC_GRID:
+            value = eval_cyclotomic(n, m)
+            assert arith._trial_division(value, 1000, n) == reference_trial(value, 1000), (m, n)
+
+    def test_matches_candidate_loop_at_100000(self):
+        # the candidate loop takes ~12 s over the whole grid at this bound, so
+        # it checks every 25th value, and the order-1 block stage, which
+        # TestFactorizeAgainstReference pins to it, checks them all
+        for i, (m, n) in enumerate(CYCLOTOMIC_GRID):
+            value = eval_cyclotomic(n, m)
+            expected = reference_trial(value, 100_000) if i % 25 == 0 else arith._trial_division(value, 100_000)
+            assert arith._trial_division(value, 100_000, n) == expected, (m, n)
+
+    @pytest.mark.parametrize("bound", (2, 5, 50))
+    def test_small_bounds(self, bound):
+        small = list(sympy.primerange(2, bound + 1))
+        for m, n in CYCLOTOMIC_GRID:
+            value = eval_cyclotomic(n, m)
+            found, rest = arith._trial_division(value, bound, n)
+            assert math.prod(found) * rest == value, (m, n)
+            assert found == sorted(found) and all(sympy.isprime(p) for p in found), (m, n)
+            assert all(rest % p for p in small), (m, n)
+
+
+def reference_brent_rho(n, max_steps):
+    """_brent_rho as it was before the exponent: x -> x**2 + c, one unit per step."""
+    used = 0
+    attempt = 0
+    while used < max_steps:
+        c = attempt + 1
+        y = 2 + attempt
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1 and used < max_steps:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            used += r
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                block = min(m, r - k)
+                for _ in range(block):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                used += block
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+                used += 1
+        if 1 < g < n:
+            return g, used
+        attempt += 1
+    return None, used
+
+
+class TestRhoBudget:
+    @pytest.mark.parametrize("x", (1000003 * 1000033, 2**67 - 1, 10007 * 10009 * 1000003, 25 * 35))
+    @pytest.mark.parametrize("steps", (1, 100, 5000, 4_000_000))
+    def test_square_keeps_sequence_and_count(self, x, steps):
+        assert arith._brent_rho(x, steps) == reference_brent_rho(x, steps)
+
+    def test_square_step_multiplies_in_place(self, monkeypatch):
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        # shadow the builtin inside arith only
+        monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+        assert arith._brent_rho(1000003 * 1000033, 10**6)[0] in (1000003, 1000033)
+        assert not calls
+        # 13 and 37 are 1 (mod 12)
+        assert arith._brent_rho(13 * 37, 10**6, 12)[0] in (13, 37)
+        assert calls and all(a[1] == 12 for a in calls)
+
+    @pytest.mark.parametrize("max_steps", (1, 1000, 50_000))
+    def test_power_steps_count_multiplications(self, max_steps):
+        # the part of Phi_23(38) above the trial bound is a product of two
+        # primes of 46-70 bits; x**46 costs 5 squarings and 3 products
+        rest = arith._trial_division(eval_cyclotomic(23, 38), 100_000, 23)[1]
+        e, cost = 46, 8
+        assert not sympy.isprime(rest)
+        f, used = arith._brent_rho(rest, max_steps, e)
+        assert f is None
+        # doubling rounds of r steps cost 2*r*cost: r to advance, r in batches
+        total, r = 0, 1
+        while total < max_steps:
+            total, r = total + 2 * r * cost, 2 * r
+        assert used == total
+        # the budget is checked between rounds: it overshoots by less than the last one
+        assert max_steps <= used < max_steps + r * cost
+
+    def test_small_budget_exits_on_cyclotomic_input(self):
+        budget = FactorBudget(100_000, 50_000)
+        with pytest.raises(FactorBudgetExceeded, match="Phi_23"):
+            select_cover_prime(38, 23, budget)
+        value = eval_cyclotomic(23, 38)
+        fac = arith._factor_rest(value, *arith._trial_division(value, 100_000, 23), budget, 23)
+        assert not fac.is_complete and fac.reassemble() == value
 
 
 class TestCrt:

@@ -1,6 +1,7 @@
 """Certificate construction and verification for k*m**n +/- 1 families."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -105,31 +106,31 @@ class TestSelectCoverPrime:
         # sierpinski.construct as an attribute is the function; patch the module
         module = importlib.import_module("sierpinski.construct")
         # the claim comes from trial division ...
-        monkeypatch.setattr(module, "_trial_division", lambda value, bound: ([3], 1))
+        monkeypatch.setattr(module, "_trial_division", lambda value, bound, order: ([3], 1))
         with pytest.raises(ArithmeticError, match="divides m - 1"):
             select_cover_prime(34, 2)
         # ... or from the rho stage after trial division found nothing
-        monkeypatch.setattr(module, "_trial_division", lambda value, bound: ([], 35))
-        monkeypatch.setattr(module, "_factor_rest", lambda value, found, rest, budget: fake)
+        monkeypatch.setattr(module, "_trial_division", lambda value, bound, order: ([], 35))
+        monkeypatch.setattr(module, "_factor_rest", lambda value, found, rest, budget, order: fake)
         with pytest.raises(ArithmeticError, match="divides m - 1"):
             select_cover_prime(34, 2)
 
     def test_matches_sympy_minimum(self):
-        checked = 0
-        for m in range(2, 60):
-            for n in range(1, 25):
-                # sympy needs ~30 s for Phi_17, Phi_19 and Phi_23 of the larger m
-                if n in (17, 19, 23) and m >= 12:
-                    continue
-                value = eval_cyclotomic(n, m)
-                qualifying = [p for p in sympy.primefactors(value) if math.gcd(p, n) == 1]
-                if qualifying:
-                    assert select_cover_prime(m, n) == min(qualifying), (m, n)
-                else:
-                    with pytest.raises(NoQualifyingPrime):
-                        select_cover_prime(m, n)
-                checked += 1
-        assert checked == 1248
+        # sympy needs ~30 s for Phi_17, Phi_19 and Phi_23 of the larger m
+        grid = [(m, n) for m in range(2, 60) for n in range(1, 25) if n not in (17, 19, 23) or m < 12]
+        # every order of the stored covers where construct uses them; 2**11 - 1
+        # exits 3 on an unfactored Phi_n
+        stored = [(2**l - 1, cls.modulus) for l in range(2, 13) if l != 11 for cls in MERSENNE_COVER.classes]
+        stored += [(2, cls.modulus) for cls in BASE2_COVER.classes]
+        for m, n in grid + stored:
+            value = eval_cyclotomic(n, m)
+            qualifying = [p for p in sympy.primefactors(value) if math.gcd(p, n) == 1]
+            if qualifying:
+                assert select_cover_prime(m, n) == min(qualifying), (m, n)
+            else:
+                with pytest.raises(NoQualifyingPrime):
+                    select_cover_prime(m, n)
+        assert (len(grid), len(stored)) == (1248, 137)
 
     def test_trial_hit_skips_rho(self, monkeypatch):
         # Phi_48(21) = 193 * 433 * 673 * 1001713 * 25392481: the part above
@@ -275,6 +276,20 @@ class TestConstruct:
     def test_budget_exhaustion(self):
         with pytest.raises(FactorBudgetExceeded):
             construct(34, budget=FactorBudget(trial_bound=2, rho_steps=0))
+
+
+# SHA-256 over construct(m, variant).to_json() + "\n" for m = 2..400, Sierpinski
+# then Riesel for each m, recorded before trial division and rho followed the
+# progression 1 (mod n): a faster factoring stage must keep every certificate
+CERTIFICATE_DIGEST_2_400 = "24f89cee0d4d3e617feebf885273f3c009fbe2bc5683937b67e47881059d0d89"
+
+
+def test_certificates_stay_byte_identical():
+    h = hashlib.sha256()
+    for m in range(2, 401):
+        for variant in (SIERPINSKI, RIESEL):
+            h.update(construct(m, variant).to_json().encode() + b"\n")
+    assert h.hexdigest() == CERTIFICATE_DIGEST_2_400
 
 
 class TestBase2Certificate:
