@@ -68,8 +68,10 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     iterates x**L + c with L = lcm(2, n). Trial division runs first: a
     qualifying prime it finds below the trial-division bound is the
     minimum, because every prime rho could still find is larger, so rho
-    never runs. Otherwise rho goes on as in factorize, and an incomplete
-    factorization raises FactorBudgetExceeded.
+    never runs. Otherwise the rest is split as in factorize, by one Pollard
+    p - 1 power (skipped when its cost exceeds budget.rho_steps, which pays
+    for it) and then rho, and an incomplete factorization raises
+    FactorBudgetExceeded.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")

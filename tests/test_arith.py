@@ -1,7 +1,11 @@
 """Primality, factorization, CRT, and order tests against sieve/sympy oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,8 +331,9 @@ def reference_trial(x, bound):
     return found, n
 
 
-def reference_factorize(x, budget):
-    """factorize as it was before block gcds: one % per 6k +/- 1 candidate.
+def reference_factorize(x, budget, pm1=True):
+    """factorize as it was before block gcds: one % per 6k +/- 1 candidate,
+    then (unless pm1 is False) one Pollard p - 1 power on the rest, then rho.
 
     Returns (factors, cofactor) for comparison with factorize(x, budget).
     """
@@ -349,6 +354,12 @@ def reference_factorize(x, budget):
         if isp:
             record(c, certainty)
             continue
+        if pm1 and c == n:
+            f, used = arith._pollard_pm1(c, steps_left)
+            steps_left -= used
+            if f is not None:
+                pending += [f, c // f]
+                continue
         if steps_left <= 0:
             cofactor *= c
             continue
@@ -361,6 +372,10 @@ def reference_factorize(x, budget):
     return tuple((p, e, cert) for p, (e, cert) in sorted(found.items())), cofactor
 
 
+# At order 1 one p - 1 power splits this pair, which rho needs about 2**20
+# steps for: its first prime less 1 is 2**2 * 7 * 23 * 29 * 59 * 439 * 2273,
+# the second's 2 * 23 * 23902427077.
+PM1_PAIR = 1099511643749 * 1099511645543
 TRIAL_BOUNDS = (2, 3, 4, 5, 6, 7, 1000, 100_000)
 # the first block of 1024 candidates ends at 3073; the second starts at 3077
 BLOCK_EDGE = (3061, 3067, 3071, 3073, 3077, 3079, 3083)
@@ -385,6 +400,7 @@ class TestFactorizeAgainstReference:
     @example((100_003**2, 100_000, 0))
     @example((100_003**2, 100_000, 20_000))
     @example((3079**2 * 7, 3073, 0))
+    @example((PM1_PAIR, 100_000, 20_000))
     def test_matches_candidate_loop(self, case):
         x, bound, steps = case
         budget = FactorBudget(bound, steps)
@@ -519,6 +535,100 @@ class TestRhoBudget:
         value = eval_cyclotomic(23, 38)
         fac = arith._factor_rest(value, *arith._trial_division(value, 100_000, 23), budget, 23)
         assert not fac.is_complete and fac.reassemble() == value
+
+
+def pm1_cost(e):
+    E = e * math.lcm(*range(1, arith.PM1_BOUND + 1))
+    return E.bit_length() + E.bit_count() - 2
+
+
+# An order above PM1_BOUND, so that only e = 2n puts it into the exponent.
+# P - 1 = 2**3 * 5**4 * 199 * 367 * 3011 is smooth apart from n; Q - 1 =
+# 2 * 3011 * 182582689, and 182582689 divides the order of 2 modulo Q.
+PM1_ORDER = 3011
+P_SMOOTH, Q_ROUGH = 1099511815001, 1099512953159
+
+
+class TestPollardPm1:
+    def test_case_primes(self):
+        n, p, q = PM1_ORDER, P_SMOOTH, Q_ROUGH
+        assert n > arith.PM1_BOUND and sympy.isprime(p) and sympy.isprime(q)
+        assert (p - 1) % (2 * n) == 0 and (q - 1) % (2 * n) == 0
+        assert max(sympy.factorint((p - 1) // (2 * n))) <= arith.PM1_BOUND
+        assert max(sympy.factorint(sympy.n_order(2, q))) > arith.PM1_BOUND
+
+    def test_splits_smooth_prime_at_order(self, monkeypatch):
+        e, x = 2 * PM1_ORDER, P_SMOOTH * Q_ROUGH
+        assert arith._pollard_pm1(x, 10**6, e) == (P_SMOOTH, pm1_cost(e))
+        # without the order in the exponent the gcd is 1
+        assert arith._pollard_pm1(x, 10**6) == (None, pm1_cost(2))
+
+        def no_rho(*args):
+            raise AssertionError("rho ran")
+
+        monkeypatch.setattr(arith, "_brent_rho", no_rho)
+        budget = FactorBudget(1000, 10**6)
+        fac = arith._factor_rest(x, *arith._trial_division(x, 1000, PM1_ORDER), budget, PM1_ORDER)
+        assert fac.factors == ((P_SMOOTH, 1, "proven"), (Q_ROUGH, 1, "proven"))
+
+    def test_skipped_when_cost_exceeds_budget(self):
+        x = P_SMOOTH * Q_ROUGH
+        for e in (2, 2 * PM1_ORDER):
+            assert arith._pollard_pm1(x, pm1_cost(e) - 1, e) == (None, 0)
+        assert arith._pollard_pm1(x, 0) == (None, 0)
+        assert arith._pollard_pm1(PM1_PAIR, pm1_cost(2)) == (1099511643749, pm1_cost(2))
+        for steps in (0, 100, pm1_cost(2) - 1):
+            budget = FactorBudget(1000, steps)
+            for y in (x, PM1_PAIR, 1000003 * 1000033, 35 * 97 * 10007 * 10009, 2**67 - 1):
+                fac = factorize(y, budget)
+                assert (fac.factors, fac.cofactor) == reference_factorize(y, budget, pm1=False), (y, steps)
+
+    def test_whole_rest_falls_through_to_rho(self, monkeypatch):
+        # 5 - 1 and 7 - 1 both divide E, so the gcd is 35 itself
+        assert arith._pollard_pm1(35, 10**6) == (None, pm1_cost(2))
+        calls = []
+        rho = arith._brent_rho
+
+        def spy(n, *args):
+            calls.append(n)
+            return rho(n, *args)
+
+        monkeypatch.setattr(arith, "_brent_rho", spy)
+        fac = factorize(35, FactorBudget(2, 10**6))
+        assert fac.factors == ((5, 1, "proven"), (7, 1, "proven"))
+        assert calls == [35]
+
+    def test_cyclotomic_values_against_sympy(self, monkeypatch):
+        # a seeded sample of Phi_n(m), m < 80, n < 50; under this budget
+        # about one in ten stays incomplete, and sympy would take seconds each
+        splits = []
+        pm1 = arith._pollard_pm1
+
+        def spy(*args):
+            out = pm1(*args)
+            splits.append(out[0] is not None)
+            return out
+
+        monkeypatch.setattr(arith, "_pollard_pm1", spy)
+        budget = FactorBudget(1000, 100_000)
+        for m, n in random.Random(19).sample(CYCLOTOMIC_GRID, 80):
+            value = eval_cyclotomic(n, m)
+            fac = arith._factor_rest(value, *arith._trial_division(value, 1000, n), budget, n)
+            assert fac.reassemble() == value, (m, n)
+            if fac.is_complete:
+                assert {p: e for p, e, _ in fac.factors} == sympy.factorint(value), (m, n)
+            else:
+                assert all(sympy.isprime(p) for p in fac.primes()), (m, n)
+                assert not sympy.isprime(fac.cofactor), (m, n)
+        assert any(splits)
+
+    def test_import_leaves_exponent_unbuilt(self):
+        code = "import sierpinski, sierpinski.arith as a; print(a._pm1_smooth.cache_info().currsize)"
+        src = str(Path(arith.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestCrt:
