@@ -244,7 +244,9 @@ class FactorBudget:
     multiplications that the one Pollard p - 1 power and all rho runs may
     spend together. A rho step on x**e + c costs bit_length(e) + popcount(e)
     - 2 of them (one for x**2 + c), and the p - 1 power is counted the same
-    way for its exponent; it is skipped when it would cost more than is left."""
+    way for its exponent; it is skipped when it would cost more than is left
+    or the rest is below its cost**4, and when it runs but finds nothing,
+    rho has that much less."""
 
     trial_bound: int = 100_000
     rho_steps: int = 4_000_000
@@ -333,10 +335,14 @@ def _brent_rho(n: int, max_steps: int, e: int = 2) -> tuple[int | None, int]:
     return None, used
 
 
-# Stage-1 bound of Pollard p - 1. One pass of the construct benchmark's
-# operations (seeds 1-4, each at its fastest of 5 calls, 3 rounds, 2-core
-# host) took 48-58 ms at 3000, 52-65 ms at 2000, 56-63 ms at 5000, 67-72 ms
-# at 10000 and 61-66 ms with no p - 1 stage.
+# Stage-1 bound of Pollard p - 1. Timed on the composite rests that reach
+# _factor_rest in construct(m, v) for m = 2..2999, both variants (193
+# rests), and in the construct benchmark's seeds 1901-1910 (60), each at its
+# fastest of 7 interleaved calls, 2-core host, two runs: sweep / benchmark
+# rests took 128-141 / 110-132 ms with no p - 1 stage, 122-138 / 90-107 at
+# B1 = 1000, 114-128 / 86-104 at 2000, 107-120 / 90-110 at 3000, 109-123 /
+# 108-134 at 5000 and 115-129 / 99-118 at 10000. On the sweep the power
+# runs on 6 rests (bases 127, 255, 1023, 2047) and splits 5.
 PM1_BOUND = 3000
 
 
@@ -354,12 +360,15 @@ def _pollard_pm1(n: int, max_steps: int, e: int = 2) -> tuple[int | None, int]:
     of n whose order of 2 divides E, in particular every p with p - 1 = e*s
     and s PM1_BOUND-smooth (prime powers included). The power costs
     bit_length(E) + popcount(E) - 2 modular multiplications, the count of one
-    x**E step in _brent_rho; when that exceeds max_steps nothing runs and
-    the result is (None, 0). g = 1 or g = n gives None at full cost.
+    x**E step in _brent_rho. Nothing runs, and the result is (None, 0), when
+    that cost exceeds max_steps, or when n < cost**4: rho finds the least
+    prime p <= sqrt(n) in about sqrt(p) <= n**(1/4) steps, so on such an n
+    it is expected to finish before the power would. g = 1 or g = n gives
+    None at full cost.
     """
     E = e * _pm1_smooth()
     cost = E.bit_length() + E.bit_count() - 2
-    if cost > max_steps:
+    if cost > max_steps or n < cost**4:
         return None, 0
     g = math.gcd(pow(2, E, n) - 1, n)
     return (g if 1 < g < n else None), cost
@@ -457,7 +466,7 @@ def factorize(x: int, budget: FactorBudget | None = None) -> Factorization:
     rho, splitting recursively until every piece passes prime_verdict or
     the shared budget of modular multiplications (budget.rho_steps, which
     pays for the p - 1 power too; it is skipped when its cost exceeds the
-    budget) runs out. Anything unfactored lands in the cofactor, so
+    budget or the rest is below its cost**4) runs out. Anything unfactored lands in the cofactor, so
     reassemble() always returns x.
     """
     if x < 1:
@@ -472,10 +481,14 @@ def _factor_rest(x: int, found, rest: int, budget: FactorBudget, order: int = 1)
     """Splitting stage of factorize, from the result of
     _trial_division(x, ..., order): every prime left is 1 (mod e), e =
     lcm(2, order). A composite rest first gets one Pollard p - 1 power with
-    e in its exponent, charged to budget.rho_steps and skipped when it costs
-    more than that; a proper split goes to rho piece by piece, anything else
+    e in its exponent, charged to budget.rho_steps; it is skipped when it
+    costs more than that or when the rest is below its cost**4 (see
+    _pollard_pm1). A proper split goes to rho piece by piece; anything else
     leaves the whole rest to rho, which iterates x**e + c on what the shared
-    budget has left."""
+    budget has left. A power that finds nothing has still spent its cost, so
+    rho then gets that many fewer steps than without the stage: a
+    factorization that completes gives the same primes either way, but one
+    that ends near the budget's edge may stop earlier."""
     e = math.lcm(2, order)
     counts: dict[int, list] = {}
 

@@ -70,8 +70,8 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     minimum, because every prime rho could still find is larger, so rho
     never runs. Otherwise the rest is split as in factorize, by one Pollard
     p - 1 power (skipped when its cost exceeds budget.rho_steps, which pays
-    for it) and then rho, and an incomplete factorization raises
-    FactorBudgetExceeded.
+    for it, or when the rest is below its cost**4) and then rho, and an
+    incomplete factorization raises FactorBudgetExceeded.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")

@@ -36,8 +36,8 @@ def canned_pairs():
             for i, ((pw, cw), (pr, cr)) in enumerate(zip(walls, rss))]
 
 
-def test_summary_counts_wins_by_direction(ab):
-    out = ab.summarize(canned_pairs(), {"wall_s": "lower", "peak_rss_mb": "lower"})
+def test_summary_counts_wins(ab):
+    out = ab.summarize(canned_pairs())
     wall = out["summary"]["wall_s"]
     assert wall["pairs"] == 5
     assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (4, 1)
@@ -54,22 +54,16 @@ def test_summary_counts_wins_by_direction(ab):
     assert out["attempted"] == {"parent": 500, "change": 500}
 
 
-def test_higher_is_better_flips_the_count(ab):
-    out = ab.summarize(canned_pairs(), {"wall_s": "higher"})
-    wall = out["summary"]["wall_s"]
-    assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (1, 4)
-
-
 def test_failed_run_is_not_correct(ab):
     pairs = canned_pairs()
     pairs[2]["change"] = result_line(0.05, 19.8, failed=2)
-    out = ab.summarize(pairs, {})
+    out = ab.summarize(pairs)
     assert out["all_correct"] is False
     assert out["failed"] == {"parent": 0, "change": 2}
 
 
 def test_single_pair_has_zero_spread(ab):
-    wall = ab.summarize(canned_pairs()[:1], {})["summary"]["wall_s"]
+    wall = ab.summarize(canned_pairs()[:1])["summary"]["wall_s"]
     assert wall["parent"] == {"median": 0.060, "q1": 0.060, "q3": 0.060}
     assert wall["parent_iqr"] == 0
 

@@ -547,6 +547,8 @@ def pm1_cost(e):
 # 2 * 3011 * 182582689, and 182582689 divides the order of 2 modulo Q.
 PM1_ORDER = 3011
 P_SMOOTH, Q_ROUGH = 1099511815001, 1099512953159
+# 2 * 3 * 13**2 * 461 * 2297 and 2**3 * 3 * 13 * 37 * 47 * 1979 divide E at e = 2
+WHOLE_P, WHOLE_Q = 1073741839, 1073742073
 
 
 class TestPollardPm1:
@@ -583,9 +585,18 @@ class TestPollardPm1:
                 fac = factorize(y, budget)
                 assert (fac.factors, fac.cofactor) == reference_factorize(y, budget, pm1=False), (y, steps)
 
+    def test_skipped_below_cost_to_the_fourth(self):
+        cost = pm1_cost(2)
+        assert arith._pollard_pm1(cost**4 - 1, 10**6) == (None, 0)
+        # 35 would give g = 35; rho is left to split it
+        assert arith._pollard_pm1(35, 10**6) == (None, 0)
+        assert factorize(35, FactorBudget(2, 10**6)).factors == ((5, 1, "proven"), (7, 1, "proven"))
+
     def test_whole_rest_falls_through_to_rho(self, monkeypatch):
-        # 5 - 1 and 7 - 1 both divide E, so the gcd is 35 itself
-        assert arith._pollard_pm1(35, 10**6) == (None, pm1_cost(2))
+        # both primes less 1 divide E, so the gcd is the rest itself
+        x = WHOLE_P * WHOLE_Q
+        assert x >= pm1_cost(2) ** 4
+        assert arith._pollard_pm1(x, 10**6) == (None, pm1_cost(2))
         calls = []
         rho = arith._brent_rho
 
@@ -594,9 +605,23 @@ class TestPollardPm1:
             return rho(n, *args)
 
         monkeypatch.setattr(arith, "_brent_rho", spy)
-        fac = factorize(35, FactorBudget(2, 10**6))
-        assert fac.factors == ((5, 1, "proven"), (7, 1, "proven"))
-        assert calls == [35]
+        fac = factorize(x, FactorBudget(2, 10**6))
+        assert fac.factors == ((WHOLE_P, 1, "proven"), (WHOLE_Q, 1, "proven"))
+        assert calls == [x]
+
+    def test_failed_power_is_charged_before_rho(self, monkeypatch):
+        # a power that finds nothing still spends its cost: rho gets the rest
+        budgets = []
+        rho = arith._brent_rho
+
+        def spy(n, max_steps, *args):
+            budgets.append(max_steps)
+            return rho(n, max_steps, *args)
+
+        monkeypatch.setattr(arith, "_brent_rho", spy)
+        x = P_SMOOTH * Q_ROUGH
+        factorize(x, FactorBudget(1000, 10**5))
+        assert budgets == [10**5 - pm1_cost(2)]
 
     def test_cyclotomic_values_against_sympy(self, monkeypatch):
         # a seeded sample of Phi_n(m), m < 80, n < 50; under this budget

@@ -4,18 +4,18 @@ Usage (from the repository root):
 
     python3 tools/ab_pairs.py --parent REV --label NAME \
         --workload construct:10 --workload search:4 [--change HEAD] \
-        [--seconds 12] [--seed 1901] [--workdir DIR]
+        [--seed 1901] [--workdir DIR]
 
 Each side is a `git archive` copy of its revision in a fresh directory, so
 both run the committed files, benchmark included. Pair i runs
-`python3 bench/run.py --workload W --seed SEED+i --seconds S --trace 0` once
+`python3 bench/run.py --workload W --seed SEED+i --seconds 12 --trace 0` once
 on each side, the parent first in even pairs and the change first in odd
 ones. The result is written to BENCH_<NAME>.json in the current directory:
 every run's JSON result line, and per workload and metric both sides'
 medians and quartiles, the parent's IQR and how many pairs the change won
-and lost, judged by the direction BENCHMARK.json gives the metric. The
-environment (Python version, core count, whether numba was imported) is
-read from the runs' own `env` lines. Standard library only.
+and lost, lower being better as for every end-to-end metric of
+BENCHMARK.json. The environment (Python version, core count, whether numba
+was imported) is read from the runs' own `env` lines. Standard library only.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# Length of one bench/run.py run, in seconds.
+RUN_SECONDS = 12
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -43,21 +45,20 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs, better: dict[str, str]) -> dict:
+def summarize(pairs) -> dict:
     """Per-metric medians, quartiles, parent IQR and pair wins.
 
     pairs holds {"parent": result, "change": result} with each result the
-    run's JSON line as bench/run.py prints it; better maps a metric name to
-    "lower" or "higher" (a metric missing from it counts as "lower"). A
-    pair whose two values are equal counts as neither a win nor a loss.
+    run's JSON line as bench/run.py prints it. Lower is better for every
+    metric; a pair whose two values are equal counts as neither a win nor a
+    loss.
     """
     names = [name for name in pairs[0]["parent"]["metrics"]]
     summary = {}
     for name in names:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        sign = -1 if better.get(name, "lower") == "higher" else 1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
-        losses = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        losses = sum(c > p for p, c in zip(values["parent"], values["change"]))
         row = {}
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
@@ -97,9 +98,9 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_bench(copy: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_bench(copy: Path, workload: str, seed: int) -> tuple[dict, dict]:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True, check=True)
     return parse_run(done.stdout)
 
@@ -116,7 +117,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
     parser.add_argument("--workload", action="append", type=workload_spec, required=True,
                         metavar="NAME[:PAIRS]", help="workload and pair count (default 10)")
-    parser.add_argument("--seconds", type=float, default=12)
     parser.add_argument("--seed", type=int, default=1901, help="seed of the first pair")
     parser.add_argument("--workdir", default=None, help="where the copies go (default: temp)")
     args = parser.parse_args(argv)
@@ -125,11 +125,9 @@ def main(argv=None) -> int:
     try:
         copies = {side: work / side for side in SIDES}
         revs = {side: export(rev, copies[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
-        spec = json.loads((copies["change"] / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         out = {
             "label": args.label,
-            "command": f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0",
+            "command": f"python3 bench/run.py --workload W --seed N --seconds {RUN_SECONDS} --trace 0",
             "parent": revs["parent"],
             "change": revs["change"],
             "pairs_alternate": "pair i runs the parent first when i is even, the change first when odd",
@@ -142,12 +140,12 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    env, pair[side] = run_bench(copies[side], workload, seed, args.seconds)
+                    env, pair[side] = run_bench(copies[side], workload, seed)
                     line = pair[side]["metrics"]
                     print(f"{workload} seed {seed} {side}: "
                           + " ".join(f"{k}={v['value']:.4g}" for k, v in line.items()), flush=True)
                 pairs.append(pair)
-            out[workload] = {**summarize(pairs, better), "pairs": pairs}
+            out[workload] = {**summarize(pairs), "pairs": pairs}
         out["env"] = {key: env[key] for key in ("python", "nproc", "numba_imported", "numpy") if key in env}
         path = Path(f"BENCH_{args.label}.json")
         path.write_text(json.dumps(out, indent=1) + "\n")
