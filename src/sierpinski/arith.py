@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import random
 from dataclasses import dataclass
 
 PROVEN = "proven"
 PROBABLE = "probable"
-
-FACTOR_BOUND_ENV = "SIERPINSKI_FACTOR_BOUND"
 
 
 class NotCoprime(ValueError):
@@ -257,12 +254,6 @@ class FactorBudget:
 
     @staticmethod
     def default() -> "FactorBudget":
-        env = os.environ.get(FACTOR_BOUND_ENV)
-        if env:
-            try:
-                return FactorBudget(trial_bound=int(env))
-            except ValueError:
-                raise ValueError(f"{FACTOR_BOUND_ENV} must be an integer >= 2, not {env!r}") from None
         return FactorBudget()
 
 
@@ -457,24 +448,25 @@ def _trial_division(x: int, bound: int, order: int = 1) -> tuple[list[int], int]
     return found, n
 
 
-def factorize(x: int, budget: FactorBudget | None = None) -> Factorization:
-    """Factor x >= 1 within the given budget.
+def factorize(x: int, budget: FactorBudget | None = None, order: int = 1) -> Factorization:
+    """Factor x >= 1 within the given budget, where every prime of x above 3
+    that does not divide order is 1 (mod order), as for x = Phi_order(m);
+    the default order 1 fits every x.
 
-    Trial division by 2, 3 and the 6k +/- 1 candidates up to
-    budget.trial_bound, taken as one gcd per block of candidates against
-    their product, then one Pollard p - 1 power on what is left, then Brent
-    rho, splitting recursively until every piece passes prime_verdict or
-    the shared budget of modular multiplications (budget.rho_steps, which
-    pays for the p - 1 power too; it is skipped when its cost exceeds the
-    budget or the rest is below its cost**4) runs out. Anything unfactored lands in the cofactor, so
-    reassemble() always returns x.
+    Trial division (see _trial_division) up to budget.trial_bound, then one
+    Pollard p - 1 power on what is left, then Brent rho, splitting
+    recursively until every piece passes prime_verdict or the shared budget
+    of modular multiplications (budget.rho_steps, which pays for the p - 1
+    power too; it is skipped when its cost exceeds the budget or the rest is
+    below its cost**4) runs out. Anything unfactored lands in the cofactor,
+    so reassemble() always returns x.
     """
     if x < 1:
         raise ValueError("x must be a positive integer")
     if budget is None:
         budget = FactorBudget.default()
-    found, rest = _trial_division(x, budget.trial_bound)
-    return _factor_rest(x, found, rest, budget)
+    found, rest = _trial_division(x, budget.trial_bound, order)
+    return _factor_rest(x, found, rest, budget, order)
 
 
 def _factor_rest(x: int, found, rest: int, budget: FactorBudget, order: int = 1) -> Factorization:

@@ -57,10 +57,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial()
@@ -90,28 +86,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                term = xs if mag == 1 else f"{mag}*{xs}"
-            parts.append((sign, term))
-        head_sign, head = parts[0]
-        text = ("-" if head_sign == "-" else "") + head
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
-
 
 def x_power_minus_one(n: int) -> IntPolynomial:
     """x**n - 1."""
@@ -120,15 +94,15 @@ def x_power_minus_one(n: int) -> IntPolynomial:
     return IntPolynomial([-1] + [0] * (n - 1) + [1])
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)
 def cyclotomic_poly(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, for 1 <= n <= MAX_CYCLOTOMIC_ORDER.
 
     Phi_n(x) is the product over d | n of (1 - x**d)**mu(n/d), negated for
     n = 1 (Arnold & Monagan, Math. Comp. 80, 2011): per factor, one sparse
     multiplication by 1 - x**d or power-series division by it, truncated
-    at degree phi(n), which is exact. Memoized; raises BudgetExceeded above
-    the cap before any work.
+    at degree phi(n), which is exact. Keeps the 128 last used; raises
+    BudgetExceeded above the cap before any work.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

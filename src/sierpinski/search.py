@@ -29,8 +29,6 @@ from .arith import (
     Congruence,
     FactorBudget,
     FactorBudgetExceeded,
-    _factor_rest,
-    _trial_division,
     crt_solve,
     factorize,
     mod_inverse,
@@ -201,19 +199,16 @@ class SearchReport:
 
 
 def _pool_for(m: int, ns, budget: FactorBudget | None) -> PrimePool:
-    if budget is None:
-        budget = FactorBudget.default()
     orders: dict[int, tuple[int, ...]] = {}
     incomplete = set()
     for n in sorted(set(int(n) for n in ns)):
         if n < 1:
             raise ValueError("orders must be positive integers")
         # the primes of Phi_n(m) not dividing n are 1 (mod n): factor along that progression
-        value = eval_cyclotomic(n, m)
-        fac = _factor_rest(value, *_trial_division(value, budget.trial_bound, n), budget, n)
+        fac = factorize(eval_cyclotomic(n, m), budget, n)
         if not fac.is_complete:
             incomplete.add(n)
-        orders[n] = tuple(sorted(p for p in fac.primes() if math.gcd(p, n * (m - 1)) == 1))
+        orders[n] = tuple(p for p in fac.primes() if math.gcd(p, n * (m - 1)) == 1)
     return PrimePool(orders, frozenset(incomplete))
 
 

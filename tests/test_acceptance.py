@@ -43,8 +43,8 @@ from sierpinski.search import SearchConfig, search_min
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # the first enumeration pays the JIT compile/cache-load cost; keep that
-    # out of the per-criterion wall-clock budgets
+    # the kernel is pure Python, with no compile step; one enumeration up
+    # front keeps first-call costs out of the per-criterion wall-clock budgets
     enumerate_covers([2, 2])
     yield
 

@@ -452,6 +452,21 @@ class TestTrialDivisionAlongProgression:
             assert all(rest % p for p in small), (m, n)
 
 
+class TestFactorizeAtOrder:
+    def test_same_pairs_as_order_one(self):
+        # at order n, trial division may prove a prime rest that order 1
+        # leaves to prime_verdict, so the certainty tags may differ
+        budget = FactorBudget(1000, 100_000)
+        compared = 0
+        for m, n in random.Random(20).sample(CYCLOTOMIC_GRID, 80):
+            value = eval_cyclotomic(n, m)
+            at_order, plain = factorize(value, budget, n), factorize(value, budget)
+            if at_order.is_complete and plain.is_complete:
+                assert [f[:2] for f in at_order.factors] == [f[:2] for f in plain.factors], (m, n)
+                compared += 1
+        assert compared >= 60
+
+
 def reference_brent_rho(n, max_steps):
     """_brent_rho as it was before the exponent: x -> x**2 + c, one unit per step."""
     used = 0
@@ -533,7 +548,7 @@ class TestRhoBudget:
         with pytest.raises(FactorBudgetExceeded, match="Phi_23"):
             select_cover_prime(38, 23, budget)
         value = eval_cyclotomic(23, 38)
-        fac = arith._factor_rest(value, *arith._trial_division(value, 100_000, 23), budget, 23)
+        fac = factorize(value, budget, 23)
         assert not fac.is_complete and fac.reassemble() == value
 
 
@@ -570,7 +585,7 @@ class TestPollardPm1:
 
         monkeypatch.setattr(arith, "_brent_rho", no_rho)
         budget = FactorBudget(1000, 10**6)
-        fac = arith._factor_rest(x, *arith._trial_division(x, 1000, PM1_ORDER), budget, PM1_ORDER)
+        fac = factorize(x, budget, PM1_ORDER)
         assert fac.factors == ((P_SMOOTH, 1, "proven"), (Q_ROUGH, 1, "proven"))
 
     def test_skipped_when_cost_exceeds_budget(self):
@@ -638,7 +653,7 @@ class TestPollardPm1:
         budget = FactorBudget(1000, 100_000)
         for m, n in random.Random(19).sample(CYCLOTOMIC_GRID, 80):
             value = eval_cyclotomic(n, m)
-            fac = arith._factor_rest(value, *arith._trial_division(value, 1000, n), budget, n)
+            fac = factorize(value, budget, n)
             assert fac.reassemble() == value, (m, n)
             if fac.is_complete:
                 assert {p: e for p, e, _ in fac.factors} == sympy.factorint(value), (m, n)
@@ -743,17 +758,3 @@ class TestMultiplicativeOrder:
             assert pow(m, order, p) == 1
             for q in sympy.primefactors(order):
                 assert pow(m, order // q, p) != 1
-
-
-def test_factor_bound_env_override(monkeypatch):
-    monkeypatch.setenv("SIERPINSKI_FACTOR_BOUND", "500")
-    assert FactorBudget.default().trial_bound == 500
-    monkeypatch.delenv("SIERPINSKI_FACTOR_BOUND")
-    assert FactorBudget.default().trial_bound == 100_000
-
-
-@pytest.mark.parametrize("value", ["abc", "1e5", "1"])
-def test_factor_bound_env_rejects_bad_values(monkeypatch, value):
-    monkeypatch.setenv("SIERPINSKI_FACTOR_BOUND", value)
-    with pytest.raises(ValueError, match=f"SIERPINSKI_FACTOR_BOUND must be an integer >= 2, not {value!r}"):
-        FactorBudget.default()

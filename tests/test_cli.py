@@ -209,13 +209,6 @@ class TestFactorCommand:
         with pytest.raises(error):
             run(["factor", "391"])
 
-    @pytest.mark.parametrize("value", ["abc", "1"])
-    def test_bad_factor_bound_env_is_named(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("SIERPINSKI_FACTOR_BOUND", value)
-        code, out, err = invoke(capsys, "factor", "1155")
-        assert (code, out) == (2, "")
-        assert "SIERPINSKI_FACTOR_BOUND" in err and repr(value) in err
-
 
 class TestIsprimeCommand:
     def test_verdicts(self, capsys):

@@ -65,3 +65,33 @@ def test_budget_exceeded_is_defined_once_in_arith():
     assert covering.BudgetExceeded is sierpinski.BudgetExceeded is sierpinski.arith.BudgetExceeded
     assert construct.FactorBudgetExceeded is sierpinski.FactorBudgetExceeded
     assert issubclass(sierpinski.FactorBudgetExceeded, sierpinski.BudgetExceeded)
+
+
+def _package_modules():
+    return [path.stem for path in sorted(SRC.glob("*.py"))]
+
+
+def test_private_imports_are_construct_factoring_stages():
+    # `from . import _cover_kernels` names a module, not a private name of one
+    private = {
+        (module, alias.name)
+        for module in _package_modules()
+        for node in ast.walk(_tree(SRC / f"{module}.py"))
+        if isinstance(node, ast.ImportFrom) and node.module and (node.level or node.module.startswith("sierpinski"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {("construct", "_trial_division"), ("construct", "_factor_rest")}
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+        return node.attr in ("environ", "getenv")
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in ("environ", "getenv") for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("module", _package_modules())
+def test_no_environment_reads(module):
+    assert not any(_reads_environment(node) for node in ast.walk(_tree(SRC / f"{module}.py")))
