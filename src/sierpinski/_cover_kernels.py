@@ -3,6 +3,8 @@
 Over a period L that every modulus divides, the class a(n) is the L-bit
 integer with bits a, a + n, a + 2n, ... set, i.e. comb(n, L) << a. A set
 of classes covers Z exactly when the OR of their masks has all L bits.
+Enumeration searches the first t - 2 classes depth first and closes the
+last two from the lowest uncovered bit.
 """
 
 from __future__ import annotations
@@ -33,39 +35,71 @@ def comb(n: int, L: int) -> int:
 def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
     """Residue tuples (one entry per class) whose classes cover [0, L).
 
-    Depth-first search over residues in ascending order, so rows come out
-    in lexicographic order. A branch is pruned when more positions are
-    uncovered than the remaining classes can cover in total.
+    Depth-first search over the residues of the first t - 2 classes in
+    ascending order, pruning a branch once more positions are uncovered
+    than the remaining classes can cover in total. The last two classes
+    u, v are solved from the lowest gap g: one of them holds g, so either
+    r_u = g mod n_u and the lowest gap that class leaves fixes r_v, or
+    r_v = g mod n_v and the lowest gap that class leaves fixes r_u. Each
+    candidate pair is checked with one AND-NOT. Rows come out in
+    lexicographic order.
     """
     moduli = [int(n) for n in moduli]
     L = math.lcm(*moduli)
-    full = (1 << L) - 1
     t = len(moduli)
+    if t == 1:
+        # one class covers Z only with modulus 1
+        return [(0,)] if L == 1 else []
     combs = [comb(n, L) for n in moduli]
     caps = [0] * (t + 1)
     for s in range(t - 1, -1, -1):
         caps[s] = caps[s + 1] + L // moduli[s]
     rows = []
-    prefix = [0] * t
-    last, n_last = t - 1, moduli[-1]
+    pair = t - 2
+    prefix = [0] * pair
+    n_u, n_v = moduli[pair], moduli[-1]
+    masks_u = [combs[pair] << r for r in range(n_u)]
+    masks_v = [combs[-1] << r for r in range(n_v)]
 
-    def extend(s, acc):
-        gaps = full ^ acc
-        if s == last:
-            # only the class holding the lowest gap can close the rest
-            if not gaps:
-                rows.extend((*prefix[:last], r) for r in range(n_last))
-                return
-            r = ((gaps & -gaps).bit_length() - 1) % n_last
-            if not gaps & ~(combs[last] << r):
-                rows.append((*prefix[:last], r))
+    def close(gaps):
+        head = tuple(prefix)
+        if not gaps:
+            rows.extend((*head, x, y) for x in range(n_u) for y in range(n_v))
+            return
+        g = (gaps & -gaps).bit_length() - 1
+        a, b = g % n_u, g % n_v
+        # rows (x, b) with x != a: v holds g and u closes what b leaves
+        rest = gaps & ~masks_v[b]
+        if not rest:
+            xs = range(n_u)
+        else:
+            x = ((rest & -rest).bit_length() - 1) % n_u
+            xs = () if rest & ~masks_u[x] else (x,)
+        for x in xs:
+            if x < a:
+                rows.append((*head, x, b))
+        # rows (a, y): u holds g and v closes what a leaves
+        rest = gaps & ~masks_u[a]
+        if not rest:
+            rows.extend((*head, a, y) for y in range(n_v))
+        else:
+            y = ((rest & -rest).bit_length() - 1) % n_v
+            if not rest & ~masks_v[y]:
+                rows.append((*head, a, y))
+        for x in xs:
+            if x > a:
+                rows.append((*head, x, b))
+
+    def extend(s, gaps):
+        if s == pair:
+            close(gaps)
             return
         cap, bits = caps[s + 1], combs[s]
         for r in range(moduli[s]):
-            mask = bits << r
-            if (gaps & ~mask).bit_count() <= cap:
+            rest = gaps & ~(bits << r)
+            if rest.bit_count() <= cap:
                 prefix[s] = r
-                extend(s + 1, acc | mask)
+                extend(s + 1, rest)
 
-    extend(0, 0)
+    extend(0, (1 << L) - 1)
     return rows

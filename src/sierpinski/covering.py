@@ -19,7 +19,7 @@ from .arith import BudgetExceeded, NotCoprime, totient
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
 # verify_cover works on one bitset of the period: at most 2 MiB.
 MAX_PERIOD = 1 << 24
-# enumerate_cover_rows recurses once per class; 64 classes of modulus >= 2 span 2**64 assignments.
+# enumerate_cover_rows recurses t - 2 levels deep; 64 classes of modulus >= 2 span 2**64 assignments.
 MAX_CLASSES = 64
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sierpinski import covering
+from sierpinski import _cover_kernels, covering
 from sierpinski.arith import NotCoprime
 from sierpinski.construct import MERSENNE_COVER
 from sierpinski.covering import (
@@ -72,6 +72,57 @@ def bfs_orbit(seed):
                     nxt.append(image)
         frontier = nxt
     return seen
+
+
+def reference_enumerate_cover_tuples(moduli):
+    """enumerate_cover_tuples as it was before the two-class close: a DFS
+    over every class, with the lowest-gap rule at the last level only."""
+    moduli = [int(n) for n in moduli]
+    L = math.lcm(*moduli)
+    full = (1 << L) - 1
+    t = len(moduli)
+    combs = [_cover_kernels.comb(n, L) for n in moduli]
+    caps = [0] * (t + 1)
+    for s in range(t - 1, -1, -1):
+        caps[s] = caps[s + 1] + L // moduli[s]
+    rows = []
+    prefix = [0] * t
+    last, n_last = t - 1, moduli[-1]
+
+    def extend(s, acc):
+        gaps = full ^ acc
+        if s == last:
+            if not gaps:
+                rows.extend((*prefix[:last], r) for r in range(n_last))
+                return
+            r = ((gaps & -gaps).bit_length() - 1) % n_last
+            if not gaps & ~(combs[last] << r):
+                rows.append((*prefix[:last], r))
+            return
+        cap, bits = caps[s + 1], combs[s]
+        for r in range(moduli[s]):
+            mask = bits << r
+            if (gaps & ~mask).bit_count() <= cap:
+                prefix[s] = r
+                extend(s + 1, acc | mask)
+
+    extend(0, 0)
+    return rows
+
+
+def brute_cover_tuples(moduli):
+    # every residue row, in itertools.product order, whose classes fill one period
+    L = math.lcm(*moduli)
+    masks = [[sum(1 << i for i in range(r, L, n)) for r in range(n)] for n in moduli]
+    full = (1 << L) - 1
+    rows = []
+    for row in itertools.product(*(range(n) for n in moduli)):
+        acc = 0
+        for ms, r in zip(masks, row):
+            acc |= ms[r]
+        if acc == full:
+            rows.append(row)
+    return rows
 
 
 @st.composite
@@ -341,6 +392,54 @@ class TestEnumerateCovers:
     def test_systems_from_malformed_rows(self, row):
         with pytest.raises(ValueError):
             covering.systems_from_rows([row], (2, 2))
+
+
+class TestCoverKernel:
+    def test_seeded_multisets_match_brute_force(self):
+        rng = random.Random(2021)
+        checked = 0
+        while checked < 200:
+            moduli = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+            if math.prod(moduli) > 20_000:
+                continue
+            assert _cover_kernels.enumerate_cover_tuples(moduli) == brute_cover_tuples(moduli), moduli
+            checked += 1
+
+    @pytest.mark.parametrize("moduli, rows", [
+        ((1,), [(0,)]),
+        ((5,), []),
+        ((2, 2), [(0, 1), (1, 0)]),
+        ((2, 3), []),
+        ((1, 1), [(0, 0)]),
+        # modulus 1 in the pair: it alone closes the rest
+        ((2, 1), [(0, 0), (1, 0)]),
+        ((1, 3), [(0, 0), (0, 1), (0, 2)]),
+        ((2, 2, 1), [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]),
+        ((2, 1, 2), [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]),
+        # the prefix already covers everything: every pair closes
+        ((1, 2, 3), [(0, a, b) for a in range(2) for b in range(3)]),
+    ])
+    def test_named_cases(self, moduli, rows):
+        assert _cover_kernels.enumerate_cover_tuples(moduli) == rows
+        assert brute_cover_tuples(moduli) == rows
+
+    def test_covered_prefix_before_the_pair(self):
+        # 0(2), 1(2) cover Z, so both later classes are free
+        rows = _cover_kernels.enumerate_cover_tuples((2, 2, 3, 4))
+        assert rows == brute_cover_tuples((2, 2, 3, 4))
+        assert [(0, 1, a, b) for a in range(3) for b in range(4)] == rows[:12]
+
+    @pytest.mark.parametrize("moduli, count", [
+        ((2, 3, 4, 5, 6, 8, 10, 12), 9600),
+        ((3, 4, 4, 6, 6, 8, 8), 1776),
+        ((3, 4, 6, 6, 8, 8, 12), 576),
+        ((2, 3, 4, 4, 5, 6, 7, 8, 8), 186_480),
+    ])
+    def test_identical_to_reference(self, moduli, count):
+        rows = _cover_kernels.enumerate_cover_tuples(moduli)
+        assert len(rows) == count
+        assert rows == reference_enumerate_cover_tuples(moduli)
+
 
 class TestAffineOrbit:
     def test_two_class_orbit(self):
