@@ -68,7 +68,8 @@ def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
             return
         g = (gaps & -gaps).bit_length() - 1
         a, b = g % n_u, g % n_v
-        # rows (x, b) with x != a: v holds g and u closes what b leaves
+        # rows (x, b) with x != a: v holds g and u closes what b leaves;
+        # those with x < a come before the rows (a, y), the rest after
         rest = gaps & ~masks_v[b]
         if not rest:
             xs = range(n_u)

@@ -418,16 +418,11 @@ class TestCoverKernel:
         ((2, 1, 2), [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]),
         # the prefix already covers everything: every pair closes
         ((1, 2, 3), [(0, a, b) for a in range(2) for b in range(3)]),
+        ((2, 2, 3, 4), [(*p, a, b) for p in ((0, 1), (1, 0)) for a in range(3) for b in range(4)]),
     ])
     def test_named_cases(self, moduli, rows):
         assert _cover_kernels.enumerate_cover_tuples(moduli) == rows
         assert brute_cover_tuples(moduli) == rows
-
-    def test_covered_prefix_before_the_pair(self):
-        # 0(2), 1(2) cover Z, so both later classes are free
-        rows = _cover_kernels.enumerate_cover_tuples((2, 2, 3, 4))
-        assert rows == brute_cover_tuples((2, 2, 3, 4))
-        assert [(0, 1, a, b) for a in range(3) for b in range(4)] == rows[:12]
 
     @pytest.mark.parametrize("moduli, count", [
         ((2, 3, 4, 5, 6, 8, 10, 12), 9600),
