@@ -288,6 +288,11 @@ def _brent_rho(n: int, max_steps: int, e: int = 2) -> tuple[int | None, int]:
     coprime to the trial primes. An even e pays off when every prime of n
     is 1 (mod e) (Brent & Pollard 1981): x**e then takes about (p - 1)/e
     values modulo p, and the expected cycle shrinks by about sqrt(e - 1).
+    The budget is checked after every batch of m = 128 steps, both where
+    a round advances y and where it multiplies differences for the gcd,
+    so a call stops within one batch (128 * cost) past max_steps; only a
+    batch whose gcd is n is then walked back step by step, at most one
+    batch more.
     """
     cost = e.bit_length() + e.bit_count() - 2
     used = 0
@@ -300,11 +305,15 @@ def _brent_rho(n: int, max_steps: int, e: int = 2) -> tuple[int | None, int]:
         x = ys = y
         while g == 1 and used < max_steps:
             x = y
-            for _ in range(r):
-                y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
-            used += r * cost
             k = 0
-            while k < r and g == 1:
+            while k < r and used < max_steps:
+                block = min(m, r - k)
+                for _ in range(block):
+                    y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+                used += block * cost
+                k += m
+            k = 0
+            while k < r and g == 1 and used < max_steps:
                 ys = y
                 block = min(m, r - k)
                 for _ in range(block):

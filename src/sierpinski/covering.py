@@ -178,31 +178,74 @@ def swap_equal_moduli(system: CoveringSystem, i: int, j: int) -> CoveringSystem:
     return CoveringSystem(classes)
 
 
+def _class_columns(moduli) -> list[tuple[ResidueClass, ...]]:
+    """Per position, the classes 0(n), ..., (n - 1)(n): one object per (a, n)."""
+    shared = {n: tuple(ResidueClass(a, n) for a in range(n)) for n in set(moduli)}
+    return [shared[n] for n in moduli]
+
+
+def _systems(class_tuples, lcm: int) -> list[CoveringSystem]:
+    """Each tuple of classes as a system of period lcm, in order.
+
+    Skips CoveringSystem(...)'s per-system checks, so the caller vouches
+    that every tuple is nonempty and that lcm is its moduli's lcm.
+    """
+    new, set_field = object.__new__, object.__setattr__
+    systems = []
+    for classes in class_tuples:
+        system = new(CoveringSystem)
+        set_field(system, "classes", classes)
+        set_field(system, "lcm", lcm)
+        systems.append(system)
+    return systems
+
+
 def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
     """One system per residue row over the moduli, in row order.
 
-    Each row holds one residue 0 <= a < n per modulus n, as
-    enumerate_cover_rows gives them; ValueError otherwise. The systems
-    share one ResidueClass per (a, n) and one period lcm, and skip the
-    per-system checks of CoveringSystem(...), to which they are equal.
+    Serves rows that come from outside the kernel's enumeration (search
+    cells, affine_orbit): each row must hold one residue 0 <= a < n per
+    modulus n, as enumerate_cover_rows gives them; ValueError otherwise.
+    The systems share one ResidueClass per (a, n) and one period lcm, and
+    skip the per-system checks of CoveringSystem(...), to which they are
+    equal.
     """
     moduli = tuple(int(n) for n in moduli)
-    shared = {n: {a: ResidueClass(a, n) for a in range(n)} for n in set(moduli)}
-    columns = [shared[n] for n in moduli]
-    lcm = math.lcm(*moduli)
-    systems = []
-    for row in rows:
+    columns = [dict(enumerate(column)) for column in _class_columns(moduli)]
+
+    def classes_of(row):
         try:
             classes = tuple(map(dict.__getitem__, columns, row))
         except KeyError:
             classes = ()
         if not classes or len(row) != len(moduli):
             raise ValueError(f"row {row} does not fit the moduli {moduli}")
-        system = object.__new__(CoveringSystem)
-        object.__setattr__(system, "classes", classes)
-        object.__setattr__(system, "lcm", lcm)
-        systems.append(system)
-    return systems
+        return classes
+
+    return _systems(map(classes_of, rows), math.lcm(*moduli))
+
+
+def _checked_moduli(moduli, max_assignments: int) -> tuple[int, ...] | None:
+    """The moduli as ints for the enumeration, or None when their density
+    sum(1/n) is below 1 and no assignment can cover; raises as
+    enumerate_cover_rows documents."""
+    moduli = tuple(int(n) for n in moduli)
+    if not moduli:
+        raise ValueError("moduli must be a nonempty sequence")
+    if any(n < 1 for n in moduli):
+        raise ValueError("moduli must be positive integers")
+    if max_assignments < 1:
+        raise ValueError(f"max_assignments must be positive, not {max_assignments}")
+    if len(moduli) > MAX_CLASSES:
+        raise BudgetExceeded(f"{len(moduli)} classes exceed the enumeration budget of {MAX_CLASSES}")
+    if sum(Fraction(1, n) for n in moduli) < 1:
+        return None
+    space = math.prod(moduli)
+    if space > max_assignments:
+        raise BudgetExceeded(
+            f"assignment space {space} exceeds the budget of {max_assignments}"
+        )
+    return moduli
 
 
 def enumerate_cover_rows(
@@ -216,32 +259,27 @@ def enumerate_cover_rows(
     sum(1/n) is below 1 (no assignment can cover). Raises BudgetExceeded
     above MAX_CLASSES moduli or an assignment space prod(n) > max_assignments.
     """
-    moduli = tuple(int(n) for n in moduli)
-    if not moduli:
-        raise ValueError("moduli must be a nonempty sequence")
-    if any(n < 1 for n in moduli):
-        raise ValueError("moduli must be positive integers")
-    if max_assignments < 1:
-        raise ValueError(f"max_assignments must be positive, not {max_assignments}")
-    if len(moduli) > MAX_CLASSES:
-        raise BudgetExceeded(f"{len(moduli)} classes exceed the enumeration budget of {MAX_CLASSES}")
-    if sum(Fraction(1, n) for n in moduli) < 1:
+    moduli = _checked_moduli(moduli, max_assignments)
+    if moduli is None:
         return []
-    space = math.prod(moduli)
-    if space > max_assignments:
-        raise BudgetExceeded(
-            f"assignment space {space} exceeds the budget of {max_assignments}"
-        )
-    return _cover_kernels.enumerate_cover_tuples(moduli)
+    # tuples, not ranges: a range computes each item it is indexed for, +15% on 2,3,4,5,6,8,10,12
+    return _cover_kernels.enumerate_cover_tuples(moduli, [tuple(range(n)) for n in moduli])
 
 
 def enumerate_covers(
     moduli,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> list[CoveringSystem]:
-    """The systems of enumerate_cover_rows, in its order and with its checks."""
-    moduli = tuple(moduli)
-    return systems_from_rows(enumerate_cover_rows(moduli, max_assignments), moduli)
+    """The systems of enumerate_cover_rows, in its order and with its checks.
+
+    The kernel emits each cover's tuple of classes directly, one shared
+    ResidueClass per (a, n), so no row of residues is built or re-checked.
+    """
+    moduli = _checked_moduli(moduli, max_assignments)
+    if moduli is None:
+        return []
+    class_tuples = _cover_kernels.enumerate_cover_tuples(moduli, _class_columns(moduli))
+    return _systems(class_tuples, math.lcm(*moduli))
 
 
 def _equal_moduli_permutations(moduli) -> list[tuple[int, ...]]:

@@ -27,17 +27,24 @@ def result_line(wall, rss, failed=0):
     }
 
 
-def canned_pairs():
-    # (parent wall, change wall), with peak RSS equal in the last pair
-    walls = [(0.060, 0.043), (0.058, 0.045), (0.064, 0.044), (0.059, 0.061), (0.062, 0.042)]
-    rss = [(19.8, 19.9), (19.7, 19.9), (19.8, 19.6), (19.9, 20.0), (19.8, 19.8)]
+BOUNDS = {"wall_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def pairs_of(walls, rss):
     return [{"seed": 901 + i, "first": "parent" if i % 2 == 0 else "change",
              "parent": result_line(pw, pr), "change": result_line(cw, cr)}
             for i, ((pw, cw), (pr, cr)) in enumerate(zip(walls, rss))]
 
 
+def canned_pairs():
+    # (parent wall, change wall), with peak RSS equal in the last pair
+    walls = [(0.060, 0.043), (0.058, 0.045), (0.064, 0.044), (0.059, 0.061), (0.062, 0.042)]
+    rss = [(19.8, 19.9), (19.7, 19.9), (19.8, 19.6), (19.9, 20.0), (19.8, 19.8)]
+    return pairs_of(walls, rss)
+
+
 def test_summary_counts_wins(ab):
-    out = ab.summarize(canned_pairs())
+    out = ab.summarize(canned_pairs(), BOUNDS)
     wall = out["summary"]["wall_s"]
     assert wall["pairs"] == 5
     assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (4, 1)
@@ -57,15 +64,76 @@ def test_summary_counts_wins(ab):
 def test_failed_run_is_not_correct(ab):
     pairs = canned_pairs()
     pairs[2]["change"] = result_line(0.05, 19.8, failed=2)
-    out = ab.summarize(pairs)
+    out = ab.summarize(pairs, BOUNDS)
     assert out["all_correct"] is False
     assert out["failed"] == {"parent": 0, "change": 2}
 
 
 def test_single_pair_has_zero_spread(ab):
-    wall = ab.summarize(canned_pairs()[:1])["summary"]["wall_s"]
+    wall = ab.summarize(canned_pairs()[:1], BOUNDS)["summary"]["wall_s"]
     assert wall["parent"] == {"median": 0.060, "q1": 0.060, "q3": 0.060}
     assert wall["parent_iqr"] == 0
+
+
+PARENT_WALLS = [0.060, 0.058, 0.064, 0.059, 0.062, 0.061, 0.057, 0.063, 0.060, 0.059]
+
+
+def test_gain_holds_on_nine_of_ten_pairs_beyond_the_iqr(ab):
+    # the change loses pair 3 only; parent quartiles 0.059 and 0.06175, median gap 0.015
+    change = [0.045, 0.044, 0.046, 0.061, 0.045, 0.043, 0.045, 0.046, 0.044, 0.045]
+    wall = ab.summarize(pairs_of(zip(PARENT_WALLS, change), [(19.8, 19.8)] * 10),
+                        BOUNDS)["summary"]["wall_s"]
+    assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (9, 1)
+    assert wall["parent"]["median"] == pytest.approx(0.060) and wall["change"]["median"] == pytest.approx(0.045)
+    assert wall["parent_iqr"] == pytest.approx(0.00275)
+    assert wall["gain_holds"] is True
+    assert wall["within_bound"] is True
+
+
+def test_gain_fails_on_eight_of_ten_pairs(ab):
+    change = [0.045, 0.044, 0.046, 0.061, 0.045, 0.043, 0.045, 0.046, 0.044, 0.060]
+    wall = ab.summarize(pairs_of(zip(PARENT_WALLS, change), [(19.8, 19.8)] * 10),
+                        BOUNDS)["summary"]["wall_s"]
+    assert wall["change_better_pairs"] == 8
+    assert wall["gain_holds"] is False
+
+
+def test_gain_fails_inside_the_parent_iqr(ab):
+    # ten wins, but each by 0.002 s against a parent IQR of 0.00275 s
+    change = [w - 0.002 for w in PARENT_WALLS]
+    wall = ab.summarize(pairs_of(zip(PARENT_WALLS, change), [(19.8, 19.8)] * 10),
+                        BOUNDS)["summary"]["wall_s"]
+    assert wall["change_better_pairs"] == 10
+    assert wall["parent_iqr"] == pytest.approx(0.00275)
+    assert wall["gain_holds"] is False
+
+
+def test_ties_win_nothing(ab):
+    wall = ab.summarize(pairs_of([(0.05, 0.05)] * 10, [(19.8, 19.8)] * 10), BOUNDS)["summary"]["wall_s"]
+    assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (0, 0)
+    assert wall["gain_holds"] is False
+    assert wall["within_bound"] is True
+
+
+@pytest.mark.parametrize("change_rss, within", [(21.7, True), (21.9, False), (19.0, True)])
+def test_within_bound_uses_the_metric_bound(ab, change_rss, within):
+    # peak RSS may grow by 10% of the parent's median 19.8 MB, to 21.78 MB
+    rss = ab.summarize(pairs_of([(0.05, 0.05)] * 4, [(19.8, change_rss)] * 4), BOUNDS)["summary"]["peak_rss_mb"]
+    assert rss["within_bound"] is within
+
+
+def test_metric_without_bound(ab):
+    wall = ab.summarize(canned_pairs(), {"peak_rss_mb": 0.1})["summary"]["wall_s"]
+    assert wall["within_bound"] is None
+
+
+def test_read_bounds(ab, tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ], "per_layer": [{"name": "search.search_min.cells", "unit": "count", "better": "lower"}]}))
+    assert ab.read_bounds(path) == BOUNDS
 
 
 def test_parse_run_reads_env_and_last_line(ab):

@@ -468,7 +468,8 @@ class TestFactorizeAtOrder:
 
 
 def reference_brent_rho(n, max_steps):
-    """_brent_rho as it was before the exponent: x -> x**2 + c, one unit per step."""
+    """_brent_rho on x -> x**2 + c alone, one unit per step, with the
+    budget checked after every batch of 128 steps."""
     used = 0
     attempt = 0
     while used < max_steps:
@@ -479,11 +480,15 @@ def reference_brent_rho(n, max_steps):
         x = ys = y
         while g == 1 and used < max_steps:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            used += r
             k = 0
-            while k < r and g == 1:
+            while k < r and used < max_steps:
+                block = min(m, r - k)
+                for _ in range(block):
+                    y = (y * y + c) % n
+                used += block
+                k += m
+            k = 0
+            while k < r and g == 1 and used < max_steps:
                 ys = y
                 block = min(m, r - k)
                 for _ in range(block):
@@ -535,13 +540,18 @@ class TestRhoBudget:
         assert not sympy.isprime(rest)
         f, used = arith._brent_rho(rest, max_steps, e)
         assert f is None
-        # doubling rounds of r steps cost 2*r*cost: r to advance, r in batches
+        # a doubling round of r steps advances r, then multiplies r, each
+        # in batches of at most 128 steps, and the budget is checked after
+        # every batch
         total, r = 0, 1
         while total < max_steps:
-            total, r = total + 2 * r * cost, 2 * r
+            for block in [min(128, r - k) for k in range(0, r, 128)] * 2:
+                if total < max_steps:
+                    total += block * cost
+            r *= 2
         assert used == total
-        # the budget is checked between rounds: it overshoots by less than the last one
-        assert max_steps <= used < max_steps + r * cost
+        # so it overshoots by less than one batch
+        assert max_steps <= used < max_steps + 128 * cost
 
     def test_small_budget_exits_on_cyclotomic_input(self):
         budget = FactorBudget(100_000, 50_000)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,11 @@ def reference_enumerate_cover_tuples(moduli):
 
     extend(0, 0)
     return rows
+
+
+def kernel_rows(moduli):
+    # the kernel with range columns: its residue rows
+    return _cover_kernels.enumerate_cover_tuples(moduli, [range(n) for n in moduli])
 
 
 def brute_cover_tuples(moduli):
@@ -394,16 +400,20 @@ class TestEnumerateCovers:
             covering.systems_from_rows([row], (2, 2))
 
 
+def seeded_multisets(count=200):
+    # t 1-6, moduli 1-12 with repeats, prod(n) <= 20,000
+    rng = random.Random(2021)
+    while count:
+        moduli = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+        if math.prod(moduli) <= 20_000:
+            yield moduli
+            count -= 1
+
+
 class TestCoverKernel:
     def test_seeded_multisets_match_brute_force(self):
-        rng = random.Random(2021)
-        checked = 0
-        while checked < 200:
-            moduli = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
-            if math.prod(moduli) > 20_000:
-                continue
-            assert _cover_kernels.enumerate_cover_tuples(moduli) == brute_cover_tuples(moduli), moduli
-            checked += 1
+        for moduli in seeded_multisets():
+            assert kernel_rows(moduli) == brute_cover_tuples(moduli), moduli
 
     @pytest.mark.parametrize("moduli, rows", [
         ((1,), [(0,)]),
@@ -421,7 +431,7 @@ class TestCoverKernel:
         ((2, 2, 3, 4), [(*p, a, b) for p in ((0, 1), (1, 0)) for a in range(3) for b in range(4)]),
     ])
     def test_named_cases(self, moduli, rows):
-        assert _cover_kernels.enumerate_cover_tuples(moduli) == rows
+        assert kernel_rows(moduli) == rows
         assert brute_cover_tuples(moduli) == rows
 
     @pytest.mark.parametrize("moduli, count", [
@@ -431,9 +441,79 @@ class TestCoverKernel:
         ((2, 3, 4, 4, 5, 6, 7, 8, 8), 186_480),
     ])
     def test_identical_to_reference(self, moduli, count):
-        rows = _cover_kernels.enumerate_cover_tuples(moduli)
+        rows = kernel_rows(moduli)
         assert len(rows) == count
         assert rows == reference_enumerate_cover_tuples(moduli)
+
+
+class TestCoversFromKernel:
+    """enumerate_covers takes each cover's classes straight from the kernel."""
+
+    @staticmethod
+    def assert_same_systems(moduli):
+        covers = enumerate_covers(moduli)
+        rebuilt = covering.systems_from_rows(enumerate_cover_rows(moduli), moduli)
+        assert covers == rebuilt, moduli
+        assert [hash(c) for c in covers] == [hash(c) for c in rebuilt]
+        assert [repr(c) for c in covers] == [repr(c) for c in rebuilt]
+        return covers
+
+    @pytest.mark.parametrize("moduli, count", [
+        ((2, 3, 4, 5, 6, 8, 10, 12), 9600),
+        ((3, 4, 4, 6, 6, 8, 8), 1776),
+        ((3, 4, 6, 6, 8, 8, 12), 576),
+        ((2, 3, 4, 4, 5, 6, 7, 8, 8), 186_480),
+    ])
+    def test_named_moduli_match_systems_from_rows(self, moduli, count):
+        assert len(self.assert_same_systems(moduli)) == count
+
+    def test_seeded_multisets_match_systems_from_rows(self):
+        for moduli in seeded_multisets():
+            self.assert_same_systems(moduli)
+
+    @pytest.mark.parametrize("moduli", [(3, 4, 4, 6, 6, 8, 8), (2, 3, 4, 5, 6, 8, 10, 12)])
+    def test_one_object_per_class(self, moduli):
+        seen = {}
+        for cover in enumerate_covers(moduli):
+            for c in cover.classes:
+                assert seen.setdefault((c.residue, c.modulus), c) is c
+        # equal moduli at two positions share their classes too
+        assert len(seen) == sum(set(moduli))
+
+    @pytest.mark.parametrize("moduli, limit", [
+        ([], 1000),
+        ([2, 0], 1000),
+        ([2, -1], 1000),
+        ([2, 2], 0),
+        ([2] * 25, 1000),
+        ([2] * 65, 2**70),
+        # density below 1: no cover, before the space is weighed against the budget
+        ([2, 3], 1000),
+        ([100, 100, 100], 10),
+    ])
+    def test_bad_input_as_rows(self, moduli, limit):
+        try:
+            expected = enumerate_cover_rows(moduli, max_assignments=limit)
+        except (ValueError, BudgetExceeded) as exc:
+            with pytest.raises(type(exc)) as caught:
+                enumerate_covers(moduli, max_assignments=limit)
+            assert str(caught.value) == str(exc)
+        else:
+            assert expected == []
+            assert enumerate_covers(moduli, max_assignments=limit) == []
+
+    def test_peak_memory(self):
+        moduli = (2, 3, 4, 5, 6, 8, 10, 12)
+        enumerate_covers(moduli)  # fill the comb cache first
+        tracemalloc.start()
+        try:
+            covers = enumerate_covers(moduli)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(covers) == 9600
+        # the covers as residue rows first, then as systems, peaked at 2.81 MB
+        assert peak < 2_810_000
 
 
 class TestAffineOrbit:

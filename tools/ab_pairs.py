@@ -14,8 +14,13 @@ ones. The result is written to BENCH_<NAME>.json in the current directory:
 every run's JSON result line, and per workload and metric both sides'
 medians and quartiles, the parent's IQR and how many pairs the change won
 and lost, lower being better as for every end-to-end metric of
-BENCHMARK.json. The environment (Python version, core count, whether numba
-was imported) is read from the runs' own `env` lines. Standard library only.
+BENCHMARK.json. Two verdicts go with them: `gain_holds`, when the change
+won at least nine tenths of the pairs and its median lies below the
+parent's by more than the parent's IQR, and `within_bound`, when the
+change's median is at most the parent's times 1 + the metric's bound in
+the parent's BENCHMARK.json (`end_to_end`; null for a metric without
+one). The environment (Python version, core count, whether numba was
+imported) is read from the runs' own `env` lines. Standard library only.
 """
 
 from __future__ import annotations
@@ -45,11 +50,17 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs) -> dict:
-    """Per-metric medians, quartiles, parent IQR and pair wins.
+def read_bounds(path: Path) -> dict[str, float]:
+    """Each end-to-end metric's bound, as BENCHMARK.json at path fixes it."""
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def summarize(pairs, bounds) -> dict:
+    """Per-metric medians, quartiles, parent IQR, pair wins and verdicts.
 
     pairs holds {"parent": result, "change": result} with each result the
-    run's JSON line as bench/run.py prints it. Lower is better for every
+    run's JSON line as bench/run.py prints it; bounds maps a metric to the
+    fraction by which its median may worsen. Lower is better for every
     metric; a pair whose two values are equal counts as neither a win nor a
     loss.
     """
@@ -63,14 +74,18 @@ def summarize(pairs) -> dict:
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
             row[side] = {"median": med, "q1": q1, "q3": q3}
-        parent_median = row["parent"]["median"]
+        parent_median, change_median = row["parent"]["median"], row["change"]["median"]
+        parent_iqr = row["parent"]["q3"] - row["parent"]["q1"]
+        bound = bounds.get(name)
         row.update(
             change_better_pairs=wins,
             change_worse_pairs=losses,
             pairs=len(pairs),
-            median_change_pct=(100 * (row["change"]["median"] - parent_median) / parent_median
+            median_change_pct=(100 * (change_median - parent_median) / parent_median
                                if parent_median else None),
-            parent_iqr=row["parent"]["q3"] - row["parent"]["q1"],
+            parent_iqr=parent_iqr,
+            gain_holds=10 * wins >= 9 * len(pairs) and parent_median - change_median > parent_iqr,
+            within_bound=None if bound is None else change_median <= parent_median * (1 + bound),
         )
         summary[name] = row
     return {
@@ -132,6 +147,7 @@ def main(argv=None) -> int:
             "change": revs["change"],
             "pairs_alternate": "pair i runs the parent first when i is even, the change first when odd",
         }
+        bounds = read_bounds(copies["parent"] / "BENCHMARK.json")
         env = None
         for workload, count in args.workload:
             pairs = []
@@ -145,7 +161,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           + " ".join(f"{k}={v['value']:.4g}" for k, v in line.items()), flush=True)
                 pairs.append(pair)
-            out[workload] = {**summarize(pairs), "pairs": pairs}
+            out[workload] = {**summarize(pairs, bounds), "pairs": pairs}
         out["env"] = {key: env[key] for key in ("python", "nproc", "numba_imported", "numpy") if key in env}
         path = Path(f"BENCH_{args.label}.json")
         path.write_text(json.dumps(out, indent=1) + "\n")
