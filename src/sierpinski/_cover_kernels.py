@@ -3,8 +3,8 @@
 Over a period L that every modulus divides, the class a(n) is the L-bit
 integer with bits a, a + n, a + 2n, ... set, i.e. comb(n, L) << a. A set
 of classes covers Z exactly when the OR of their masks has all L bits.
-Enumeration searches the first t - 2 classes depth first and closes the
-last two from the lowest uncovered bit.
+Enumeration searches the first t - 2 classes depth first, closes the last
+two from the lowest uncovered bit and emits each cover as its residue row.
 """
 
 from __future__ import annotations
@@ -32,13 +32,8 @@ def comb(n: int, L: int) -> int:
     return _cached_comb(n, L) if L <= _CACHED_PERIOD else _build_comb(n, L)
 
 
-def enumerate_cover_tuples(moduli, columns) -> list[tuple]:
-    """One tuple per assignment of residues whose classes cover [0, L).
-
-    columns[i] holds one value per residue of the i-th class, in residue
-    order, and where that class takes residue r the tuple holds
-    columns[i][r]: columns 0, ..., n - 1 give the residue rows themselves,
-    columns of ResidueClass objects give each cover's classes.
+def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
+    """The residue rows (r_1, ..., r_t) whose classes r_i(n_i) cover [0, L).
 
     Depth-first search over the residues of the first t - 2 classes in
     ascending order, pruning a branch once more positions are uncovered
@@ -46,15 +41,15 @@ def enumerate_cover_tuples(moduli, columns) -> list[tuple]:
     u, v are solved from the lowest gap g: one of them holds g, so either
     r_u = g mod n_u and the lowest gap that class leaves fixes r_v, or
     r_v = g mod n_v and the lowest gap that class leaves fixes r_u. Each
-    candidate pair is checked with one AND-NOT. Tuples come out in the
-    lexicographic order of their residues.
+    candidate pair is checked with one AND-NOT. Rows come out in
+    lexicographic order, one int tuple each.
     """
     moduli = [int(n) for n in moduli]
     L = math.lcm(*moduli)
     t = len(moduli)
     if t == 1:
         # one class covers Z only with modulus 1
-        return [(columns[0][0],)] if L == 1 else []
+        return [(0,)] if L == 1 else []
     combs = [comb(n, L) for n in moduli]
     caps = [0] * (t + 1)
     for s in range(t - 1, -1, -1):
@@ -63,14 +58,13 @@ def enumerate_cover_tuples(moduli, columns) -> list[tuple]:
     pair = t - 2
     prefix = [0] * pair
     n_u, n_v = moduli[pair], moduli[-1]
-    cu, cv = columns[pair], columns[-1]
     masks_u = [combs[pair] << r for r in range(n_u)]
     masks_v = [combs[-1] << r for r in range(n_v)]
 
     def close(gaps):
         head = tuple(prefix)
         if not gaps:
-            rows.extend((*head, x, y) for x in cu for y in cv)
+            rows.extend((*head, x, y) for x in range(n_u) for y in range(n_v))
             return
         g = (gaps & -gaps).bit_length() - 1
         a, b = g % n_u, g % n_v
@@ -84,29 +78,28 @@ def enumerate_cover_tuples(moduli, columns) -> list[tuple]:
             xs = () if rest & ~masks_u[x] else (x,)
         for x in xs:
             if x < a:
-                rows.append((*head, cu[x], cv[b]))
+                rows.append((*head, x, b))
         # rows (a, y): u holds g and v closes what a leaves
         rest = gaps & ~masks_u[a]
         if not rest:
-            ca = cu[a]
-            rows.extend((*head, ca, y) for y in cv)
+            rows.extend((*head, a, y) for y in range(n_v))
         else:
             y = ((rest & -rest).bit_length() - 1) % n_v
             if not rest & ~masks_v[y]:
-                rows.append((*head, cu[a], cv[y]))
+                rows.append((*head, a, y))
         for x in xs:
             if x > a:
-                rows.append((*head, cu[x], cv[b]))
+                rows.append((*head, x, b))
 
     def extend(s, gaps):
         if s == pair:
             close(gaps)
             return
-        cap, bits, column = caps[s + 1], combs[s], columns[s]
+        cap, bits = caps[s + 1], combs[s]
         for r in range(moduli[s]):
             rest = gaps & ~(bits << r)
             if rest.bit_count() <= cap:
-                prefix[s] = column[r]
+                prefix[s] = r
                 extend(s + 1, rest)
 
     extend(0, (1 << L) - 1)

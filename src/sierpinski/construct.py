@@ -101,13 +101,13 @@ def build_congruences(m: int, cover: CoveringSystem, primes, variant: str) -> li
     """
     sign = VARIANT_SIGN[variant]
     primes = list(primes)
-    if len(primes) != len(cover.classes):
+    if len(primes) != len(cover.moduli):
         raise ValueError("need exactly one prime per covering class")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be pairwise distinct")
     out = []
-    for cls, p in zip(cover.classes, primes):
-        inv = mod_inverse(pow(m, cls.residue, p), p)
+    for a, p in zip(cover.residues, primes):
+        inv = mod_inverse(pow(m, a, p), p)
         out.append(Congruence(-sign * inv % p, p))
     return out
 
@@ -274,14 +274,14 @@ def construct(
         raise ValueError("index must be nonnegative")
     cover = BASE2_COVER if m == 2 else MERSENNE_COVER if is_mersenne_like(m)[0] else GENERIC_COVER
     # distinct: each prime has order exactly its modulus, and a cover's moduli are distinct
-    primes = [select_cover_prime(m, cls.modulus, budget) for cls in cover.classes]
+    primes = [select_cover_prime(m, n, budget) for n in cover.moduli]
     qs = triviality_primes_for(m, budget)
     sol = crt_solve(build_congruences(m, cover, primes, variant))
     k = _nth_admissible(sol, m, max(primes), variant, multiplier_constraint, qs, index)
     return SierpinskiCertificate(
         base=m,
         k=k,
-        entries=tuple((cls.residue, cls.modulus, p) for cls, p in zip(cover.classes, primes)),
+        entries=tuple(zip(cover.residues, cover.moduli, primes)),
         variant=variant,
         triviality_primes=qs,
         multiplier_constraint=multiplier_constraint,

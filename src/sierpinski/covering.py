@@ -27,6 +27,13 @@ class ModulusMismatch(ValueError):
     """Swap requested between classes with different moduli."""
 
 
+def _check_class(a: int, n: int) -> None:
+    if n < 1:
+        raise ValueError("modulus must be a positive integer")
+    if not 0 <= a < n:
+        raise ValueError(f"residue {a} out of range for modulus {n}")
+
+
 @dataclass(frozen=True)
 class ResidueClass:
     """The arithmetic progression residue + modulus * Z."""
@@ -35,10 +42,7 @@ class ResidueClass:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(f"residue {self.residue} out of range for modulus {self.modulus}")
+        _check_class(self.residue, self.modulus)
 
     def covers(self, x: int) -> bool:
         return (x - self.residue) % self.modulus == 0
@@ -52,39 +56,40 @@ _CLASS_RE = re.compile(r"^\s*(\d+)\s*\(\s*(\d+)\s*\)\s*$")
 
 @dataclass(frozen=True, init=False)
 class CoveringSystem:
-    """An ordered tuple of residue classes with their period lcm.
+    """Residue classes a_i(n_i), stored as the residue row a over the moduli n;
+    classes is a view that builds their ResidueClass objects on each read.
 
     The name is aspirational: instances need not actually cover Z; use
     verify_cover to check. Order matters (classes are positional for
     swaps and prime assignments), and equality is positional too.
     """
 
-    classes: tuple[ResidueClass, ...]
-    lcm: int
+    residues: tuple[int, ...]
+    moduli: tuple[int, ...]
 
     def __init__(self, classes):
-        cs = []
+        residues, moduli = [], []
         for c in classes:
-            if isinstance(c, ResidueClass):
-                cs.append(c)
-            else:
-                a, n = c
-                cs.append(ResidueClass(int(a), int(n)))
-        if not cs:
+            a, n = (c.residue, c.modulus) if isinstance(c, ResidueClass) else c
+            a, n = int(a), int(n)
+            _check_class(a, n)
+            residues.append(a)
+            moduli.append(n)
+        if not moduli:
             raise ValueError("a covering system needs at least one class")
-        object.__setattr__(self, "classes", tuple(cs))
-        object.__setattr__(self, "lcm", math.lcm(*(c.modulus for c in cs)))
+        object.__setattr__(self, "residues", tuple(residues))
+        object.__setattr__(self, "moduli", tuple(moduli))
 
     @property
-    def residues(self) -> tuple[int, ...]:
-        return tuple(c.residue for c in self.classes)
+    def classes(self) -> tuple[ResidueClass, ...]:
+        return tuple(map(ResidueClass, self.residues, self.moduli))
 
     @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(c.modulus for c in self.classes)
+    def lcm(self) -> int:
+        return math.lcm(*self.moduli)
 
     def covers(self, x: int) -> bool:
-        return any(c.covers(x) for c in self.classes)
+        return any((x - a) % n == 0 for a, n in zip(self.residues, self.moduli))
 
     @classmethod
     def parse(cls, text: str) -> "CoveringSystem":
@@ -95,7 +100,7 @@ class CoveringSystem:
             m = _CLASS_RE.match(part)
             if not m:
                 raise ValueError(f"cannot parse residue class {part!r}; expected a(n)")
-            classes.append(ResidueClass(int(m.group(1)), int(m.group(2))))
+            classes.append((m.group(1), m.group(2)))
         return cls(classes)
 
     @classmethod
@@ -103,10 +108,10 @@ class CoveringSystem:
         return cls((item["a"], item["n"]) for item in items)
 
     def to_json(self) -> list[dict]:
-        return [{"a": c.residue, "n": c.modulus} for c in self.classes]
+        return [{"a": a, "n": n} for a, n in zip(self.residues, self.moduli)]
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.classes)
+        return ",".join(f"{a}({n})" for a, n in zip(self.residues, self.moduli))
 
 
 def verify_cover(system: CoveringSystem) -> tuple[bool, int | None]:
@@ -119,18 +124,18 @@ def verify_cover(system: CoveringSystem) -> tuple[bool, int | None]:
     integers, so the witness lies below X and only those X are scanned.
     Raises BudgetExceeded when the scan would still exceed MAX_PERIOD.
     """
-    L, classes = system.lcm, system.classes
+    L, classes = system.lcm, zip(system.residues, system.moduli)
     if L > MAX_PERIOD:
-        density = sum(Fraction(1, c.modulus) for c in classes)
+        density = sum(Fraction(1, n) for n in system.moduli)
         if density < 1:
-            L = min(L, len(classes) // (1 - density) + 1)
-            classes = [c for c in classes if c.residue < L]
+            L = min(L, len(system.moduli) // (1 - density) + 1)
+            classes = [(a, n) for a, n in classes if a < L]
         if L > MAX_PERIOD:
             raise BudgetExceeded(f"period {system.lcm} exceeds the verification budget of {MAX_PERIOD}")
     acc = 0
     # with L cut below the period a mask may reach past L; a gap below L is still the lowest bit
-    for c in classes:
-        acc |= _cover_kernels.comb(c.modulus, L) << c.residue
+    for a, n in classes:
+        acc |= _cover_kernels.comb(n, L) << a
     gaps = ((1 << L) - 1) ^ acc
     if not gaps:
         return True, None
@@ -158,44 +163,37 @@ def affine_transform(system: CoveringSystem, a: int, b: int) -> CoveringSystem:
     """
     if math.gcd(a, system.lcm) != 1:
         raise NotCoprime(f"multiplier {a} shares a factor with the period {system.lcm}")
-    classes = []
-    for c in system.classes:
-        inv = pow(a, -1, c.modulus)
-        classes.append(((c.residue - b) * inv % c.modulus, c.modulus))
-    return CoveringSystem(classes)
+    return CoveringSystem(
+        ((r - b) * pow(a, -1, n) % n, n) for r, n in zip(system.residues, system.moduli)
+    )
 
 
 def swap_equal_moduli(system: CoveringSystem, i: int, j: int) -> CoveringSystem:
     """Exchange the residues of positions i and j (same modulus required)."""
-    t = len(system.classes)
+    moduli = system.moduli
+    t = len(moduli)
     if not (0 <= i < t and 0 <= j < t):
         raise IndexError("class index out of range")
-    ci, cj = system.classes[i], system.classes[j]
-    if ci.modulus != cj.modulus:
-        raise ModulusMismatch(f"moduli differ at positions {i} and {j}: {ci.modulus} vs {cj.modulus}")
-    classes = list(system.classes)
-    classes[i], classes[j] = ResidueClass(cj.residue, ci.modulus), ResidueClass(ci.residue, cj.modulus)
-    return CoveringSystem(classes)
+    if moduli[i] != moduli[j]:
+        raise ModulusMismatch(f"moduli differ at positions {i} and {j}: {moduli[i]} vs {moduli[j]}")
+    residues = list(system.residues)
+    residues[i], residues[j] = residues[j], residues[i]
+    return CoveringSystem(zip(residues, moduli))
 
 
-def _class_columns(moduli) -> list[tuple[ResidueClass, ...]]:
-    """Per position, the classes 0(n), ..., (n - 1)(n): one object per (a, n)."""
-    shared = {n: tuple(ResidueClass(a, n) for a in range(n)) for n in set(moduli)}
-    return [shared[n] for n in moduli]
+def _systems(rows, moduli: tuple[int, ...]) -> list[CoveringSystem]:
+    """Each residue row as a system over the moduli, in order.
 
-
-def _systems(class_tuples, lcm: int) -> list[CoveringSystem]:
-    """Each tuple of classes as a system of period lcm, in order.
-
-    Skips CoveringSystem(...)'s per-system checks, so the caller vouches
-    that every tuple is nonempty and that lcm is its moduli's lcm.
+    Skips CoveringSystem(...)'s per-class checks, so the caller vouches
+    that every row is a nonempty int tuple with one residue 0 <= a < n
+    per modulus n.
     """
     new, set_field = object.__new__, object.__setattr__
     systems = []
-    for classes in class_tuples:
+    for row in rows:
         system = new(CoveringSystem)
-        set_field(system, "classes", classes)
-        set_field(system, "lcm", lcm)
+        set_field(system, "residues", row)
+        set_field(system, "moduli", moduli)
         systems.append(system)
     return systems
 
@@ -206,46 +204,17 @@ def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
     Serves rows that come from outside the kernel's enumeration (search
     cells, affine_orbit): each row must hold one residue 0 <= a < n per
     modulus n, as enumerate_cover_rows gives them; ValueError otherwise.
-    The systems share one ResidueClass per (a, n) and one period lcm, and
-    skip the per-system checks of CoveringSystem(...), to which they are
-    equal.
+    The systems share one moduli tuple and skip the per-class checks of
+    CoveringSystem(...), to which they are equal.
     """
-    moduli = tuple(int(n) for n in moduli)
-    columns = [dict(enumerate(column)) for column in _class_columns(moduli)]
+    moduli = tuple(map(int, moduli))
 
-    def classes_of(row):
-        try:
-            classes = tuple(map(dict.__getitem__, columns, row))
-        except KeyError:
-            classes = ()
-        if not classes or len(row) != len(moduli):
+    def checked(row):
+        if not row or len(row) != len(moduli) or not all(a in range(n) for a, n in zip(row, moduli)):
             raise ValueError(f"row {row} does not fit the moduli {moduli}")
-        return classes
+        return tuple(map(int, row))
 
-    return _systems(map(classes_of, rows), math.lcm(*moduli))
-
-
-def _checked_moduli(moduli, max_assignments: int) -> tuple[int, ...] | None:
-    """The moduli as ints for the enumeration, or None when their density
-    sum(1/n) is below 1 and no assignment can cover; raises as
-    enumerate_cover_rows documents."""
-    moduli = tuple(int(n) for n in moduli)
-    if not moduli:
-        raise ValueError("moduli must be a nonempty sequence")
-    if any(n < 1 for n in moduli):
-        raise ValueError("moduli must be positive integers")
-    if max_assignments < 1:
-        raise ValueError(f"max_assignments must be positive, not {max_assignments}")
-    if len(moduli) > MAX_CLASSES:
-        raise BudgetExceeded(f"{len(moduli)} classes exceed the enumeration budget of {MAX_CLASSES}")
-    if sum(Fraction(1, n) for n in moduli) < 1:
-        return None
-    space = math.prod(moduli)
-    if space > max_assignments:
-        raise BudgetExceeded(
-            f"assignment space {space} exceeds the budget of {max_assignments}"
-        )
-    return moduli
+    return _systems(map(checked, rows), moduli)
 
 
 def enumerate_cover_rows(
@@ -259,27 +228,33 @@ def enumerate_cover_rows(
     sum(1/n) is below 1 (no assignment can cover). Raises BudgetExceeded
     above MAX_CLASSES moduli or an assignment space prod(n) > max_assignments.
     """
-    moduli = _checked_moduli(moduli, max_assignments)
-    if moduli is None:
+    moduli = tuple(int(n) for n in moduli)
+    if not moduli:
+        raise ValueError("moduli must be a nonempty sequence")
+    if any(n < 1 for n in moduli):
+        raise ValueError("moduli must be positive integers")
+    if max_assignments < 1:
+        raise ValueError(f"max_assignments must be positive, not {max_assignments}")
+    if len(moduli) > MAX_CLASSES:
+        raise BudgetExceeded(f"{len(moduli)} classes exceed the enumeration budget of {MAX_CLASSES}")
+    if sum(Fraction(1, n) for n in moduli) < 1:
         return []
-    # tuples, not ranges: indexing a range computes the item, which cost the kernel 15% on 2,3,4,5,6,8,10,12
-    return _cover_kernels.enumerate_cover_tuples(moduli, [tuple(range(n)) for n in moduli])
+    space = math.prod(moduli)
+    if space > max_assignments:
+        raise BudgetExceeded(
+            f"assignment space {space} exceeds the budget of {max_assignments}"
+        )
+    return _cover_kernels.enumerate_cover_tuples(moduli)
 
 
 def enumerate_covers(
     moduli,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> list[CoveringSystem]:
-    """The systems of enumerate_cover_rows, in its order and with its checks.
-
-    The kernel emits each cover's tuple of classes directly, one shared
-    ResidueClass per (a, n), so no row of residues is built or re-checked.
-    """
-    moduli = _checked_moduli(moduli, max_assignments)
-    if moduli is None:
-        return []
-    class_tuples = _cover_kernels.enumerate_cover_tuples(moduli, _class_columns(moduli))
-    return _systems(class_tuples, math.lcm(*moduli))
+    """The systems of enumerate_cover_rows, in its order and with its checks:
+    each kernel row is wrapped as it is, over one shared moduli tuple."""
+    moduli = tuple(map(int, moduli))
+    return _systems(enumerate_cover_rows(moduli, max_assignments), moduli)
 
 
 def _equal_moduli_permutations(moduli) -> list[tuple[int, ...]]:

@@ -239,7 +239,7 @@ def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[
     for n in sorted(counts):
         if len(pool.primes(n)) < counts[n]:
             raise InsufficientPrimes(n)
-    choices = [pool.primes(c.modulus) for c in cover.classes]
+    choices = [pool.primes(n) for n in cover.moduli]
     return [t for t in itertools.product(*choices) if len(set(t)) == len(t)]
 
 

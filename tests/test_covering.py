@@ -112,8 +112,7 @@ def reference_enumerate_cover_tuples(moduli):
 
 
 def kernel_rows(moduli):
-    # the kernel with range columns: its residue rows
-    return _cover_kernels.enumerate_cover_tuples(moduli, [range(n) for n in moduli])
+    return _cover_kernels.enumerate_cover_tuples(moduli)
 
 
 def brute_cover_tuples(moduli):
@@ -174,6 +173,38 @@ class TestResidueClass:
             CoveringSystem.parse("0(2),nope")
         with pytest.raises(ValueError):
             CoveringSystem(())
+
+
+class TestResidueRow:
+    """CoveringSystem stores its residue row and moduli; classes and lcm derive from them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_systems())
+    def test_every_construction_agrees(self, s):
+        same = [
+            CoveringSystem(s.classes),
+            CoveringSystem(zip(s.residues, s.moduli)),
+            CoveringSystem.parse(str(s)),
+            CoveringSystem.from_json(s.to_json()),
+            covering.systems_from_rows([s.residues], s.moduli)[0],
+        ]
+        for other in same:
+            assert other == s
+            assert hash(other) == hash(s)
+        assert s.classes == tuple(ResidueClass(a, n) for a, n in zip(s.residues, s.moduli))
+        assert s.lcm == math.lcm(*s.moduli)
+
+    @pytest.mark.parametrize("a, n", [(0, 0), (-1, 3), (3, 3)])
+    def test_class_errors_match_residue_class(self, a, n):
+        with pytest.raises(ValueError) as expected:
+            ResidueClass(a, n)
+        with pytest.raises(ValueError) as caught:
+            CoveringSystem([(0, 2), (a, n)])
+        assert str(caught.value) == str(expected.value)
+
+    def test_empty_input(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            CoveringSystem([])
 
 
 class TestVerifyCover:
@@ -394,10 +425,15 @@ class TestEnumerateCovers:
         with pytest.raises(ValueError, match="max_assignments"):
             enumerate_cover_rows([2, 2], max_assignments=0)
 
-    @pytest.mark.parametrize("row", [(0, 2), (0, -1), (0,), (0, 1, 0)])
+    @pytest.mark.parametrize("row", [(0, 2), (0, -1), (0,), (0, 1, 0), (0, 1.5), (0, "1")])
     def test_systems_from_malformed_rows(self, row):
         with pytest.raises(ValueError):
             covering.systems_from_rows([row], (2, 2))
+
+    def test_systems_from_rows_store_ints(self):
+        (system,) = covering.systems_from_rows([(True, np.int64(1))], (2, 2))
+        assert system.residues == (1, 1)
+        assert [type(a) for a in system.residues] == [int, int]
 
 
 def seeded_multisets(count=200):
@@ -447,7 +483,7 @@ class TestCoverKernel:
 
 
 class TestCoversFromKernel:
-    """enumerate_covers takes each cover's classes straight from the kernel."""
+    """enumerate_covers wraps the kernel's residue rows as they come."""
 
     @staticmethod
     def assert_same_systems(moduli):
@@ -470,15 +506,6 @@ class TestCoversFromKernel:
     def test_seeded_multisets_match_systems_from_rows(self):
         for moduli in seeded_multisets():
             self.assert_same_systems(moduli)
-
-    @pytest.mark.parametrize("moduli", [(3, 4, 4, 6, 6, 8, 8), (2, 3, 4, 5, 6, 8, 10, 12)])
-    def test_one_object_per_class(self, moduli):
-        seen = {}
-        for cover in enumerate_covers(moduli):
-            for c in cover.classes:
-                assert seen.setdefault((c.residue, c.modulus), c) is c
-        # equal moduli at two positions share their classes too
-        assert len(seen) == sum(set(moduli))
 
     @pytest.mark.parametrize("moduli, limit", [
         ([], 1000),

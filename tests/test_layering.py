@@ -95,3 +95,12 @@ def _reads_environment(node: ast.AST) -> bool:
 @pytest.mark.parametrize("module", _package_modules())
 def test_no_environment_reads(module):
     assert not any(_reads_environment(node) for node in ast.walk(_tree(SRC / f"{module}.py")))
+
+
+@pytest.mark.parametrize("module", [m for m in _package_modules() if m != "covering"])
+def test_only_covering_reads_classes(module):
+    # CoveringSystem.classes builds a checked ResidueClass per class; callers read residues and moduli
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "classes"
+        for node in ast.walk(_tree(SRC / f"{module}.py"))
+    )
