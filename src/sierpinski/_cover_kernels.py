@@ -42,9 +42,9 @@ def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
     r_u = g mod n_u and the lowest gap that class leaves fixes r_v, or
     r_v = g mod n_v and the lowest gap that class leaves fixes r_u. Each
     candidate pair is checked with one AND-NOT. Rows come out in
-    lexicographic order, one int tuple each.
+    lexicographic order, one int tuple each. The moduli are as
+    enumerate_cover_rows checked them: a nonempty tuple of positive ints.
     """
-    moduli = [int(n) for n in moduli]
     L = math.lcm(*moduli)
     t = len(moduli)
     if t == 1:

@@ -2,7 +2,9 @@
 transforms, exhaustive enumeration over a moduli multiset, and orbit closure.
 
 A covering system is a finite list of residue classes a(n) whose union is
-all of Z; verification is exhaustive over one period lcm(n_1..n_t).
+all of Z; verification is exhaustive over one period lcm(n_1..n_t). Input
+is checked where it enters the package; systems_from_rows wraps the
+package's own residue rows without checking them again.
 """
 
 from __future__ import annotations
@@ -181,13 +183,15 @@ def swap_equal_moduli(system: CoveringSystem, i: int, j: int) -> CoveringSystem:
     return CoveringSystem(zip(residues, moduli))
 
 
-def _systems(rows, moduli: tuple[int, ...]) -> list[CoveringSystem]:
-    """Each residue row as a system over the moduli, in order.
+def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
+    """One system per residue row over the moduli, in row order: the one
+    place rows become systems (enumerate_covers, affine_orbit, search_min).
 
-    Skips CoveringSystem(...)'s per-class checks, so the caller vouches
-    that every row is a nonempty int tuple with one residue 0 <= a < n
-    per modulus n.
+    Each row comes from the package, an int tuple with one residue
+    0 <= a < n per modulus n, and is not checked again. The systems share
+    one int moduli tuple and equal CoveringSystem(zip(row, moduli)).
     """
+    moduli = tuple(map(int, moduli))
     new, set_field = object.__new__, object.__setattr__
     systems = []
     for row in rows:
@@ -196,25 +200,6 @@ def _systems(rows, moduli: tuple[int, ...]) -> list[CoveringSystem]:
         set_field(system, "moduli", moduli)
         systems.append(system)
     return systems
-
-
-def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
-    """One system per residue row over the moduli, in row order.
-
-    Serves rows that come from outside the kernel's enumeration (search
-    cells, affine_orbit): each row must hold one residue 0 <= a < n per
-    modulus n, as enumerate_cover_rows gives them; ValueError otherwise.
-    The systems share one moduli tuple and skip the per-class checks of
-    CoveringSystem(...), to which they are equal.
-    """
-    moduli = tuple(map(int, moduli))
-
-    def checked(row):
-        if not row or len(row) != len(moduli) or not all(a in range(n) for a, n in zip(row, moduli)):
-            raise ValueError(f"row {row} does not fit the moduli {moduli}")
-        return tuple(map(int, row))
-
-    return _systems(map(checked, rows), moduli)
 
 
 def enumerate_cover_rows(
@@ -251,10 +236,10 @@ def enumerate_covers(
     moduli,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> list[CoveringSystem]:
-    """The systems of enumerate_cover_rows, in its order and with its checks:
-    each kernel row is wrapped as it is, over one shared moduli tuple."""
-    moduli = tuple(map(int, moduli))
-    return _systems(enumerate_cover_rows(moduli, max_assignments), moduli)
+    """The systems of enumerate_cover_rows, in its order and with its checks,
+    each kernel row wrapped as it is by systems_from_rows."""
+    moduli = tuple(moduli)
+    return systems_from_rows(enumerate_cover_rows(moduli, max_assignments), moduli)
 
 
 def _equal_moduli_permutations(moduli) -> list[tuple[int, ...]]:

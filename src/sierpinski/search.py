@@ -201,9 +201,7 @@ class SearchReport:
 def _pool_for(m: int, ns, budget: FactorBudget | None) -> PrimePool:
     orders: dict[int, tuple[int, ...]] = {}
     incomplete = set()
-    for n in sorted(set(int(n) for n in ns)):
-        if n < 1:
-            raise ValueError("orders must be positive integers")
+    for n in sorted(ns):
         # the primes of Phi_n(m) not dividing n are 1 (mod n): factor along that progression
         fac = factorize(eval_cyclotomic(n, m), budget, n)
         if not fac.is_complete:

@@ -125,6 +125,34 @@ def test_within_bound_uses_the_metric_bound(ab, change_rss, within):
 def test_metric_without_bound(ab):
     wall = ab.summarize(canned_pairs(), {"peak_rss_mb": 0.1})["summary"]["wall_s"]
     assert wall["within_bound"] is None
+    assert wall["unresolved"] is None
+
+
+# parent walls 0.040..0.080 s: quartiles 0.04625 and 0.07, an IQR of 0.02375 s against 0.25 * 0.06 = 0.015 s
+WIDE_PARENT = [0.040, 0.080, 0.045, 0.070, 0.060, 0.050, 0.075, 0.045, 0.060, 0.070]
+
+
+def test_wide_parent_spread_is_unresolved(ab):
+    # the change's median 0.06 equals the parent's, but one change run is slower than the fastest parent run
+    wall = ab.summarize(pairs_of(zip(WIDE_PARENT, [0.06] * 10), [(19.8, 19.8)] * 10),
+                        BOUNDS)["summary"]["wall_s"]
+    assert wall["parent_iqr"] == pytest.approx(0.02375)
+    assert wall["within_bound"] is True
+    assert wall["unresolved"] is True
+
+
+def test_wide_parent_spread_resolves_when_every_change_run_is_better(ab):
+    wall = ab.summarize(pairs_of(zip(WIDE_PARENT, [0.039] * 10), [(19.8, 19.8)] * 10),
+                        BOUNDS)["summary"]["wall_s"]
+    assert wall["unresolved"] is False
+
+
+def test_narrow_parent_spread_is_resolved(ab):
+    # parent IQR 0.00275 s against 0.25 * 0.060 s; the change is slower in every pair but inside the bound
+    wall = ab.summarize(pairs_of(zip(PARENT_WALLS, [w + 0.005 for w in PARENT_WALLS]), [(19.8, 19.8)] * 10),
+                        BOUNDS)["summary"]["wall_s"]
+    assert wall["within_bound"] is True
+    assert wall["unresolved"] is False
 
 
 def test_read_bounds(ab, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sierpinski import _cover_kernels, covering
 from sierpinski.arith import NotCoprime
-from sierpinski.construct import MERSENNE_COVER
+from sierpinski.construct import BASE2_COVER, GENERIC_COVER, MERSENNE_COVER
 from sierpinski.covering import (
     MAX_PERIOD,
     BudgetExceeded,
@@ -29,6 +29,7 @@ from sierpinski.covering import (
     swap_equal_moduli,
     verify_cover,
 )
+from sierpinski.search import SearchConfig, search_min
 
 FIVE = CoveringSystem.parse("0(2),0(3),1(4),5(6),7(12)")
 THIRTEEN = CoveringSystem.parse(
@@ -201,6 +202,28 @@ class TestResidueRow:
         with pytest.raises(ValueError) as caught:
             CoveringSystem([(0, 2), (a, n)])
         assert str(caught.value) == str(expected.value)
+
+    @staticmethod
+    def assert_checked_rows(systems):
+        # systems_from_rows checks nothing, so the rows it is given must pass CoveringSystem(...)'s checks
+        systems = list(systems)
+        assert systems
+        for s in systems:
+            assert s == CoveringSystem(zip(s.residues, s.moduli))
+            assert all(type(a) is int and 0 <= a < n for a, n in zip(s.residues, s.moduli))
+
+    @pytest.mark.parametrize("seed", [
+        CoveringSystem.parse("0(3),2(4),1(6),5(6),4(8),0(8)"),  # the README's repaired cover
+        GENERIC_COVER,
+        BASE2_COVER,
+        MERSENNE_COVER,
+    ], ids=["readme", "generic", "base2", "mersenne"])
+    def test_orbit_rows_pass_the_checks(self, seed):
+        self.assert_checked_rows(affine_orbit(seed))
+
+    def test_search_cell_rows_pass_the_checks(self):
+        report = search_min(SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8)))
+        self.assert_checked_rows(cell.cover for cell in report.candidates)
 
 
 class TestVerifyCover:
@@ -421,15 +444,6 @@ class TestEnumerateCovers:
         with pytest.raises(ValueError, match="max_assignments"):
             enumerate_cover_rows([2, 2], max_assignments=0)
 
-    @pytest.mark.parametrize("row", [(0, 2), (0, -1), (0,), (0, 1, 0), (0, 1.5), (0, "1")])
-    def test_systems_from_malformed_rows(self, row):
-        with pytest.raises(ValueError):
-            covering.systems_from_rows([row], (2, 2))
-
-    def test_systems_from_rows_store_ints(self):
-        (system,) = covering.systems_from_rows([(True, np.int64(1))], (2, 2))
-        assert system.residues == (1, 1)
-        assert [type(a) for a in system.residues] == [int, int]
 
 
 def seeded_multisets(count=200):
@@ -479,12 +493,13 @@ class TestCoverKernel:
 
 
 class TestCoversFromKernel:
-    """enumerate_covers wraps the kernel's residue rows as they come."""
+    """enumerate_covers wraps the kernel's residue rows as they come, into the
+    systems that CoveringSystem(...) builds from them with its checks."""
 
     @staticmethod
     def assert_same_systems(moduli):
         covers = enumerate_covers(moduli)
-        rebuilt = covering.systems_from_rows(enumerate_cover_rows(moduli), moduli)
+        rebuilt = [CoveringSystem(zip(row, moduli)) for row in enumerate_cover_rows(moduli)]
         assert covers == rebuilt, moduli
         assert [hash(c) for c in covers] == [hash(c) for c in rebuilt]
         assert [repr(c) for c in covers] == [repr(c) for c in rebuilt]

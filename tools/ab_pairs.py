@@ -14,12 +14,15 @@ ones. The result is written to BENCH_<NAME>.json in the current directory:
 every run's JSON result line, and per workload and metric both sides'
 medians and quartiles, the parent's IQR and how many pairs the change won
 and lost, lower being better as for every end-to-end metric of
-BENCHMARK.json. Two verdicts go with them: `gain_holds`, when the change
+BENCHMARK.json. Three verdicts go with them: `gain_holds`, when the change
 won at least nine tenths of the pairs and its median lies below the
-parent's by more than the parent's IQR, and `within_bound`, when the
+parent's by more than the parent's IQR; `within_bound`, when the
 change's median is at most the parent's times 1 + the metric's bound in
 the parent's BENCHMARK.json (`end_to_end`; null for a metric without
-one). The environment (Python version, core count, whether numba was
+one); and `unresolved`, when the parent's IQR exceeds that bound times
+the parent's median, so that the runs spread too widely to tell a change
+within the bound from one beyond it, unless every run of the change beats
+every run of the parent (null without a bound). The environment (Python version, core count, whether numba was
 imported) is read from the runs' own `env` lines. Standard library only.
 """
 
@@ -86,6 +89,8 @@ def summarize(pairs, bounds) -> dict:
             parent_iqr=parent_iqr,
             gain_holds=10 * wins >= 9 * len(pairs) and parent_median - change_median > parent_iqr,
             within_bound=None if bound is None else change_median <= parent_median * (1 + bound),
+            unresolved=None if bound is None else (
+                parent_iqr > bound * parent_median and max(values["change"]) >= min(values["parent"])),
         )
         summary[name] = row
     return {
