@@ -43,7 +43,7 @@ def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
     r_v = g mod n_v and the lowest gap that class leaves fixes r_u. Each
     candidate pair is checked with one AND-NOT. Rows come out in
     lexicographic order, one int tuple each. The moduli are as
-    enumerate_cover_rows checked them: a nonempty tuple of positive ints.
+    enumerate_cover_rows checked them: a nonempty sequence of positive ints.
     """
     L = math.lcm(*moduli)
     t = len(moduli)

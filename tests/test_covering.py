@@ -445,7 +445,6 @@ class TestEnumerateCovers:
             enumerate_cover_rows([2, 2], max_assignments=0)
 
 
-
 def seeded_multisets(count=200):
     # t 1-6, moduli 1-12 with repeats, prod(n) <= 20,000
     rng = random.Random(2021)

@@ -22,8 +22,9 @@ the parent's BENCHMARK.json (`end_to_end`; null for a metric without
 one); and `unresolved`, when the parent's IQR exceeds that bound times
 the parent's median, so that the runs spread too widely to tell a change
 within the bound from one beyond it, unless every run of the change beats
-every run of the parent (null without a bound). The environment (Python version, core count, whether numba was
-imported) is read from the runs' own `env` lines. Standard library only.
+every run of the parent (null without a bound). The environment (Python
+version, core count, whether numba was imported) is read from the runs'
+own `env` lines. Standard library only.
 """
 
 from __future__ import annotations
