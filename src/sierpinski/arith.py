@@ -404,7 +404,7 @@ def _block_product(step: int, block: int, clip: int) -> int:
     return math.prod(math.prod(range(lo + o, clip + 1, period)) for o in offsets)
 
 
-def _trial_division(x: int, bound: int, order: int = 1) -> tuple[list[int], int]:
+def _trial_division(x: int, bound: int, order: int = 1, least: bool = False) -> tuple[list[int], int]:
     """Trial stage of factorize: (primes of x found, with repeats, ascending; rest).
 
     Every prime of x above 3 that does not divide order must be 1 (mod
@@ -415,6 +415,11 @@ def _trial_division(x: int, bound: int, order: int = 1) -> tuple[list[int], int]
     of candidates costs one gcd with their product, and a further pass over
     the block only when that gcd is not 1. The returned rest is 1 or has
     only prime factors above bound.
+
+    With least, it returns once a prime found is coprime to order: after
+    the strip (2 or 3) or after the first block with a hit (all 1 mod
+    order). The least such prime of x is then found, as later candidates
+    are larger, but the rest may still hold primes up to bound.
     """
     found = []
     n = x
@@ -426,7 +431,8 @@ def _trial_division(x: int, bound: int, order: int = 1) -> tuple[list[int], int]
     step = math.lcm(2, order)
     _, offsets, span = _progression(step)
     block = 0
-    while True:
+    # a prime p found is coprime to order exactly when order % p != 0
+    while not (least and any(order % p for p in found)):
         # where the candidate-by-candidate loop stops, now that no candidate
         # below this block divides n
         limit = min(bound, math.isqrt(n))
@@ -448,6 +454,9 @@ def _trial_division(x: int, bound: int, order: int = 1) -> tuple[list[int], int]
                 n //= g
                 found.append(g)
         block += 1
+    else:  # stopped early for least: the candidates above this block are untested
+        found.sort()
+        return found, n
     # every candidate below d was tested, so d*d > n proves n prime
     d = _candidate_after(limit, step)
     if n > 1 and d * d > n:

@@ -65,20 +65,22 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     Such a p has multiplicative order exactly n mod m, hence for n >= 2
     also gcd(p, m - 1) = 1 (checked; ArithmeticError otherwise), and
     p = 1 (mod n): trial division tests only that progression, and rho
-    iterates x**L + c with L = lcm(2, n). Trial division runs first: a
-    qualifying prime it finds below the trial-division bound is the
-    minimum, because every prime rho could still find is larger, so rho
-    never runs. Otherwise the rest is split as in factorize, by one Pollard
-    p - 1 power (skipped when its cost exceeds budget.rho_steps, which pays
-    for it, or when the rest is below its cost**4) and then rho, and an
-    incomplete factorization raises FactorBudgetExceeded.
+    iterates x**L + c with L = lcm(2, n). Trial division runs first and
+    stops at the first qualifying prime, after the strip of 2, 3 and the
+    primes of n or after the first block of candidates with a hit. One
+    below the trial-division bound is the minimum, as every prime a later
+    block or rho could still find is larger. Otherwise trial division has
+    walked to the bound and the rest is split as in factorize, by one
+    Pollard p - 1 power (skipped when its cost exceeds budget.rho_steps,
+    which pays for it, or when the rest is below its cost**4) and then rho,
+    and an incomplete factorization raises FactorBudgetExceeded.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
     if budget is None:
         budget = FactorBudget.default()
     value = eval_cyclotomic(n, m)
-    found, rest = _trial_division(value, budget.trial_bound, n)
+    found, rest = _trial_division(value, budget.trial_bound, n, least=True)
     p = next((q for q in found if math.gcd(q, n) == 1), None)
     if p is None or p >= budget.trial_bound:
         fac = _factor_rest(value, found, rest, budget, n)
@@ -298,9 +300,11 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
     size condition makes it a proper divisor: no primality test, no distinct
     d and no factoring is needed. k is trivial exactly when
     g = gcd(k + sign, m - 1) > 1, as m = 1 (mod g) puts g in every term. The
-    spot check walks each entry over n = a (mod N) with k*m**n mod d as a
-    running product, rests on no earlier check, and names the least
-    n <= spot_check_limit no entry covers (dividing_prime(n) is None).
+    spot check rests on the check m**N = 1 (mod d), by which term(n) mod d
+    is the same for every n = a (mod N): per entry it tests d | term(a or N)
+    once and then marks all those n <= spot_check_limit. Independent of
+    verify_cover, it names the least n <= spot_check_limit no entry covers
+    (dividing_prime(n) is None).
     """
     if cert.variant not in VARIANT_SIGN:
         return False, f"unknown variant {cert.variant!r}"
@@ -337,13 +341,9 @@ def verify_certificate(cert: SierpinskiCertificate, spot_check_limit: int = 512)
         return False, f"k is not a multiple of m - 1 = {_decimal_str(m - 1)}"
     covered = bytearray(max(spot_check_limit + 1, 1))  # covered[e]: some d | term(e)
     for a, n, d in cert.entries:
-        e = a or n
-        t, step = k * pow(m, e, d) % d, pow(m, n, d)
-        while e <= spot_check_limit:
-            if (t + sign) % d == 0:
-                covered[e] = 1
-            t = t * step % d
-            e += n
+        e = a or n  # as m**n = 1 (mod d), d | term(e) holds for e + n, e + 2n, ... too
+        if (k * pow(m, e, d) + sign) % d == 0:
+            covered[e::n] = b"\1" * len(range(e, len(covered), n))
     missing = covered.find(0, 1)
     if missing > 0:
         return False, f"no certificate prime divides term n = {_decimal_str(missing)}"

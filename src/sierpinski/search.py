@@ -284,7 +284,9 @@ def eliminate_small_k(
     This process and _worker_count() - 1 forked children (none beside a live
     thread: the child could deadlock) claim chunks of k from a pipe and write
     a code per k to shared memory. This process scans what a failed child
-    left, so the records do not depend on the number of workers. Raises
+    left, so the records do not depend on the number of workers. A child
+    checks before each k that this process still lives, and exits when it
+    is gone, so a SIGTERM or SIGKILL here leaves no worker running. Raises
     BudgetExceeded, naming k_scan_bound, when those 4 bytes per k cannot be
     mapped.
     """
@@ -309,7 +311,7 @@ def eliminate_small_k(
     os.write(w, bytes(chunks))  # at most PIPE_BUF bytes: this cannot block
     os.close(w)
     claims = map(ord, iter(lambda: os.read(r, 1), b""))
-    pids = []
+    pids, parent = [], os.getpid()
     try:
         for _ in range(workers - 1):
             try:
@@ -318,7 +320,7 @@ def eliminate_small_k(
                 break
             if pid == 0:  # a child leaves only by os._exit
                 try:
-                    _scan(*args, claims, codes)
+                    _scan(*args, claims, codes, parent)
                 finally:
                     os._exit(0)
             pids.append(pid)
@@ -350,12 +352,15 @@ def _worker_count(k_count: int) -> int:
     return max(1, min(cpus, k_count // MIN_K_PER_WORKER))
 
 
-def _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes):
+def _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes, parent=None):
     """Set codes[k - 1], 0 until then, for the k of each claimed chunk: 1 for
     a trivial k, else n << 1 | probable for the least n <= n_max with k*m**n + 1
-    prime (probable is 1 if not proven), n = n_max + 1 when there is none."""
+    prime (probable is 1 if not proven), n = n_max + 1 when there is none.
+    A forked worker passes its parent's pid and exits once that parent is gone."""
     for c in claims:
         for k in range(c * span + 1, min(c * span + span, k_scan_bound) + 1):
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
             if trivial_prime(k, qs) is not None:
                 codes[k - 1] = 1
                 continue

@@ -106,11 +106,11 @@ class TestSelectCoverPrime:
         # sierpinski.construct as an attribute is the function; patch the module
         module = importlib.import_module("sierpinski.construct")
         # the claim comes from trial division ...
-        monkeypatch.setattr(module, "_trial_division", lambda value, bound, order: ([3], 1))
+        monkeypatch.setattr(module, "_trial_division", lambda value, bound, order, least: ([3], 1))
         with pytest.raises(ArithmeticError, match="divides m - 1"):
             select_cover_prime(34, 2)
         # ... or from the rho stage after trial division found nothing
-        monkeypatch.setattr(module, "_trial_division", lambda value, bound, order: ([], 35))
+        monkeypatch.setattr(module, "_trial_division", lambda value, bound, order, least: ([], 35))
         monkeypatch.setattr(module, "_factor_rest", lambda value, found, rest, budget, order: fake)
         with pytest.raises(ArithmeticError, match="divides m - 1"):
             select_cover_prime(34, 2)
@@ -144,6 +144,32 @@ class TestSelectCoverPrime:
 
         monkeypatch.setattr(arith, "_brent_rho", no_rho)
         assert select_cover_prime(21, 48) == 193
+
+    def test_trial_division_stops_after_the_first_hit_block(self, monkeypatch):
+        # 13 | Phi_12(13002) (13002 = 2 mod 13, and 2 has order 12 mod 13) and
+        # 13 is the least prime 1 (mod 12), so block 0 settles the minimum;
+        # trial_bound spans nine blocks and the rest exceeds trial_bound**2,
+        # so a walk to the bound reads all nine
+        m, n = 13002, 12
+        value = eval_cyclotomic(n, m)
+        assert value % 13 == 0 and value // 13 > 100_000**2
+        blocks = []
+        block_product = arith._block_product
+
+        def counting(step, block, clip):
+            blocks.append(block)
+            return block_product(step, block, clip)
+
+        monkeypatch.setattr(arith, "_block_product", counting)
+        assert select_cover_prime(m, n) == 13
+        assert blocks == [0]
+        # 2 | Phi_1(13003) = 13002 is coprime to 1: the strip settles it
+        blocks.clear()
+        assert select_cover_prime(m + 1, 1) == 2
+        assert blocks == []
+        # factorize still walks to the bound
+        arith.factorize(value, order=n)
+        assert blocks == list(range(9))
 
     def test_incomplete_factorization_still_certifies_small_minimum(self):
         # Phi_12(24) = 331201 = 13 * 25477; the cofactor stays unfactored at
@@ -561,6 +587,43 @@ class TestVerifyCertificate:
     def test_spot_check_depth(self):
         cert = construct(34)
         assert verify_certificate(cert, spot_check_limit=2000) == (True, None)
+
+    @pytest.mark.parametrize("m, cover", [(34, GENERIC_COVER), (1000, GENERIC_COVER), (127, MERSENNE_COVER),
+                                          (4095, MERSENNE_COVER), (2, BASE2_COVER)])
+    def test_spot_check_matches_term_by_term_reference(self, monkeypatch, m, cover):
+        # each certificate whole and with one entry cut, coverage waved through
+        monkeypatch.setattr(importlib.import_module("sierpinski.construct"),
+                            "verify_cover", lambda cover: (True, None))
+
+        def reference(cert, limit):
+            k, sign = cert.k, cert.sign
+            for n in range(1, limit + 1):
+                if not any((n - a) % N == 0 and (k * pow(m, n, d) + sign) % d == 0 for a, N, d in cert.entries):
+                    return False, f"no certificate prime divides term n = {n}"
+            return True, None
+
+        for variant in (SIERPINSKI, RIESEL):
+            cert = construct(m, variant)
+            assert cert.cover == cover
+            cuts = [dataclasses.replace(cert, entries=cert.entries[:i] + cert.entries[i + 1:])
+                    for i in range(len(cert.entries))]
+            for limit in (1, 47, 512, 5000):
+                assert verify_certificate(cert, limit) == reference(cert, limit) == (True, None)
+                for cut in cuts:
+                    assert verify_certificate(cut, limit) == reference(cut, limit), (variant, cut.entries, limit)
+            # each cut leaves a term below 5000 uncovered
+            assert not any(verify_certificate(cut, 5000)[0] for cut in cuts)
+
+    def test_spot_check_costs_one_test_per_entry(self):
+        # the 13-class certificate of base 127 has about 1.5 million terms up to
+        # 10**6 in its classes; walking them one by one takes about 0.2 s
+        cert = construct(127)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert verify_certificate(cert, spot_check_limit=10**6) == (True, None)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1
 
 
 @st.composite

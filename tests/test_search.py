@@ -4,6 +4,9 @@ import itertools
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -409,6 +412,57 @@ class TestEliminateSmallK:
         _force_workers(monkeypatch, 3)
         expected = _reference_eliminate(34, 300, 30, (3, 11))
         assert _records(eliminate_small_k(34, 300, 30, (3, 11))) == expected
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as f:
+            return [int(c) for c in f.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def _running(pid):
+    """Whether pid exists and is not a zombie; exited and unreaped counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="elimination forks a worker only with two or more CPUs; needs /proc children")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_worker_exits_with_its_parent(sig):
+    # an elimination over 3,000,000 k runs far longer than this test; killed,
+    # its caller reaps nothing, so the forked worker must notice on its own
+    src = os.path.dirname(os.path.dirname(sierpinski.__file__))
+    code = "from sierpinski.search import eliminate_small_k; eliminate_small_k(1000, 3_000_000, 60, (3, 37))"
+    parent = subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while not workers and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(parent.pid)
+        assert workers, "no elimination worker was forked"
+        parent.send_signal(sig)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 2
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, workers))
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+        parent.wait()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def _force_workers(monkeypatch, workers):
