@@ -29,6 +29,7 @@ from .arith import (
     Congruence,
     FactorBudget,
     FactorBudgetExceeded,
+    _load_powm,
     crt_solve,
     factorize,
     mod_inverse,
@@ -53,8 +54,11 @@ TRIVIAL = "trivial"
 PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
 
-# Each elimination worker gets at least this many k. Two workers took 0.59-1.34x the time of one
-# at k <= 200, 0.53-1.08x at 500 and 0.56-0.83x at 1000 (six bases, n_max 30 and 60, 2 cores).
+# Each elimination worker gets at least this many k. With the GMP kernel (2 cores, fastest of 5
+# alternating runs), search_min on six pool-filling bases (n_max 30) took 0.05 / 0.10 / 0.22 /
+# 0.31 / 0.85 s with one worker and 0.07 / 0.13 / 0.15 / 0.19 / 0.52 s with two at k_scan_bound
+# 250 / 500 / 1000 / 2000 / 5000, but eliminate_small_k(1000, 500, 60, (3, 37)) of the search
+# benchmark took 67 ms with one and 37 ms with two (fastest of 9).
 MIN_K_PER_WORKER = 250
 
 
@@ -307,6 +311,8 @@ def eliminate_small_k(
         raise BudgetExceeded(
             f"k_scan_bound {k_scan_bound} is over budget: its 4 bytes per k could not be mapped ({exc})") from None
     workers = _worker_count(k_scan_bound) if hasattr(os, "fork") and not _thread._count() else 1
+    if workers > 1:
+        _load_powm()  # here, so that each child inherits it and none imports ctypes
     r, w = os.pipe()
     os.write(w, bytes(chunks))  # at most PIPE_BUF bytes: this cannot block
     os.close(w)

@@ -180,3 +180,21 @@ def test_parse_run_reads_env_and_last_line(ab):
 def test_workload_spec(ab):
     assert ab.workload_spec("construct:8") == ("construct", 8)
     assert ab.workload_spec("covers") == ("covers", 10)
+
+
+@pytest.mark.parametrize("stdout, loads", [("true\n", True), ("false\n", False), ("note\nfalse\n", False)])
+def test_parse_probe(ab, stdout, loads):
+    assert ab.parse_probe(stdout) is loads
+
+
+@pytest.mark.parametrize("arith, loads", [
+    ("def _load_powm():\n    return pow\n", True),
+    ("def _load_powm():\n    return None\n", False),
+    ("PROVEN = 'proven'\n", False),  # a package from before the kernel
+])
+def test_gmp_probe_on_a_canned_copy(ab, tmp_path, arith, loads):
+    package = tmp_path / "src" / "sierpinski"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "arith.py").write_text(arith)
+    assert ab.gmp_loads(tmp_path) is loads

@@ -181,15 +181,16 @@ class TestPocklingtonVerdict:
     def test_prime_term_costs_one_full_power(self, monkeypatch, m):
         # f = 2**j: the one power z = a**((x-1)/2) must settle q = 2, which
         # a base with (a/x) = -1 does for every prime x; 2 itself never does
-        # for these x = 1 (mod 8)
+        # for these x = 1 (mod 8). Every full power goes through _powmod;
+        # z**F and z**(F/q) stay on the builtin pow.
         full = []
+        powmod = arith._powmod
 
-        def counting_pow(a, e, mod=None):
-            if mod is not None and e > 2:  # z**F and z**(F/q) have e <= F = 2
-                full.append(e)
-            return pow(a, e, mod)
+        def counting_powmod(a, e, n):
+            full.append(e)
+            return powmod(a, e, n)
 
-        monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(arith, "_powmod", counting_powmod)
         primes = 0
         for x, f in _terms_above_2_64(m, 400):
             if sympy.isprime(x):

@@ -24,7 +24,8 @@ the parent's median, so that the runs spread too widely to tell a change
 within the bound from one beyond it, unless every run of the change beats
 every run of the parent (null without a bound). The environment (Python
 version, core count, whether numba was imported) is read from the runs'
-own `env` lines. Standard library only.
+own `env` lines; `env.gmp` says per side whether its package's GMP kernel
+loads, from a one-line probe run in its copy. Standard library only.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # Length of one bench/run.py run, in seconds.
 RUN_SECONDS = 12
+# Run in a copy: whether its package loads GMP's mpz_powm (false for a package without the kernel).
+GMP_PROBE = ("import json, sys; sys.path.insert(0, 'src'); import sierpinski.arith as a; "
+             "print(json.dumps(getattr(a, '_load_powm', lambda: None)() is not None))")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -119,6 +123,16 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def parse_probe(stdout: str) -> bool:
+    """GMP_PROBE's verdict: the JSON boolean on its last line."""
+    return json.loads(stdout.strip().splitlines()[-1]) is True
+
+
+def gmp_loads(copy: Path) -> bool:
+    done = subprocess.run([sys.executable, "-c", GMP_PROBE], cwd=copy, capture_output=True, text=True, check=True)
+    return parse_probe(done.stdout)
+
+
 def run_bench(copy: Path, workload: str, seed: int) -> tuple[dict, dict]:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", "0"]
@@ -153,6 +167,7 @@ def main(argv=None) -> int:
             "change": revs["change"],
             "pairs_alternate": "pair i runs the parent first when i is even, the change first when odd",
         }
+        gmp = {side: gmp_loads(copies[side]) for side in SIDES}
         bounds = read_bounds(copies["parent"] / "BENCHMARK.json")
         env = None
         for workload, count in args.workload:
@@ -169,6 +184,7 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             out[workload] = {**summarize(pairs, bounds), "pairs": pairs}
         out["env"] = {key: env[key] for key in ("python", "nproc", "numba_imported", "numpy") if key in env}
+        out["env"]["gmp"] = gmp
         path = Path(f"BENCH_{args.label}.json")
         path.write_text(json.dumps(out, indent=1) + "\n")
         print(f"wrote {path}")
