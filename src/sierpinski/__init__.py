@@ -11,20 +11,15 @@ from .arith import (
     NotCoprime,
     crt_solve,
     factorize,
-    is_prime,
     mod_inverse,
     multiplicative_order,
     prime_verdict,
 )
 from .covering import (
     CoveringSystem,
-    ModulusMismatch,
     ResidueClass,
     affine_orbit,
-    affine_transform,
     enumerate_covers,
-    split_class,
-    swap_equal_moduli,
     verify_cover,
 )
 from .construct import (
@@ -48,7 +43,6 @@ from .cyclotomic import (
     cyclotomic_poly,
     divisors,
     eval_cyclotomic,
-    product_identity_holds,
     substitution_identity_holds,
 )
 from .search import (
@@ -60,7 +54,6 @@ from .search import (
     assignments_for_cover,
     discover_prime_pool,
     eliminate_small_k,
-    k_for,
     search_min,
 )
 

@@ -321,10 +321,6 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
     return True
 
 
-def is_prime(x: int, seed: int = 0) -> bool:
-    return prime_verdict(x, seed=seed)[0]
-
-
 @dataclass(frozen=True)
 class FactorBudget:
     """Work caps for factorize: trial-division bound and the modular

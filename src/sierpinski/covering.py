@@ -1,22 +1,25 @@
-"""Residue classes and covering systems: verification, splitting, affine
-transforms, exhaustive enumeration over a moduli multiset, and orbit closure.
+"""Residue classes and covering systems: verification, exhaustive
+enumeration over a moduli multiset, and closure under affine maps and
+equal-modulus swaps.
 
 A covering system is a finite list of residue classes a(n) whose union is
 all of Z; verification is exhaustive over one period lcm(n_1..n_t). Input
-is checked where it enters the package; systems_from_rows wraps the
-package's own residue rows without checking them again.
+is checked where it enters the package, where a non-integral number is
+refused, not truncated; systems_from_rows wraps the package's own residue
+rows without checking them again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _cover_kernels
-from .arith import BudgetExceeded, NotCoprime, totient
+from .arith import BudgetExceeded, totient
 
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
 # verify_cover works on one bitset of the period: at most 2 MiB.
@@ -25,15 +28,29 @@ MAX_PERIOD = 1 << 24
 MAX_CLASSES = 64
 
 
-class ModulusMismatch(ValueError):
-    """Swap requested between classes with different moduli."""
-
-
-def _check_class(a: int, n: int) -> None:
+def _check_class(a, n) -> tuple[int, int]:
+    try:
+        a, n = operator.index(a), operator.index(n)
+    except TypeError:
+        raise ValueError(f"residue class {a!r}({n!r}) needs an integer residue and modulus") from None
     if n < 1:
         raise ValueError("modulus must be a positive integer")
     if not 0 <= a < n:
         raise ValueError(f"residue {a} out of range for modulus {n}")
+    return a, n
+
+
+def check_moduli(moduli) -> tuple[int, ...]:
+    """moduli as a tuple of ints; ValueError unless nonempty, integral and positive."""
+    try:
+        moduli = tuple(map(operator.index, moduli))
+    except TypeError:
+        raise ValueError("moduli must be integers") from None
+    if not moduli:
+        raise ValueError("moduli must be a nonempty sequence")
+    if any(n < 1 for n in moduli):
+        raise ValueError("moduli must be positive integers")
+    return moduli
 
 
 @dataclass(frozen=True)
@@ -73,8 +90,7 @@ class CoveringSystem:
         residues, moduli = [], []
         for c in classes:
             a, n = (c.residue, c.modulus) if isinstance(c, ResidueClass) else c
-            a, n = int(a), int(n)
-            _check_class(a, n)
+            a, n = _check_class(a, n)
             residues.append(a)
             moduli.append(n)
         if not moduli:
@@ -102,12 +118,8 @@ class CoveringSystem:
             m = _CLASS_RE.match(part)
             if not m:
                 raise ValueError(f"cannot parse residue class {part!r}; expected a(n)")
-            classes.append((m.group(1), m.group(2)))
+            classes.append((int(m.group(1)), int(m.group(2))))
         return cls(classes)
-
-    @classmethod
-    def from_json(cls, items) -> "CoveringSystem":
-        return cls((item["a"], item["n"]) for item in items)
 
     def to_json(self) -> list[dict]:
         return [{"a": a, "n": n} for a, n in zip(self.residues, self.moduli)]
@@ -144,45 +156,6 @@ def verify_cover(system: CoveringSystem) -> tuple[bool, int | None]:
     return False, (gaps & -gaps).bit_length() - 1
 
 
-def split_class(cls: ResidueClass, factor: int) -> list[ResidueClass]:
-    """Replace a(n) by the equivalent classes a + i*n (mod factor*n).
-
-    The returned classes are pairwise disjoint and their union is exactly
-    the original progression.
-    """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
-    n = cls.modulus
-    return [ResidueClass(cls.residue + i * n, factor * n) for i in range(factor)]
-
-
-def affine_transform(system: CoveringSystem, a: int, b: int) -> CoveringSystem:
-    """Pull the system back along x -> a*x + b.
-
-    a*x + b lies in a_s(n_s) exactly when x lies in a^{-1}*(a_s - b) (n_s),
-    so covers map to covers; gcd(a, lcm) = 1 makes a invertible modulo
-    every class modulus.
-    """
-    if math.gcd(a, system.lcm) != 1:
-        raise NotCoprime(f"multiplier {a} shares a factor with the period {system.lcm}")
-    return CoveringSystem(
-        ((r - b) * pow(a, -1, n) % n, n) for r, n in zip(system.residues, system.moduli)
-    )
-
-
-def swap_equal_moduli(system: CoveringSystem, i: int, j: int) -> CoveringSystem:
-    """Exchange the residues of positions i and j (same modulus required)."""
-    moduli = system.moduli
-    t = len(moduli)
-    if not (0 <= i < t and 0 <= j < t):
-        raise IndexError("class index out of range")
-    if moduli[i] != moduli[j]:
-        raise ModulusMismatch(f"moduli differ at positions {i} and {j}: {moduli[i]} vs {moduli[j]}")
-    residues = list(system.residues)
-    residues[i], residues[j] = residues[j], residues[i]
-    return CoveringSystem(zip(residues, moduli))
-
-
 def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
     """One system per residue row over the moduli, in row order: the one
     place rows become systems (enumerate_covers, affine_orbit, search_min).
@@ -213,11 +186,7 @@ def enumerate_cover_rows(
     sum(1/n) is below 1 (no assignment can cover). Raises BudgetExceeded
     above MAX_CLASSES moduli or an assignment space prod(n) > max_assignments.
     """
-    moduli = tuple(int(n) for n in moduli)
-    if not moduli:
-        raise ValueError("moduli must be a nonempty sequence")
-    if any(n < 1 for n in moduli):
-        raise ValueError("moduli must be positive integers")
+    moduli = check_moduli(moduli)
     if max_assignments < 1:
         raise ValueError(f"max_assignments must be positive, not {max_assignments}")
     if len(moduli) > MAX_CLASSES:

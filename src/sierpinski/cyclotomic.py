@@ -7,7 +7,6 @@ first, so nothing here overflows or rounds.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .arith import BudgetExceeded, mobius_pairs, totient
@@ -126,13 +125,6 @@ def eval_cyclotomic(n: int, x: int) -> int:
     if poly.degree * abs(x).bit_length() > MAX_EVAL_BITS:
         raise BudgetExceeded(f"Phi_{n} at a {abs(x).bit_length()}-bit x exceeds {MAX_EVAL_BITS} bits")
     return poly.evaluate(x)
-
-
-def product_identity_holds(n: int, x: int) -> bool:
-    """Check prod over d | n of Phi_d(x) == x**n - 1 at the integer x."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return math.prod(eval_cyclotomic(d, x) for d in divisors(n)) == x ** n - 1
 
 
 def substitution_identity_holds(n: int, p: int, k: int) -> bool:

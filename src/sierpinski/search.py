@@ -36,7 +36,7 @@ from .arith import (
     pocklington_verdict,
     prime_verdict,
 )
-from .covering import CoveringSystem, enumerate_cover_rows, systems_from_rows
+from .covering import CoveringSystem, check_moduli, enumerate_cover_rows, systems_from_rows
 from .construct import (
     NONTRIVIAL,
     SIERPINSKI,
@@ -84,9 +84,7 @@ class SearchConfig:
         if self.base < 2:
             raise ValueError("base must be at least 2")
         if self.moduli is not None:
-            object.__setattr__(self, "moduli", tuple(int(n) for n in self.moduli))
-            if not self.moduli or any(n < 1 for n in self.moduli):
-                raise ValueError("moduli must be positive integers")
+            object.__setattr__(self, "moduli", check_moduli(self.moduli))
         for name in ("a_max", "n_max_elimination"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -243,20 +241,6 @@ def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[
             raise InsufficientPrimes(n)
     choices = [pool.primes(n) for n in cover.moduli]
     return [t for t in itertools.product(*choices) if len(set(t)) == len(t)]
-
-
-def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int:
-    """Least nontrivial k in the CRT class with k*m + 1 > max(assignment).
-
-    Walks the class as construct does. Raises ValueError when an assigned
-    prime shares a factor with the product of the triviality primes:
-    then the walk could run forever.
-    """
-    q_product = math.prod(triviality_primes)
-    if math.gcd(math.prod(assignment), q_product) != 1:
-        raise ValueError("assigned primes must be coprime to every prime q | m - 1")
-    sol = crt_solve_for(cover, assignment, m)
-    return next_nontrivial(least_admissible(sol, m, max(assignment)), sol.modulus, q_product)
 
 
 def crt_solve_for(cover: CoveringSystem, assignment, m: int) -> Congruence:

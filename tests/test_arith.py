@@ -26,7 +26,6 @@ from sierpinski.arith import (
     NotCoprime,
     crt_solve,
     factorize,
-    is_prime,
     mod_inverse,
     multiplicative_order,
     pocklington_verdict,
@@ -58,16 +57,16 @@ class TestPrimeVerdict:
     def test_agrees_with_sieve(self):
         flags = sieve(100_000)
         for x in range(100_000):
-            assert is_prime(x) == bool(flags[x]), x
+            assert prime_verdict(x)[0] == bool(flags[x]), x
 
     def test_agrees_with_sympy_sampled(self):
         rng = random.Random(20260814)
         for _ in range(3000):
             x = rng.randrange(2, 10 ** 7)
-            assert is_prime(x) == sympy.isprime(x), x
+            assert prime_verdict(x)[0] == sympy.isprime(x), x
         for _ in range(300):
             x = rng.randrange(2 ** 60, 2 ** 64)
-            assert is_prime(x) == sympy.isprime(x), x
+            assert prime_verdict(x)[0] == sympy.isprime(x), x
 
     def test_strong_pseudoprimes_are_caught(self):
         # strong pseudoprimes to several fixed bases, and Carmichael numbers

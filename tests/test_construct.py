@@ -5,7 +5,6 @@ import hashlib
 import importlib
 import json
 import math
-import random
 import sys
 import time
 
@@ -555,7 +554,7 @@ class TestVerifyCertificate:
 
     def test_size_condition_implies_proper_divisors(self):
         # verify_certificate checks k*m + sign > max p only; terms grow with
-        # n, so every divisor the spot check finds is a proper one
+        # n, so the divisor dividing_prime finds for each n >= 1 is a proper one
         for m in range(2, 200):
             for variant in (SIERPINSKI, RIESEL):
                 cert = construct(m, variant)
@@ -563,67 +562,25 @@ class TestVerifyCertificate:
                     p = cert.dividing_prime(n)
                     assert p is not None and cert.term(n) > p, (m, variant, n)
 
-    @pytest.mark.parametrize("limit", [-512, -2, -1, 0, 1, 7, 100, 512])
-    def test_spot_check_names_least_uncovered_n(self, monkeypatch, limit):
-        # coverage waved through, a certificate missing one entry reaches the
-        # spot check, which names the least n with no dividing prime, or
-        # checks nothing when the limit is below 1
-        monkeypatch.setattr(importlib.import_module("sierpinski.construct"),
-                            "verify_cover", lambda cover: (True, None))
-        rng = random.Random(14)
-        failures = 0
-        for m in rng.sample(range(3, 3000), 6) + [127]:  # 127: the 13-class cover
+    def test_cut_names_least_uncovered_exponent(self):
+        # a certificate missing one entry fails at coverage, and the exponent
+        # it names is the least n >= 0 whose term no remaining entry divides,
+        # found term by term
+        def reference(cert):
+            k, m, sign = cert.k, cert.base, cert.sign
+            return next((n for n in range(cert.cover.lcm) if not any(
+                (n - a) % N == 0 and (k * pow(m, n, d) + sign) % d == 0 for a, N, d in cert.entries)), None)
+
+        for m, cover in ((34, GENERIC_COVER), (1000, GENERIC_COVER), (127, MERSENNE_COVER),
+                         (4095, MERSENNE_COVER), (2, BASE2_COVER)):
             for variant in (SIERPINSKI, RIESEL):
                 cert = construct(m, variant)
+                assert cert.cover == cover and verify_certificate(cert) == (True, None)
                 for i in range(len(cert.entries)):
                     cut = dataclasses.replace(cert, entries=cert.entries[:i] + cert.entries[i + 1:])
-                    n = next((n for n in range(1, limit + 1) if cut.dividing_prime(n) is None), None)
-                    expected = (True, None) if n is None else (
-                        False, f"no certificate prime divides term n = {n}")
-                    assert verify_certificate(cut, limit) == expected, (m, variant, i)
-                    failures += n is not None
-        assert (failures > 0) == (limit >= 1)
-
-    def test_spot_check_depth(self):
-        cert = construct(34)
-        assert verify_certificate(cert, spot_check_limit=2000) == (True, None)
-
-    @pytest.mark.parametrize("m, cover", [(34, GENERIC_COVER), (1000, GENERIC_COVER), (127, MERSENNE_COVER),
-                                          (4095, MERSENNE_COVER), (2, BASE2_COVER)])
-    def test_spot_check_matches_term_by_term_reference(self, monkeypatch, m, cover):
-        # each certificate whole and with one entry cut, coverage waved through
-        monkeypatch.setattr(importlib.import_module("sierpinski.construct"),
-                            "verify_cover", lambda cover: (True, None))
-
-        def reference(cert, limit):
-            k, sign = cert.k, cert.sign
-            for n in range(1, limit + 1):
-                if not any((n - a) % N == 0 and (k * pow(m, n, d) + sign) % d == 0 for a, N, d in cert.entries):
-                    return False, f"no certificate prime divides term n = {n}"
-            return True, None
-
-        for variant in (SIERPINSKI, RIESEL):
-            cert = construct(m, variant)
-            assert cert.cover == cover
-            cuts = [dataclasses.replace(cert, entries=cert.entries[:i] + cert.entries[i + 1:])
-                    for i in range(len(cert.entries))]
-            for limit in (1, 47, 512, 5000):
-                assert verify_certificate(cert, limit) == reference(cert, limit) == (True, None)
-                for cut in cuts:
-                    assert verify_certificate(cut, limit) == reference(cut, limit), (variant, cut.entries, limit)
-            # each cut leaves a term below 5000 uncovered
-            assert not any(verify_certificate(cut, 5000)[0] for cut in cuts)
-
-    def test_spot_check_costs_one_test_per_entry(self):
-        # the 13-class certificate of base 127 has about 1.5 million terms up to
-        # 10**6 in its classes; walking them one by one takes about 0.2 s
-        cert = construct(127)
-        elapsed = []
-        for _ in range(3):
-            start = time.perf_counter()
-            assert verify_certificate(cert, spot_check_limit=10**6) == (True, None)
-            elapsed.append(time.perf_counter() - start)
-        assert min(elapsed) < 0.1
+                    w = reference(cut)
+                    assert w is not None
+                    assert verify_certificate(cut) == (False, f"coverage violated (uncovered exponent {w})"), (m, variant, i)
 
 
 @st.composite

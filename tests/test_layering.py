@@ -1,7 +1,8 @@
-"""The package's import layers and its one budget error, read from the source."""
+"""The package's import layers, its one budget error and its exports, read from the source."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,48 @@ def test_only_covering_reads_classes(module):
         isinstance(node, ast.Attribute) and node.attr == "classes"
         for node in ast.walk(_tree(SRC / f"{module}.py"))
     )
+
+
+class _References(ast.NodeVisitor):
+    """Names and attributes read anywhere but inside the def or class of the same name."""
+
+    def __init__(self):
+        self.names, self.enclosing = set(), []
+
+    def _scope(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scope
+
+    def _read(self, name):
+        if name not in self.enclosing:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self._read(node.id)
+
+    def visit_Attribute(self, node):
+        self._read(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_export_has_a_user():
+    # a public name serves the package only when code other than its own
+    # body, the benchmark, the tools, the acceptance tests or the README uses it
+    root = SRC.parents[1]
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += [*(root / "bench").glob("*.py"), *(root / "tools").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    refs = _References()
+    for path in files:
+        refs.visit(_tree(path))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    exported = {
+        alias.asname or alias.name
+        for node in _tree(SRC / "__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = {name for name in exported - refs.names if not re.search(rf"\b{name}\b", readme)}
+    assert not unused, sorted(unused)

@@ -44,7 +44,6 @@ from sierpinski.search import (
     crt_solve_for,
     discover_prime_pool,
     eliminate_small_k,
-    k_for,
     search_min,
 )
 
@@ -71,6 +70,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(34, k_scan_bound=-1)
         assert SearchConfig(34, moduli=[2, 2]).moduli == (2, 2)
+
+    @pytest.mark.parametrize("moduli", [(3.5, 4), (3, 4.0), ("3", "4")])
+    def test_non_integral_moduli_refused(self, moduli):
+        # refused, not truncated to 3, 4
+        with pytest.raises(ValueError):
+            SearchConfig(127, moduli=moduli)
 
 
 class TestDiscoverPrimePool:
@@ -138,6 +143,18 @@ class TestAssignments:
         with pytest.raises(InsufficientPrimes) as info:
             assignments_for_cover(CoveringSystem.parse("0(2),1(2),1(2)"), pool)
         assert info.value.modulus == 2
+
+
+def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int:
+    """The per-cell reference: least nontrivial k in the CRT class with
+    k*m + 1 > max(assignment), walked as construct walks. ValueError when
+    an assigned prime shares a factor with the triviality primes, as then
+    the walk could run forever."""
+    q_product = math.prod(triviality_primes)
+    if math.gcd(math.prod(assignment), q_product) != 1:
+        raise ValueError("assigned primes must be coprime to every prime q | m - 1")
+    sol = crt_solve_for(cover, assignment, m)
+    return next_nontrivial(least_admissible(sol, m, max(assignment)), sol.modulus, q_product)
 
 
 class TestKFor:
