@@ -298,10 +298,11 @@ def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:
     k*m + sign > max d, then the multiplier constraint. Coverage is checked
     once, by verify_cover over the full period, whose witness is the least
     uncovered exponent. By m**N = 1 (mod d), d divides every term(n) with
-    n = a (mod N), so each n >= 0 has a divisor among the entries; as terms
-    grow with n the size condition makes it a proper divisor: no primality
-    test, no distinct d and no factoring is needed. k is trivial exactly
-    when g = gcd(k + sign, m - 1) > 1, as m = 1 (mod g) puts g in every term.
+    n = a (mod N), so with coverage every term has a divisor among the
+    entries; as terms grow with n the size condition makes it proper: no
+    primality test, no distinct d and no factoring is needed. k is trivial
+    exactly when g = gcd(k + sign, m - 1) > 1, as m = 1 (mod g) puts g in
+    every term.
     """
     if cert.variant not in VARIANT_SIGN:
         return False, f"unknown variant {cert.variant!r}"

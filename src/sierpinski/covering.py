@@ -4,9 +4,9 @@ equal-modulus swaps.
 
 A covering system is a finite list of residue classes a(n) whose union is
 all of Z; verification is exhaustive over one period lcm(n_1..n_t). Input
-is checked where it enters the package, where a non-integral number is
-refused, not truncated; systems_from_rows wraps the package's own residue
-rows without checking them again.
+is checked where it enters the package, and a non-integral number is
+refused there, not truncated; systems_from_rows wraps the package's own
+residue rows without checking them again.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class ResidueClass:
     def __post_init__(self):
         _check_class(self.residue, self.modulus)
 
-    def covers(self, x: int) -> bool:
-        return (x - self.residue) % self.modulus == 0
-
     def __str__(self) -> str:
         return f"{self.residue}({self.modulus})"
 
@@ -105,9 +102,6 @@ class CoveringSystem:
     @property
     def lcm(self) -> int:
         return math.lcm(*self.moduli)
-
-    def covers(self, x: int) -> bool:
-        return any((x - a) % n == 0 for a, n in zip(self.residues, self.moduli))
 
     @classmethod
     def parse(cls, text: str) -> "CoveringSystem":

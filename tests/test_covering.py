@@ -167,7 +167,6 @@ class TestResidueClass:
             ResidueClass(-1, 3)
         with pytest.raises(ValueError):
             ResidueClass(0, 0)
-        assert ResidueClass(0, 1).covers(123)
         assert str(ResidueClass(7, 12)) == "7(12)"
 
     def test_parse_and_serialize(self):
