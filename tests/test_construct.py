@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import math
+import random
 import sys
 import time
 
@@ -562,26 +563,55 @@ class TestVerifyCertificate:
                     p = cert.dividing_prime(n)
                     assert p is not None and cert.term(n) > p, (m, variant, n)
 
-    def test_cut_names_least_uncovered_exponent(self):
-        # a certificate missing one entry fails at coverage, and the exponent
-        # it names is the least n >= 0 whose term no remaining entry divides,
-        # found term by term
+    @pytest.mark.parametrize("limit", [-512, -2, -1, 0, 1, 7, 100, 512])
+    def test_spot_check_names_least_uncovered_n(self, limit):
+        # a certificate missing one entry fails at coverage, naming the least
+        # uncovered exponent; through n = limit the least term with no
+        # dividing prime lies in an uncovered class, and there is none when
+        # the limit is below 1
+        rng = random.Random(14)
+        failures = 0
+        for m in rng.sample(range(3, 3000), 6) + [127]:  # 127: the 13-class cover
+            for variant in (SIERPINSKI, RIESEL):
+                cert = construct(m, variant)
+                for i in range(len(cert.entries)):
+                    cut = dataclasses.replace(cert, entries=cert.entries[:i] + cert.entries[i + 1:])
+                    period = cert.cover.lcm
+                    uncovered = {r for r in range(period) if not any((r - a) % N == 0 for a, N, _ in cut.entries)}
+                    assert verify_certificate(cut) == (
+                        False, f"coverage violated (uncovered exponent {min(uncovered)})"), (m, variant, i)
+                    n = next((n for n in range(1, limit + 1) if cut.dividing_prime(n) is None), None)
+                    assert n == next((n for n in range(1, limit + 1) if n % period in uncovered), None), (m, variant, i)
+                    failures += n is not None
+        assert (failures > 0) == (limit >= 1)
+
+    def test_spot_check_depth(self):
+        # coverage and the entry checks prove every term has a dividing
+        # prime; the first 2000 terms confirm it one by one
+        cert = construct(34)
+        assert verify_certificate(cert) == (True, None)
+        assert all(cert.dividing_prime(n) is not None for n in range(1, 2001))
+
+    @pytest.mark.parametrize("m, cover", [(34, GENERIC_COVER), (1000, GENERIC_COVER), (127, MERSENNE_COVER),
+                                          (4095, MERSENNE_COVER), (2, BASE2_COVER)])
+    def test_spot_check_matches_term_by_term_reference(self, m, cover):
+        # each certificate whole and with one entry cut: a cut fails at
+        # coverage, and the exponent it names is the least n >= 0 whose term
+        # no remaining entry divides, found term by term
         def reference(cert):
-            k, m, sign = cert.k, cert.base, cert.sign
+            k, sign = cert.k, cert.sign
             return next((n for n in range(cert.cover.lcm) if not any(
                 (n - a) % N == 0 and (k * pow(m, n, d) + sign) % d == 0 for a, N, d in cert.entries)), None)
 
-        for m, cover in ((34, GENERIC_COVER), (1000, GENERIC_COVER), (127, MERSENNE_COVER),
-                         (4095, MERSENNE_COVER), (2, BASE2_COVER)):
-            for variant in (SIERPINSKI, RIESEL):
-                cert = construct(m, variant)
-                assert cert.cover == cover and verify_certificate(cert) == (True, None)
-                for i in range(len(cert.entries)):
-                    cut = dataclasses.replace(cert, entries=cert.entries[:i] + cert.entries[i + 1:])
-                    w = reference(cut)
-                    assert w is not None
-                    assert verify_certificate(cut) == (False, f"coverage violated (uncovered exponent {w})"), (m, variant, i)
-
+        for variant in (SIERPINSKI, RIESEL):
+            cert = construct(m, variant)
+            assert cert.cover == cover and verify_certificate(cert) == (True, None)
+            assert reference(cert) is None
+            for i in range(len(cert.entries)):
+                cut = dataclasses.replace(cert, entries=cert.entries[:i] + cert.entries[i + 1:])
+                w = reference(cut)
+                assert w is not None
+                assert verify_certificate(cut) == (False, f"coverage violated (uncovered exponent {w})"), (variant, i)
 
 @st.composite
 def mutated_certificates(draw):
