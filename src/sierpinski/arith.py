@@ -68,12 +68,12 @@ def _screen(x: int) -> bool | None:
 
 
 # A power whose exponent has more than this many bits goes to GMP's mpz_powm
-# when libgmp loads. On 300 random powers with b-bit exponent and modulus
-# (2-core host, best of 7 runs), b = 32 / 40 / 44 / 48 / 64 / 250 / 600 took
-# 6.6 / 8.4 / 8.8 / 9.8 / 15.9 / 135 / 1008 us each with the builtin pow and
-# 8.8 / 8.4 / 8.3 / 8.3 / 8.7 / 28 / 106 us through ctypes, conversions
-# included: the two cross at 40-44 bits.
-POWM_BITS = 44
+# when libgmp loads. On 300 powers 3**(n - 1) mod a random b-bit n (2 cores,
+# best of 5 runs), b = 30 / 31 / 32 / 40 / 64 / 106 / 200 / 400 took 1.9 / 4.1 /
+# 4.9 / 6.4 / 12.4 / 22.6 / 63.6 / 298 us with the builtin pow and 3.4 / 3.4 /
+# 3.7 / 3.6 / 4.1 / 5.5 / 11.2 / 35.3 us through ctypes, conversions included:
+# they cross where n outgrows one 30-bit digit of a Python int.
+POWM_BITS = 30
 
 
 @functools.cache
@@ -89,28 +89,29 @@ def _load_powm():
     try:
         gmp = ctypes.CDLL("libgmp.so.10")
         init, clear = gmp.__gmpz_init, gmp.__gmpz_clear
-        load, store, power = gmp.__gmpz_import, gmp.__gmpz_export, gmp.__gmpz_powm
+        load, store, power = gmp.__gmpz_set_str, gmp.__gmpz_get_str, gmp.__gmpz_powm
     except (OSError, AttributeError):
         return None
 
     class Mpz(ctypes.Structure):  # mpz_t: _mp_alloc, _mp_size, _mp_d
         _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
 
-    mpz, size_t, c_int, c_void_p = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int, ctypes.c_void_p
     for f, args, result in (
-        (init, [mpz], None),
-        (clear, [mpz], None),
-        (load, [mpz, size_t, c_int, size_t, c_int, size_t, c_void_p], None),
-        (store, [c_void_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz], c_void_p),
-        (power, [mpz, mpz, mpz, mpz], None),
+        (init, [ctypes.c_void_p], None),
+        (clear, [ctypes.c_void_p], None),
+        (load, [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
+        (store, [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p], ctypes.c_char_p),
+        (power, [ctypes.c_void_p] * 4, None),
     ):
         f.argtypes, f.restype = args, result
 
     class Temporaries(list):
-        """Four initialised mpz_t (result, a, e, n), cleared when the thread's copy goes."""
+        """Addresses, the cheapest argument, of four mpz_t (result, a, e, n) cleared
+        when the thread's copy goes, and a digit buffer of size bytes at out."""
 
         def __init__(self):
-            super().__init__(Mpz() for _ in range(4))
+            self.mpz, self.size = [Mpz() for _ in range(4)], 0
+            super().__init__(map(ctypes.addressof, self.mpz))
             for z in self:
                 init(z)
 
@@ -122,19 +123,17 @@ def _load_powm():
 
     def powm(a: int, e: int, n: int) -> int:
         try:
-            r, *zs = local.mpz
+            r, za, ze, zn = t = local.mpz
         except AttributeError:
-            local.mpz = Temporaries()
-            r, *zs = local.mpz
-        for z, v in zip(zs, (a, e, n)):
-            data = v.to_bytes((v.bit_length() + 7) // 8, "little")
-            load(z, len(data), -1, 1, 0, 0, data)  # least significant byte first
-        power(r, *zs)
-        # the result is below n, so n's byte length bounds what is written
-        out = ctypes.create_string_buffer((n.bit_length() + 7) // 8)
-        size = size_t()
-        store(out, ctypes.byref(size), -1, 1, 0, 0, r)
-        return int.from_bytes(out.raw[: size.value], "little")
+            r, za, ze, zn = t = local.mpz = Temporaries()
+        load(za, b"%x" % a, 16)
+        load(ze, b"%x" % e, 16)
+        load(zn, b"%x" % n, 16)
+        power(r, za, ze, zn)
+        if t.size < n.bit_length() // 4 + 2:  # the result is below n: n's hex digits and the NUL
+            t.buffer = ctypes.create_string_buffer(n.bit_length() // 4 + 2)
+            t.size, t.out = len(t.buffer), ctypes.addressof(t.buffer)
+        return int(store(t.out, 16, r), 16)
 
     checks = ((3, (1 << 100) + 7, (1 << 127) - 1), (10**20 + 1, 1 << 70, 10**30), (0, 1 << 64, 2))
     return powm if all(powm(a, e, n) == pow(a, e, n) for a, e, n in checks) else None

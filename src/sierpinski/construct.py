@@ -12,6 +12,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .arith import (
@@ -293,21 +294,28 @@ def construct(
 def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:
     """Check every certificate invariant; (True, None) or (False, reason).
 
-    Order: structure (residue classes, every d > 1), coverage, d | m**N - 1
-    and d | k*m**a + sign for each entry (a, N, d), the size condition
-    k*m + sign > max d, then the multiplier constraint. Coverage is checked
-    once, by verify_cover over the full period, whose witness is the least
-    uncovered exponent. By m**N = 1 (mod d), d divides every term(n) with
-    n = a (mod N), so with coverage every term has a divisor among the
-    entries; as terms grow with n the size condition makes it proper: no
-    primality test, no distinct d and no factoring is needed. k is trivial
-    exactly when g = gcd(k + sign, m - 1) > 1, as m = 1 (mod g) puts g in
-    every term.
+    Order: structure (integer fields, residue classes, every d > 1),
+    coverage, d | m**N - 1 and d | k*m**a + sign for each entry (a, N, d),
+    the size condition k*m + sign > max d, then the multiplier constraint.
+    Coverage is checked once, by verify_cover over the full period, whose
+    witness is the least uncovered exponent. By m**N = 1 (mod d), d divides
+    every term(n) with n = a (mod N), so with coverage every term has a
+    divisor among the entries; as terms grow with n the size condition makes
+    it proper: no primality test, no distinct d and no factoring is needed.
+    k is trivial exactly when g = gcd(k + sign, m - 1) > 1, as m = 1 (mod g)
+    puts g in every term.
     """
     if cert.variant not in VARIANT_SIGN:
         return False, f"unknown variant {cert.variant!r}"
     if cert.multiplier_constraint not in CONSTRAINTS:
         return False, f"unknown multiplier constraint {cert.multiplier_constraint!r}"
+    fields = [("base", cert.base), ("multiplier", cert.k)]
+    fields += [(f"entry {name} =", v) for entry in cert.entries for name, v in zip(("a", "n", "d"), entry)]
+    for name, value in fields:
+        try:
+            operator.index(value)
+        except TypeError:
+            return False, f"{name} {value!r} is not an integer"
     if cert.base < 2:
         return False, f"base {_decimal_str(cert.base)} is below 2"
     if cert.k < 1:

@@ -54,11 +54,11 @@ TRIVIAL = "trivial"
 PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
 
-# Each elimination worker gets at least this many k. With the GMP kernel (2 cores, fastest of 5
-# alternating runs), search_min on six pool-filling bases (n_max 30) took 0.05 / 0.10 / 0.22 /
-# 0.31 / 0.85 s with one worker and 0.07 / 0.13 / 0.15 / 0.19 / 0.52 s with two at k_scan_bound
-# 250 / 500 / 1000 / 2000 / 5000, but eliminate_small_k(1000, 500, 60, (3, 37)) of the search
-# benchmark took 67 ms with one and 37 ms with two (fastest of 9).
+# Each elimination worker gets at least this many k. With the GMP kernel (2 cores, fastest of 7
+# alternating runs), search_min on the first six pool-filling bases of the search benchmark
+# (n_max 30) took 25 / 30 / 39 / 75 / 149 / 345 ms with one worker and 31 / 38 / 36 / 63 / 115 /
+# 236 ms with two at k_scan_bound 250 / 500 / 600 / 1000 / 2000 / 5000, but its
+# eliminate_small_k(1000, 500, 60, (3, 37)) took 42 ms with one and 26 ms with two.
 MIN_K_PER_WORKER = 250
 
 

@@ -182,9 +182,14 @@ def test_workload_spec(ab):
     assert ab.workload_spec("covers") == ("covers", 10)
 
 
-@pytest.mark.parametrize("stdout, loads", [("true\n", True), ("false\n", False), ("note\nfalse\n", False)])
+@pytest.mark.parametrize("stdout, loads", [("true\n", True), ("false\n", False), ("note\nfalse\n", False), ("30\ntrue\n", True)])
 def test_parse_probe(ab, stdout, loads):
     assert ab.parse_probe(stdout) is loads
+
+
+@pytest.mark.parametrize("stdout, bits", [("30\ntrue\n", 30), ("null\nfalse\n", None), ("note\n44\nfalse\n", 44)])
+def test_parse_powm_bits(ab, stdout, bits):
+    assert ab.parse_powm_bits(stdout) == bits
 
 
 @pytest.mark.parametrize("arith, loads", [
@@ -197,4 +202,6 @@ def test_gmp_probe_on_a_canned_copy(ab, tmp_path, arith, loads):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "arith.py").write_text(arith)
-    assert ab.gmp_loads(tmp_path) is loads
+    assert ab.probe(tmp_path) == {"gmp": loads, "powm_bits": None}
+    (package / "arith.py").write_text(arith + "POWM_BITS = 30\n")
+    assert ab.probe(tmp_path) == {"gmp": loads, "powm_bits": 30}

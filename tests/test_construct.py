@@ -413,6 +413,26 @@ class TestVerifyCertificate:
             entries=((0, 2, 13),) + cert.entries[1:3] + ((5, 6, 1123), (7, 12, 1069)))
         assert "does not divide k*34^0" in reason(k=cert.k + 1)
 
+    @pytest.mark.parametrize("changes, why", [
+        (lambda c: {"entries": ((0.5, 2, 5),) + c.entries[1:]}, "entry a = 0.5 is not an integer"),
+        (lambda c: {"entries": ((0, 2.0, 5),) + c.entries[1:]}, "entry n = 2.0 is not an integer"),
+        (lambda c: {"entries": ((0, 2, 5.0),) + c.entries[1:]}, "entry d = 5.0 is not an integer"),
+        (lambda c: {"base": 34.0}, "base 34.0 is not an integer"),
+        (lambda c: {"k": float(c.k)}, "multiplier 48351243364.0 is not an integer"),
+        (lambda c: {"k": str(c.k)}, "multiplier '48351243364' is not an integer"),
+    ], ids=["float-a", "float-n", "float-d", "float-base", "float-k", "str-k"])
+    def test_non_integral_field_is_a_reason(self, changes, why):
+        # only a certificate built directly gets here: from_json_dict refuses these fields
+        cert = construct(34)
+        assert cert.k == 48351243364 and cert.entries[0] == (0, 2, 5)
+        assert verify_certificate(dataclasses.replace(cert, **changes(cert))) == (False, why)
+
+    @pytest.mark.parametrize("key, value", [("base", 34.0), ("k", 48351243364.0), ("entries", [{"a": 0.5, "n": 2, "p": "5"}])])
+    def test_from_json_dict_refuses_non_integral_fields(self, key, value):
+        doc = {**json.loads(construct(34).to_json()), key: value}
+        with pytest.raises(ValueError, match="malformed certificate"):
+            SierpinskiCertificate.from_json_dict(doc)
+
     def test_duplicate_primes_accepted(self):
         base2 = construct(2)
         # (2,4,3) passes order and congruence checks (2**2 ≡ 1 mod 3) and the

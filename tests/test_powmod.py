@@ -53,6 +53,81 @@ def test_powmod_leaves_other_inputs_to_the_builtin(monkeypatch):
     assert arith._powmod(3, -(2**90), 7) == pow(3, -(2**90), 7)
 
 
+def test_powmod_routes_one_bit_past_the_crossover(monkeypatch):
+    routed = []
+
+    def kernel(a, e, n):
+        routed.append((a, e, n))
+        return pow(a, e, n)
+
+    monkeypatch.setattr(arith, "_load_powm", lambda: kernel)
+    e, n = 2**BITS, 10**30 + 7
+    assert e.bit_length() == BITS + 1
+    assert arith._powmod(n + 3, e, n) == pow(3, e, n)
+    assert routed == [(3, e, n)]
+
+
+def _in_a_new_thread(run):
+    """run() in a thread of its own, so with fresh kernel temporaries; its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(run()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+@needs_gmp
+@pytest.mark.parametrize("bits", [2, 3, 4, 5, 8, 9, 31, 32, 33, 64, 65, 106, 4096, 4097])
+def test_hex_transfer_at_digit_edges(bits):
+    # n of 4j and 4j + 1 bits, with results 0, 1, n - 1 and a full-width one
+    rng = random.Random(bits)
+    for n in (2 ** (bits - 1), 2 ** (bits - 1) + 1, 2**bits - 1, rng.getrandbits(bits) | 1 << bits - 1):
+        e = rng.getrandbits(bits + 40) | 1
+        assert GMP(0, e, n) == 0
+        assert GMP(1, e, n) == 1
+        assert GMP(n - 1, e, n) == n - 1  # (-1)**e with e odd
+        assert GMP(n - 1, e + 1, n) == 1 % n
+        a = rng.randrange(n)
+        assert GMP(a, e, n) == pow(a, e, n)
+
+
+@needs_gmp
+def test_grown_buffer_holds_no_stale_digits():
+    rng = random.Random(46)
+    big_n = rng.getrandbits(4096) | 1 << 4095 | 1
+    small_n = rng.getrandbits(46) | 1 << 45 | 1
+    cases = [(big_n - 1, 2**4095 + 1, big_n), (rng.randrange(small_n), 2**60 + 1, small_n), (2, 2**45 + 3, small_n),
+             (small_n - 1, 2**50 + 1, small_n), (0, 2**50, small_n)]
+    assert _in_a_new_thread(lambda: [GMP(a, e, n) for a, e, n in cases]) == [pow(a, e, n) for a, e, n in cases]
+
+
+@needs_gmp
+def test_buffer_grows_only_for_a_larger_modulus(monkeypatch):
+    import ctypes
+
+    sizes = []
+    create = ctypes.create_string_buffer
+
+    def counting(size):
+        sizes.append(size)
+        return create(size)
+
+    monkeypatch.setattr(ctypes, "create_string_buffer", counting)
+    n200, n300 = 2**199 + 1235, 2**299 + 4567
+
+    def run():
+        calls = []
+        for a, n in ((3, n200), (5, n200), (7, 2**100 + 277), (3, n300), (11, n300), (13, n200)):
+            before = len(sizes)
+            assert GMP(a, n - 1, n) == pow(a, n - 1, n)
+            calls.append(len(sizes) - before)
+        return calls
+
+    assert _in_a_new_thread(run) == [1, 0, 0, 1, 0, 0]
+    assert sizes == [200 // 4 + 2, 300 // 4 + 2]
+
+
 def _kernel_and_builtin(monkeypatch, compute):
     with_kernel = compute()
     monkeypatch.setattr(arith, "_load_powm", lambda: None)

@@ -25,7 +25,9 @@ within the bound from one beyond it, unless every run of the change beats
 every run of the parent (null without a bound). The environment (Python
 version, core count, whether numba was imported) is read from the runs'
 own `env` lines; `env.gmp` says per side whether its package's GMP kernel
-loads, from a one-line probe run in its copy. Standard library only.
+loads, and `env.powm_bits` gives its `arith.POWM_BITS` (null for a package
+without the constant), both from one probe run in its copy. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # Length of one bench/run.py run, in seconds.
 RUN_SECONDS = 12
-# Run in a copy: whether its package loads GMP's mpz_powm (false for a package without the kernel).
+# Run in a copy: its package's POWM_BITS (null without the constant), then on the last line
+# whether it loads GMP's mpz_powm (false for a package without the kernel).
 GMP_PROBE = ("import json, sys; sys.path.insert(0, 'src'); import sierpinski.arith as a; "
+             "print(json.dumps(getattr(a, 'POWM_BITS', None))); "
              "print(json.dumps(getattr(a, '_load_powm', lambda: None)() is not None))")
 
 
@@ -128,9 +132,15 @@ def parse_probe(stdout: str) -> bool:
     return json.loads(stdout.strip().splitlines()[-1]) is True
 
 
-def gmp_loads(copy: Path) -> bool:
+def parse_powm_bits(stdout: str) -> int | None:
+    """GMP_PROBE's POWM_BITS: the JSON value on the line before its last."""
+    return json.loads(stdout.strip().splitlines()[-2])
+
+
+def probe(copy: Path) -> dict:
+    """{"gmp": ..., "powm_bits": ...} of the package in copy, from one run of GMP_PROBE."""
     done = subprocess.run([sys.executable, "-c", GMP_PROBE], cwd=copy, capture_output=True, text=True, check=True)
-    return parse_probe(done.stdout)
+    return {"gmp": parse_probe(done.stdout), "powm_bits": parse_powm_bits(done.stdout)}
 
 
 def run_bench(copy: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -167,7 +177,7 @@ def main(argv=None) -> int:
             "change": revs["change"],
             "pairs_alternate": "pair i runs the parent first when i is even, the change first when odd",
         }
-        gmp = {side: gmp_loads(copies[side]) for side in SIDES}
+        probes = {side: probe(copies[side]) for side in SIDES}
         bounds = read_bounds(copies["parent"] / "BENCHMARK.json")
         env = None
         for workload, count in args.workload:
@@ -184,7 +194,8 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             out[workload] = {**summarize(pairs, bounds), "pairs": pairs}
         out["env"] = {key: env[key] for key in ("python", "nproc", "numba_imported", "numpy") if key in env}
-        out["env"]["gmp"] = gmp
+        for key in ("gmp", "powm_bits"):
+            out["env"][key] = {side: probes[side][key] for side in SIDES}
         path = Path(f"BENCH_{args.label}.json")
         path.write_text(json.dumps(out, indent=1) + "\n")
         print(f"wrote {path}")
