@@ -201,11 +201,12 @@ def _search_text(report) -> str:
         f"{counts['trivial']} trivial, {counts['prime_found']} prime found, "
         f"{counts['survivor']} survivors"
     )
+    label = "survivors" if report.minimum_nontrivial_k is None else "survivors below minimum"
     if report.survivors_below_minimum:
         ks = ", ".join(str(k) for k in report.survivors_below_minimum)
-        lines.append(f"UNRESOLVED survivors below minimum: {ks}")
+        lines.append(f"UNRESOLVED {label}: {ks}")
     else:
-        lines.append("survivors below minimum: none")
+        lines.append(f"{label}: none")
     return "\n".join(lines)
 
 

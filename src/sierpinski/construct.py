@@ -21,7 +21,6 @@ from .arith import (
     FactorBudgetExceeded,
     _factor_rest,
     _trial_division,
-    crt_solve,
     factorize,
     mod_inverse,
 )
@@ -232,23 +231,50 @@ def next_nontrivial(k: int, step: int, q_product: int, sign: int = 1) -> int:
     return k
 
 
-def _nth_admissible(sol: Congruence, m: int, max_p: int, variant: str, constraint: str, qs, index: int) -> int:
-    # sol.modulus is coprime to m - 1, so each run of `period` consecutive
-    # representatives meets every residue mod period once: prod(q - 1) of
-    # them are nontrivial, and exactly one is a multiple of m - 1.
+def nth_admissible(sol: Congruence, m: int, max_p: int, qs, variant: str = SIERPINSKI,
+                   constraint: str = NONTRIVIAL, index: int = 0) -> int:
+    """The index-th least k >= 1 of the class sol with k*m + sign > max_p
+    that meets the constraint; qs are the primes of m - 1. sol.modulus is
+    coprime to m - 1, so each run of `period` consecutive representatives
+    meets every residue mod period once: prod(q - 1) of them are
+    nontrivial, and exactly one is a multiple of m - 1."""
     sign, step = VARIANT_SIGN[variant], sol.modulus
-    if constraint == NONTRIVIAL:
-        period, per_period = math.prod(qs), math.prod(q - 1 for q in qs)
-    else:
-        period, per_period = m - 1, 1
+    nontrivial = constraint == NONTRIVIAL
+    period, per_period = (math.prod(qs), math.prod(q - 1 for q in qs)) if nontrivial else (m - 1, 1)
     skip, index = divmod(index, per_period)
     k = least_admissible(sol, m, max_p, sign) + skip * period * step
-    if constraint != NONTRIVIAL:
+    if not nontrivial:
         return k + (-k * pow(step, -1, period)) % period * step
     k = next_nontrivial(k, step, period, sign)
     for _ in range(index):
         k = next_nontrivial(k + step, step, period, sign)
     return k
+
+
+def class_table(m: int, moduli, primes, sign: int = 1) -> tuple[int, list[list[int]]]:
+    """(modulus, table) of the classes of k with p_i | k*m**a + sign, for
+    distinct primes p_i not dividing m and a < moduli[i]; modulus = prod p_i.
+    Residue row r has the class sum(table[i][r[i]]) mod modulus: column i
+    holds -sign * m**(-a) mod p_i times the CRT basis element for p_i."""
+    modulus = math.prod(primes)
+    table = []
+    for n, p in zip(moduli, primes):
+        rest, inverse, shifts = modulus // p, pow(m, -1, p), [-sign % p]
+        while len(shifts) < n:  # -sign * m**(-a) mod p by a running product
+            shifts.append(shifts[-1] * inverse % p)
+        basis = rest * pow(rest, -1, p)
+        table.append([shift * basis for shift in shifts])
+    return modulus, table
+
+
+def certify(m: int, row, moduli, primes, qs, variant: str = SIERPINSKI,
+            constraint: str = NONTRIVIAL, index: int = 0) -> SierpinskiCertificate:
+    """Certificate for the index-th admissible k of one cell: the classes
+    row[i] (mod moduli[i]), each served by primes[i]; qs are the primes of m - 1."""
+    modulus, table = class_table(m, moduli, primes, VARIANT_SIGN[variant])
+    sol = Congruence(sum(map(list.__getitem__, table, row)) % modulus, modulus)
+    k = nth_admissible(sol, m, max(primes), qs, variant, constraint, index)
+    return SierpinskiCertificate(m, k, tuple(zip(row, moduli, primes)), variant, qs, constraint)
 
 
 def construct(
@@ -262,10 +288,11 @@ def construct(
 
     Picks the covering system (BASE2_COVER for m = 2, MERSENNE_COVER when
     m = 2**l - 1, GENERIC_COVER otherwise), selects the smallest
-    qualifying prime from each Phi_{n_i}(m), solves the CRT system, then
-    walks representatives until the side conditions hold (k >= 1,
-    k*m + sign > max p_i, and the multiplier constraint). For m = 2 the
-    least is the classical k = 78557, and as m - 1 = 1 every k qualifies.
+    qualifying prime from each Phi_{n_i}(m), and has certify read the one
+    cell from class_table, the signed table search_min reads, and walk it
+    with nth_admissible until k >= 1, k*m + sign > max p_i and the
+    multiplier constraint hold. For m = 2 the least is the classical
+    k = 78557, and as m - 1 = 1 every k qualifies.
     """
     if m < 2:
         raise ValueError("construct needs m >= 2")
@@ -279,16 +306,7 @@ def construct(
     # distinct: each prime has order exactly its modulus, and a cover's moduli are distinct
     primes = [select_cover_prime(m, n, budget) for n in cover.moduli]
     qs = triviality_primes_for(m, budget)
-    sol = crt_solve(build_congruences(m, cover, primes, variant))
-    k = _nth_admissible(sol, m, max(primes), variant, multiplier_constraint, qs, index)
-    return SierpinskiCertificate(
-        base=m,
-        k=k,
-        entries=tuple(zip(cover.residues, cover.moduli, primes)),
-        variant=variant,
-        triviality_primes=qs,
-        multiplier_constraint=multiplier_constraint,
-    )
+    return certify(m, cover.residues, cover.moduli, primes, qs, variant, multiplier_constraint, index)
 
 
 def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:

@@ -20,7 +20,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import (
     PROBABLE,
@@ -32,18 +32,17 @@ from .arith import (
     _load_powm,
     crt_solve,
     factorize,
-    mod_inverse,
     pocklington_verdict,
     prime_verdict,
 )
 from .covering import CoveringSystem, check_moduli, enumerate_cover_rows, systems_from_rows
 from .construct import (
-    NONTRIVIAL,
     SIERPINSKI,
     SierpinskiCertificate,
     build_congruences,
-    least_admissible,
-    next_nontrivial,
+    certify,
+    class_table,
+    nth_admissible,
     trivial_prime,
     triviality_primes_for,
     verify_certificate,
@@ -106,8 +105,7 @@ class PrimePool:
         return sorted(self.primes_by_order)
 
 
-@dataclass(frozen=True)
-class EliminationRecord:
+class EliminationRecord(NamedTuple):
     """Outcome for one small k: trivial, a prime term found, or survivor."""
 
     k: int
@@ -246,8 +244,8 @@ def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[
 def crt_solve_for(cover: CoveringSystem, assignment, m: int) -> Congruence:
     """The CRT class of multipliers k for one cover/prime assignment.
 
-    search_min computes the same class from tables; this is the per-cell
-    reference.
+    search_min and construct read the same class from construct.class_table;
+    this is the per-cell reference.
     """
     return crt_solve(build_congruences(m, cover, assignment, SIERPINSKI))
 
@@ -394,10 +392,12 @@ def search_min(config: SearchConfig) -> SearchReport:
     """Full minimum search; see the module docstring for the pipeline.
 
     Each (cover, assignment) cell, one per distinct {(a, n, p)} set,
-    holds the least nontrivial admissible k of its CRT class; the reported
-    minimum is the least of them, and its certificate is emitted and
-    verified. A cell's k is at least its class residue, so only cells whose
-    residue is at most the best k so far are walked. The report's
+    holds the least nontrivial admissible k of its CRT class, read from
+    the assignment's class_table and walked by nth_admissible as construct
+    reads and walks its one cell. The reported minimum is the least of
+    them; certify builds its certificate, which is verified. A cell's k is
+    at least its class residue, so only cells whose residue is at most the
+    best k so far are walked. The report's
     candidates, one CandidateSolution per cell, are built from the search's
     rows and tables when first read.
     Small k below the minimum are scanned up to min(minimum - 1,
@@ -420,29 +420,16 @@ def search_min(config: SearchConfig) -> SearchReport:
         assignments = assignments_for_cover(systems_from_rows(rows[:1], moduli)[0], pool) if rows else []
     except InsufficientPrimes:
         assignments = []
-    # Each cell is crt_solve_for(cover, primes, m): with the CRT basis e_p
-    # (1 mod p, 0 mod the other primes), position i contributes
-    # (-m**(-a) mod p_i) * e_p_i for its residue a, summed mod prod(primes).
-    # Pool primes avoid every q | m - 1, so every class walks on to a
-    # nontrivial k.
-    shifts = {p: [-pow(m, -a, p) % p for a in range(n)] for n in set(moduli) for p in pool.primes(n)}
-    tables = []
-    for primes in assignments:
-        modulus = math.prod(primes)
-        bases = [modulus // p * mod_inverse(modulus // p, p) for p in primes]
-        terms = [[r * e for r in shifts[p]] for p, e in zip(primes, bases)]
-        tables.append((primes, modulus, max(primes), terms))
-
-    def walk(sol: Congruence, max_p: int) -> int:
-        return next_nontrivial(least_admissible(sol, m, max_p), sol.modulus, m - 1)
-
+    # Each cell is crt_solve_for(cover, primes, m), read from its assignment's
+    # table. Pool primes avoid every q | m - 1: every class walks on to a nontrivial k.
+    tables = [(primes, *class_table(m, moduli, primes), max(primes)) for primes in assignments]
     best = None
     for row, group in _grid(rows, moduli, tables):
-        for primes, modulus, max_p, terms in group:
-            residue = sum(map(list.__getitem__, terms, row)) % modulus
+        for primes, modulus, table, max_p in group:
+            residue = sum(map(list.__getitem__, table, row)) % modulus
             if best is not None and residue > best[0]:
-                continue  # both walks only move up from the residue
-            key = (walk(Congruence(residue, modulus), max_p), row, primes)
+                continue  # the walk only moves up from the residue
+            key = (nth_admissible(Congruence(residue, modulus), m, max_p, qs), row, primes)
             if best is None or key < best:
                 best = key
 
@@ -450,22 +437,15 @@ def search_min(config: SearchConfig) -> SearchReport:
         kept = list(_grid(rows, moduli, tables))
         cells = []
         for cover, (row, group) in zip(systems_from_rows([row for row, _ in kept], moduli), kept):
-            for primes, modulus, max_p, terms in group:
-                sol = Congruence(sum(map(list.__getitem__, terms, row)) % modulus, modulus)
-                cells.append(CandidateSolution(cover, primes, sol, walk(sol, max_p)))
+            for primes, modulus, table, max_p in group:
+                sol = Congruence(sum(map(list.__getitem__, table, row)) % modulus, modulus)
+                cells.append(CandidateSolution(cover, primes, sol, nth_admissible(sol, m, max_p, qs)))
         return tuple(cells)
 
     certificate = None
     if best is not None:
         minimum, best_row, best_primes = best
-        certificate = SierpinskiCertificate(
-            base=m,
-            k=minimum,
-            entries=tuple(zip(best_row, moduli, best_primes)),
-            variant=SIERPINSKI,
-            triviality_primes=qs,
-            multiplier_constraint=NONTRIVIAL,
-        )
+        certificate = certify(m, best_row, moduli, best_primes, qs)
         ok, reason = verify_certificate(certificate)
         if not ok:
             raise AssertionError(f"search produced an invalid certificate: {reason}")

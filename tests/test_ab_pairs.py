@@ -205,3 +205,13 @@ def test_gmp_probe_on_a_canned_copy(ab, tmp_path, arith, loads):
     assert ab.probe(tmp_path) == {"gmp": loads, "powm_bits": None}
     (package / "arith.py").write_text(arith + "POWM_BITS = 30\n")
     assert ab.probe(tmp_path) == {"gmp": loads, "powm_bits": 30}
+
+
+def test_src_lines_counts_newlines_as_wc_does(ab, tmp_path):
+    package = tmp_path / "src" / "sierpinski"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "arith.py").write_text("a = 1\n\nb = 2\n")
+    (package / "cli.py").write_text("x = 1\ny = 2")  # wc -l does not count a last line without a newline
+    (package / "notes.txt").write_text("not a module\n")
+    assert ab.src_lines(tmp_path) == 4

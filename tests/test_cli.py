@@ -398,6 +398,17 @@ class TestSearchCommand:
         assert code == 0
         assert "UNRESOLVED survivors below minimum: 64, 66," in out
 
+    def test_survivors_without_a_minimum_are_not_below_one(self, capsys):
+        code, out, _ = invoke(capsys, "search", "2", "--moduli", "2,2")
+        assert code == 1
+        assert "minimum nontrivial k: none found" in out
+        assert "UNRESOLVED survivors: 47, 94, 143," in out
+        assert "below minimum" not in out
+        code, out, _ = invoke(capsys, "search", "5", "--moduli", "2", "--kscan", "5")
+        assert out.splitlines()[-1] == "survivors: none"
+        code, out, _ = invoke(capsys, "search", "2", "--moduli", "2,2", "--json")
+        assert json.loads(out)["survivors_below_minimum"][:3] == ["47", "94", "143"]
+
     def test_walked_minimum_is_found(self, capsys):
         # the least admissible k = 37 of the witness class is -1 mod 2: the
         # class walks on to 94 instead of dropping out of the search

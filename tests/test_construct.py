@@ -28,14 +28,16 @@ from sierpinski.construct import (
     NoQualifyingPrime,
     SierpinskiCertificate,
     build_congruences,
+    class_table,
     construct,
     is_mersenne_like,
     select_cover_prime,
     triviality_primes_for,
     verify_certificate,
 )
-from sierpinski.covering import verify_cover
+from sierpinski.covering import enumerate_cover_rows, systems_from_rows, verify_cover
 from sierpinski.cyclotomic import eval_cyclotomic
+from sierpinski.search import assignments_for_cover, discover_prime_pool
 
 
 class TestMersenneLike:
@@ -197,6 +199,56 @@ class TestBuildCongruences:
             build_congruences(34, GENERIC_COVER, (5, 397), SIERPINSKI)
         with pytest.raises(ValueError, match="distinct"):
             build_congruences(34, GENERIC_COVER, (5, 5, 13, 1123, 1069), SIERPINSKI)
+
+
+class TestClassTable:
+    def test_classes_match_the_congruence_reference(self):
+        # every row of 3,4,6,6,8,8 under every assignment of base 127's pool, both signs
+        moduli = (3, 4, 6, 6, 8, 8)
+        covers = systems_from_rows(enumerate_cover_rows(moduli), moduli)
+        assignments = assignments_for_cover(covers[0], discover_prime_pool(127, 8))
+        assert (len(covers), len(assignments)) == (48, 24)
+        for variant, sign in ((SIERPINSKI, 1), (RIESEL, -1)):
+            for primes in assignments:
+                modulus, table = class_table(127, moduli, primes, sign)
+                for cover in covers:
+                    residue = sum(column[a] for column, a in zip(table, cover.residues)) % modulus
+                    assert Congruence(residue, modulus) == crt_solve(build_congruences(127, cover, primes, variant))
+
+    def test_columns_step_by_the_inverse_of_m(self):
+        modulus, table = class_table(34, (2, 3), (5, 397), -1)
+        assert modulus == 5 * 397
+        for column, (n, p) in zip(table, ((2, 5), (3, 397))):
+            assert len(column) == n
+            for a, term in enumerate(column):
+                assert term % (modulus // p) == 0
+                assert (term * pow(34, a, p) - 1) % p == 0
+
+
+def plain_walk(m, cert):
+    """The least k >= 1 of the certificate's class from crt_solve that is
+    admissible under its constraint, found by stepping one modulus at a time."""
+    sol = crt_solve(build_congruences(m, cert.cover, cert.primes, cert.variant))
+    k = sol.residue or sol.modulus
+    while k * m + cert.sign <= max(cert.primes) or (
+        k % (m - 1) if cert.multiplier_constraint == MULTIPLE_OF_M_MINUS_1 else math.gcd(k + cert.sign, m - 1) > 1
+    ):
+        k += sol.modulus
+    return k
+
+
+@pytest.mark.parametrize("variant", [SIERPINSKI, RIESEL])
+@pytest.mark.parametrize("constraint", [NONTRIVIAL, MULTIPLE_OF_M_MINUS_1])
+def test_construct_matches_plain_walk_up_to_base_1000(variant, constraint):
+    answered = 0
+    for m in range(2, 1001):
+        try:
+            cert = construct(m, variant, constraint)
+        except (FactorBudgetExceeded, NoQualifyingPrime):
+            continue
+        assert cert.k == plain_walk(m, cert), m
+        answered += 1
+    assert answered > 990
 
 
 class TestConstruct:

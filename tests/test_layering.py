@@ -151,3 +151,41 @@ def test_every_export_has_a_user():
     }
     unused = {name for name in exported - refs.names if not re.search(rf"\b{name}\b", readme)}
     assert not unused, sorted(unused)
+
+
+class _Calls(ast.NodeVisitor):
+    """(module, innermost enclosing function) of each call of a name in one module."""
+
+    def __init__(self, module: str, names):
+        self.module, self.names, self.enclosing, self.found = module, set(names), [module], set()
+
+    def visit_FunctionDef(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in self.names:
+            self.found.add((self.module, self.enclosing[-1]))
+        self.generic_visit(node)
+
+
+def calls_of(*names) -> set[tuple[str, str]]:
+    found = set()
+    for module in _package_modules():
+        visitor = _Calls(module, names)
+        visitor.visit(_tree(SRC / f"{module}.py"))
+        found |= visitor.found
+    return found
+
+
+def test_one_certificate_builder():
+    # construct and search_min both build their certificate through certify
+    assert calls_of("SierpinskiCertificate") == {("construct", "certify")}
+
+
+def test_congruence_references_have_no_callers_on_the_cell_path():
+    # construct and search_min read classes from class_table; the congruence
+    # list and the incremental CRT are the per-cell reference and the crt command
+    assert calls_of("build_congruences", "crt_solve") == {("search", "crt_solve_for"), ("cli", "_cmd_crt")}

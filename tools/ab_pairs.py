@@ -26,7 +26,9 @@ every run of the parent (null without a bound). The environment (Python
 version, core count, whether numba was imported) is read from the runs'
 own `env` lines; `env.gmp` says per side whether its package's GMP kernel
 loads, and `env.powm_bits` gives its `arith.POWM_BITS` (null for a package
-without the constant), both from one probe run in its copy. Standard
+without the constant), both from one probe run in its copy; `env.src_lines`
+gives per side the total of `wc -l src/sierpinski/*.py` in its copy, the
+line count by which a change that removes code is measured. Standard
 library only.
 """
 
@@ -143,6 +145,11 @@ def probe(copy: Path) -> dict:
     return {"gmp": parse_probe(done.stdout), "powm_bits": parse_powm_bits(done.stdout)}
 
 
+def src_lines(copy: Path) -> int:
+    """The total of `wc -l src/sierpinski/*.py` in copy: the newlines of the package's modules."""
+    return sum(path.read_bytes().count(b"\n") for path in (copy / "src" / "sierpinski").glob("*.py"))
+
+
 def run_bench(copy: Path, workload: str, seed: int) -> tuple[dict, dict]:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", "0"]
@@ -196,6 +203,7 @@ def main(argv=None) -> int:
         out["env"] = {key: env[key] for key in ("python", "nproc", "numba_imported", "numpy") if key in env}
         for key in ("gmp", "powm_bits"):
             out["env"][key] = {side: probes[side][key] for side in SIDES}
+        out["env"]["src_lines"] = {side: src_lines(copies[side]) for side in SIDES}
         path = Path(f"BENCH_{args.label}.json")
         path.write_text(json.dumps(out, indent=1) + "\n")
         print(f"wrote {path}")
