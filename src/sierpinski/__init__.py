@@ -11,7 +11,6 @@ from .arith import (
     NotCoprime,
     crt_solve,
     factorize,
-    mod_inverse,
     multiplicative_order,
     prime_verdict,
 )
@@ -47,7 +46,6 @@ from .cyclotomic import (
 )
 from .search import (
     EliminationRecord,
-    InsufficientPrimes,
     PrimePool,
     SearchConfig,
     SearchReport,

@@ -688,16 +688,6 @@ def totient(n: int) -> int:
     return sum(mu * d for d, mu in mobius_pairs(n))
 
 
-def mod_inverse(a: int, n: int) -> int:
-    """Inverse of a modulo n (n >= 1); NotCoprime when gcd(a, n) > 1."""
-    if n < 1:
-        raise ValueError("modulus must be a positive integer")
-    try:
-        return pow(a, -1, n)
-    except ValueError:
-        raise NotCoprime(f"{a} is not invertible modulo {n} (gcd {math.gcd(a, n)})") from None
-
-
 def multiplicative_order(m: int, p: int, budget: FactorBudget | None = None) -> int:
     """Order of m in (Z/pZ)* for prime p not dividing m.
 

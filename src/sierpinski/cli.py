@@ -13,7 +13,7 @@ import json
 import sys
 from collections import Counter
 
-from .arith import BudgetExceeded, Congruence, crt_solve, factorize, multiplicative_order, prime_verdict
+from .arith import PROVEN, BudgetExceeded, Congruence, crt_solve, factorize, multiplicative_order, prime_verdict
 from .covering import (
     DEFAULT_MAX_ASSIGNMENTS,
     CoveringSystem,
@@ -31,7 +31,7 @@ from .construct import (
     verify_certificate,
 )
 from .cyclotomic import cyclotomic_poly, eval_cyclotomic
-from .search import SearchConfig, search_min
+from .search import PRIME_FOUND, SURVIVOR, TRIVIAL, SearchConfig, search_min
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -106,7 +106,7 @@ def _factor_text(fac) -> str:
     parts = []
     for p, e, cert in fac.factors:
         text = str(p) if e == 1 else f"{p}^{e}"
-        if cert != "proven":
+        if cert != PROVEN:
             text += " (probable)"
         parts.append(text)
     if not fac.is_complete:
@@ -198,8 +198,8 @@ def _search_text(report) -> str:
     lines.append(
         f"eliminations (k <= {report.elimination_bound}, "
         f"n <= {report.config.n_max_elimination}): "
-        f"{counts['trivial']} trivial, {counts['prime_found']} prime found, "
-        f"{counts['survivor']} survivors"
+        f"{counts[TRIVIAL]} trivial, {counts[PRIME_FOUND]} prime found, "
+        f"{counts[SURVIVOR]} survivors"
     )
     label = "survivors" if report.minimum_nontrivial_k is None else "survivors below minimum"
     if report.survivors_below_minimum:

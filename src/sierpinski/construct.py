@@ -22,7 +22,6 @@ from .arith import (
     _factor_rest,
     _trial_division,
     factorize,
-    mod_inverse,
 )
 from .covering import CoveringSystem, verify_cover
 from .cyclotomic import eval_cyclotomic
@@ -99,7 +98,8 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
 def build_congruences(m: int, cover: CoveringSystem, primes, variant: str) -> list[Congruence]:
     """One congruence per class: p | k*m**a + sign forces k mod p.
 
-    k ≡ -sign * m**(-a) (mod p), least nonnegative residue.
+    k ≡ -sign * m**(-a) (mod p) by pow(m, -a, p), a ValueError when p | m
+    and a > 0; the per-class reference for class_table's columns.
     """
     sign = VARIANT_SIGN[variant]
     primes = list(primes)
@@ -109,8 +109,7 @@ def build_congruences(m: int, cover: CoveringSystem, primes, variant: str) -> li
         raise ValueError("primes must be pairwise distinct")
     out = []
     for a, p in zip(cover.residues, primes):
-        inv = mod_inverse(pow(m, a, p), p)
-        out.append(Congruence(-sign * inv % p, p))
+        out.append(Congruence(-sign * pow(m, -a, p) % p, p))
     return out
 
 

@@ -16,7 +16,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _cover_kernels
 from .arith import BudgetExceeded, totient
@@ -126,17 +125,17 @@ def verify_cover(system: CoveringSystem) -> tuple[bool, int | None]:
     """Exhaustively test one full period as an OR of class bitsets.
 
     Returns (True, None) for a cover, else (False, w) where w is the
-    smallest uncovered nonnegative integer. A period over MAX_PERIOD is
-    scanned only when the density d = sum(1/n) < 1: the t classes then
-    cover fewer than d*X + t < X of the first X = t // (1 - d) + 1
+    smallest uncovered nonnegative integer. A period L over MAX_PERIOD is
+    scanned only when the density d = sum(L // n) / L < 1: the t classes then
+    cover fewer than d*X + t < X of the first X = t*L // (L - sum(L // n)) + 1
     integers, so the witness lies below X and only those X are scanned.
     Raises BudgetExceeded when the scan would still exceed MAX_PERIOD.
     """
     L, classes = system.lcm, zip(system.residues, system.moduli)
     if L > MAX_PERIOD:
-        density = sum(Fraction(1, n) for n in system.moduli)
-        if density < 1:
-            L = min(L, len(system.moduli) // (1 - density) + 1)
+        covered = sum(L // n for n in system.moduli)
+        if covered < L:
+            L = min(L, len(system.moduli) * L // (L - covered) + 1)
             classes = [(a, n) for a, n in classes if a < L]
         if L > MAX_PERIOD:
             raise BudgetExceeded(f"period {system.lcm} exceeds the verification budget of {MAX_PERIOD}")
@@ -177,15 +176,17 @@ def enumerate_cover_rows(
 
     Rows come in lexicographic order, position i holding the residue for
     the i-th given modulus. Returns [] straight away when the density
-    sum(1/n) is below 1 (no assignment can cover). Raises BudgetExceeded
-    above MAX_CLASSES moduli or an assignment space prod(n) > max_assignments.
+    sum(L // n) / L over the period L is below 1 (no assignment can cover).
+    Raises BudgetExceeded above MAX_CLASSES moduli or an assignment space
+    prod(n) > max_assignments.
     """
     moduli = check_moduli(moduli)
     if max_assignments < 1:
         raise ValueError(f"max_assignments must be positive, not {max_assignments}")
     if len(moduli) > MAX_CLASSES:
         raise BudgetExceeded(f"{len(moduli)} classes exceed the enumeration budget of {MAX_CLASSES}")
-    if sum(Fraction(1, n) for n in moduli) < 1:
+    period = math.lcm(*moduli)
+    if sum(period // n for n in moduli) < period:
         return []
     space = math.prod(moduli)
     if space > max_assignments:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import _thread
 import functools
 import itertools
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -59,14 +58,6 @@ SURVIVOR = "survivor"
 # 236 ms with two at k_scan_bound 250 / 500 / 600 / 1000 / 2000 / 5000, but its
 # eliminate_small_k(1000, 500, 60, (3, 37)) took 42 ms with one and 26 ms with two.
 MIN_K_PER_WORKER = 250
-
-
-class InsufficientPrimes(RuntimeError):
-    """The prime pool cannot fill every class of some modulus injectively."""
-
-    def __init__(self, modulus: int):
-        super().__init__(f"prime pool has too few primes of order {modulus}")
-        self.modulus = modulus
 
 
 @dataclass(frozen=True)
@@ -165,7 +156,7 @@ class SearchReport:
 
     @property
     def eliminations_all_proven(self) -> bool:
-        return all(r.certainty == "proven" for r in self.eliminations if r.status == PRIME_FOUND)
+        return all(r.certainty == PROVEN for r in self.eliminations if r.status == PRIME_FOUND)
 
     @property
     def minimality_established(self) -> bool:
@@ -202,22 +193,26 @@ def _pool_for(m: int, ns, budget: FactorBudget | None) -> PrimePool:
     orders: dict[int, tuple[int, ...]] = {}
     incomplete = set()
     for n in sorted(ns):
+        if n == 1:  # every prime of Phi_1(m) = m - 1 divides m - 1
+            orders[n] = ()
+            continue
         # the primes of Phi_n(m) not dividing n are 1 (mod n): factor along that progression
         fac = factorize(eval_cyclotomic(n, m), budget, n)
         if not fac.is_complete:
             incomplete.add(n)
-        orders[n] = tuple(p for p in fac.primes() if math.gcd(p, n * (m - 1)) == 1)
+        orders[n] = tuple(p for p in fac.primes() if n % p)
     return PrimePool(orders, frozenset(incomplete))
 
 
 def discover_prime_pool(m: int, a_max: int, budget: FactorBudget | None = None) -> PrimePool:
     """Qualifying cover primes for each order n <= a_max.
 
-    A prime qualifies when p | Phi_n(m) and gcd(p, n*(m-1)) = 1; by the
+    A prime qualifies when p | Phi_n(m) and p does not divide n; by the
     cyclotomic order lemma (as in construct.select_cover_prime) the order
-    of m mod p is then exactly n, so pools for different n are disjoint,
-    and order 1 stays empty. Orders whose Phi_n(m) did not factor fully
-    within budget are flagged in .incomplete instead of failing the pool.
+    of m mod p is then exactly n, so pools for different n are disjoint and
+    avoid m - 1, and order 1 is empty without factoring Phi_1(m) = m - 1.
+    Orders whose Phi_n(m) did not factor fully within budget are flagged
+    in .incomplete instead of failing the pool.
     """
     if m < 2:
         raise ValueError("base must be at least 2")
@@ -230,13 +225,11 @@ def assignments_for_cover(cover: CoveringSystem, pool: PrimePool) -> list[tuple[
     """All injective assignments of pool primes to the cover's classes.
 
     Each class of modulus n draws from pool.primes(n); tuples come out in
-    lexicographic prime order. Raises InsufficientPrimes(n) when some
-    modulus has fewer pool primes than its multiplicity in the cover.
+    lexicographic prime order; [] without walking the product when some
+    modulus has fewer pool primes than its multiplicity (pigeonhole).
     """
-    counts = Counter(cover.moduli)
-    for n in sorted(counts):
-        if len(pool.primes(n)) < counts[n]:
-            raise InsufficientPrimes(n)
+    if any(len(pool.primes(n)) < count for n, count in Counter(cover.moduli).items()):
+        return []
     choices = [pool.primes(n) for n in cover.moduli]
     return [t for t in itertools.product(*choices) if len(set(t)) == len(t)]
 
@@ -415,11 +408,8 @@ def search_min(config: SearchConfig) -> SearchReport:
     if pool.incomplete:  # a minimum from a partial pool would be unfounded
         raise FactorBudgetExceeded(f"Phi_n({m}) not fully factored for n in {sorted(pool.incomplete)}")
     rows = enumerate_cover_rows(moduli) if moduli else []
-    try:
-        # every cover keeps the moduli in the given order, so one list serves all
-        assignments = assignments_for_cover(systems_from_rows(rows[:1], moduli)[0], pool) if rows else []
-    except InsufficientPrimes:
-        assignments = []
+    # every cover keeps the moduli in the given order, so one list serves all
+    assignments = assignments_for_cover(systems_from_rows(rows[:1], moduli)[0], pool) if rows else []
     # Each cell is crt_solve_for(cover, primes, m), read from its assignment's
     # table. Pool primes avoid every q | m - 1: every class walks on to a nontrivial k.
     tables = [(primes, *class_table(m, moduli, primes), max(primes)) for primes in assignments]

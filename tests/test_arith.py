@@ -26,7 +26,6 @@ from sierpinski.arith import (
     NotCoprime,
     crt_solve,
     factorize,
-    mod_inverse,
     multiplicative_order,
     pocklington_verdict,
     prime_verdict,
@@ -719,25 +718,6 @@ class TestCrt:
         assert str(Congruence(29, 35)) == "29 (mod 35)"
         with pytest.raises(ValueError):
             Congruence(1, 0)
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(34, 7) == 6
-        assert mod_inverse(1, 1) == 0
-        with pytest.raises(NotCoprime):
-            mod_inverse(4, 6)
-
-    def test_random_property(self):
-        rng = random.Random(8)
-        for _ in range(300):
-            n = rng.randrange(2, 10 ** 6)
-            a = rng.randrange(1, n)
-            if math.gcd(a, n) != 1:
-                with pytest.raises(NotCoprime):
-                    mod_inverse(a, n)
-            else:
-                assert a * mod_inverse(a, n) % n == 1
 
 
 class TestMultiplicativeOrder:

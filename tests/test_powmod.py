@@ -175,9 +175,19 @@ def test_forked_workers_inherit_the_kernel(monkeypatch):
     assert records[0] == records[1]
 
 
-def test_import_leaves_ctypes_unloaded():
-    code = "import sys, sierpinski; print('ctypes' in sys.modules)"
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh `import sierpinski` puts module in sys.modules."""
+    code = f"import sys, sierpinski; print({module!r} in sys.modules)"
     src = str(Path(arith.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_ctypes_unloaded():
+    assert not _loaded_by_import("ctypes")
+
+
+def test_import_leaves_fractions_unloaded():
+    # covering decides density sum(1/n) >= 1 in integers over the period
+    assert not _loaded_by_import("fractions")

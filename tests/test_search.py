@@ -37,7 +37,6 @@ from sierpinski.search import (
     TRIVIAL,
     CandidateSolution,
     EliminationRecord,
-    InsufficientPrimes,
     PrimePool,
     SearchConfig,
     assignments_for_cover,
@@ -140,9 +139,18 @@ class TestAssignments:
 
     def test_insufficient_primes(self):
         pool = PrimePool({2: (5, 7)})
-        with pytest.raises(InsufficientPrimes) as info:
-            assignments_for_cover(CoveringSystem.parse("0(2),1(2),1(2)"), pool)
-        assert info.value.modulus == 2
+        assert assignments_for_cover(CoveringSystem.parse("0(2),1(2),1(2)"), pool) == []
+
+    def test_pigeonhole_exits_before_the_product(self, monkeypatch):
+        # 2**3 * 40**6, about 3e10 tuples, none injective on the three classes of modulus 2
+        pool = PrimePool({2: (5, 7), 3: tuple(range(1000, 1040))})
+        cover = CoveringSystem([(0, 2), (1, 2), (1, 2)] + [(a % 3, 3) for a in range(6)])
+
+        def refuse(*choices):
+            raise AssertionError("the product was walked")
+
+        monkeypatch.setattr(search.itertools, "product", refuse)
+        assert assignments_for_cover(cover, pool) == []
 
 
 def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int:
@@ -645,6 +653,18 @@ class TestSearchMin:
         report = search_min(SearchConfig(34, moduli=(1,), k_scan_bound=5))
         assert report.candidates == ()
         assert report.minimum_nontrivial_k is None
+
+    def test_m_minus_1_is_factored_once(self, monkeypatch):
+        # the order-1 pool is empty by the order lemma; only the triviality primes factor 9
+        values = []
+        for module in (search, sys.modules["sierpinski.construct"]):
+            def counting(n, *args, _factorize=module.factorize):
+                values.append(n)
+                return _factorize(n, *args)
+
+            monkeypatch.setattr(module, "factorize", counting)
+        search_min(SearchConfig(10, a_max=6))
+        assert values.count(9) == 1
 
     def test_no_covers_on_sparse_moduli(self):
         report = search_min(SearchConfig(34, moduli=(3, 4), k_scan_bound=5))
