@@ -7,13 +7,15 @@ assignment into a candidate class, and take the least nontrivial
 admissible k over the classes, each walked as construct does. Every k of
 a class is at least its residue, so a class whose residue exceeds the
 best k so far is not walked. Then try to eliminate every smaller k by
-exhibiting a prime k*m**n + 1. The report's cell list is built only when
-it is read.
+exhibiting a prime k*m**n + 1; the forked elimination workers start
+before the pool, and the search joins them once the grid has set the
+bound. The report's cell list is built only when it is read.
 """
 
 from __future__ import annotations
 
 import _thread
+import contextlib
 import functools
 import itertools
 import os
@@ -52,11 +54,11 @@ TRIVIAL = "trivial"
 PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
 
-# Each elimination worker gets at least this many k. With the GMP kernel (2 cores, fastest of 7
-# alternating runs), search_min on the first six pool-filling bases of the search benchmark
-# (n_max 30) took 25 / 30 / 39 / 75 / 149 / 345 ms with one worker and 31 / 38 / 36 / 63 / 115 /
-# 236 ms with two at k_scan_bound 250 / 500 / 600 / 1000 / 2000 / 5000, but its
-# eliminate_small_k(1000, 500, 60, (3, 37)) took 42 ms with one and 26 ms with two.
+# Each elimination worker gets at least this many k. With the workers forked before the grid
+# (2 cores, fastest of 10 interleaved runs), search_min on the first six pool-filling bases of the
+# search benchmark (n_max 30) took 17 / 30 / 34 / 54 ms with one worker and 23 / 37 / 38 / 46 ms
+# with two at k_scan_bound 250 / 500 / 600 / 1000, but eliminate_small_k(1000, 500, 60, (3, 37))
+# took 41 ms with one and 28 ms with two: a k count cannot serve both, so it stays at 250.
 MIN_K_PER_WORKER = 250
 
 
@@ -262,12 +264,28 @@ def eliminate_small_k(
 
     This process and _worker_count() - 1 forked children (none beside a live
     thread: the child could deadlock) claim chunks of k from a pipe and write
-    a code per k to shared memory. This process scans what a failed child
-    left, so the records do not depend on the number of workers. A child
-    checks before each k that this process still lives, and exits when it
-    is gone, so a SIGTERM or SIGKILL here leaves no worker running. Raises
+    a code per k to shared memory. Once the pipe is empty this process scans,
+    from the top down, each k a child has not coded yet (its chunk in flight,
+    or what a failed child left), so it waits on no child, and the records do
+    not depend on the number of workers. Each child is reaped after the
+    records are built, killed first, as what it still scans is settled. A
+    child checks before each k that this process still lives, and exits when
+    it is gone, so a SIGTERM or SIGKILL here leaves no worker running. Raises
     BudgetExceeded, naming k_scan_bound, when those 4 bytes per k cannot be
-    mapped.
+    mapped. This is _eliminating's start and finish at one bound.
+    """
+    with _eliminating(m, k_scan_bound, n_max, triviality_primes, seed) as finish:
+        return finish(k_scan_bound)
+
+
+@contextlib.contextmanager
+def _eliminating(m, k_scan_bound, n_max, qs, seed):
+    """Start eliminate_small_k over k <= k_scan_bound, and yield its finish.
+
+    On entry the codes are mapped and the children forked; they begin
+    claiming chunks at once. finish(bound), for bound <= k_scan_bound,
+    returns the records of k <= bound, scanning no k above it here. On
+    exit, after finish or an exception, each child is killed and reaped.
     """
     if m < 2 or n_max < 1:
         raise ValueError("need m >= 2 and n_max >= 1")
@@ -279,7 +297,6 @@ def eliminate_small_k(
     m_primes = fac.primes() if proven else None  # Pocklington needs proven primes of m
     span = -(-k_scan_bound // 256) or 1  # so that one byte names each chunk
     chunks = range(-(-k_scan_bound // span))  # chunk c holds c*span < k <= c*span + span
-    args = (m, k_scan_bound, n_max, triviality_primes, seed, m_primes, span)
     try:
         codes = memoryview(mmap.mmap(-1, 4 * k_scan_bound or 4)).cast("I")  # shared with forked workers
     except (OverflowError, OSError) as exc:
@@ -293,6 +310,28 @@ def eliminate_small_k(
     os.close(w)
     claims = map(ord, iter(lambda: os.read(r, 1), b""))
     pids, parent = [], os.getpid()
+
+    def finish(bound: int) -> list[EliminationRecord]:
+        args = (m, bound, n_max, qs, seed, m_primes)
+        _scan(*args, span, itertools.takewhile(lambda c: c * span < bound, claims), codes)
+        while os.read(r, 256):  # drain the chunks above the bound, so that no child takes one
+            pass
+        # each k a child has not coded (its chunk in flight, or a failed child's),
+        # top down, to meet a child coming up: waiting on it could take a whole chunk
+        _scan(*args, 1, (k - 1 for k in range(bound, 0, -1) if not codes[k - 1]), codes)
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL: every k <= bound is coded, so what it scans is waste
+        records = []
+        for k, code in zip(range(1, bound + 1), codes):
+            n = code >> 1
+            if n == 0:
+                records.append(EliminationRecord(k, TRIVIAL, trivial_prime(k, qs)))
+            elif n > n_max:
+                records.append(EliminationRecord(k, SURVIVOR))
+            else:
+                records.append(EliminationRecord(k, PRIME_FOUND, None, n, k * m**n + 1, (PROVEN, PROBABLE)[code & 1]))
+        return records
+
     try:
         for _ in range(workers - 1):
             try:
@@ -301,30 +340,16 @@ def eliminate_small_k(
                 break
             if pid == 0:  # a child leaves only by os._exit
                 try:
-                    _scan(*args, claims, codes, parent)
+                    _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes, parent)
                 finally:
                     os._exit(0)
             pids.append(pid)
-        _scan(*args, claims, codes)
-        while pids:
-            os.waitpid(pids[-1], 0)
-            pids.pop()
-    finally:  # after an exception, kill and reap the children left
+        yield finish
+    finally:  # kill and reap the children, after the records or an exception
         os.close(r)
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    _scan(*args, (c for c in chunks if not all(codes[c * span : c * span + span])), codes)  # a failed child's k
-    records = []
-    for k, code in zip(range(1, k_scan_bound + 1), codes):
-        n = code >> 1
-        if n == 0:
-            records.append(EliminationRecord(k, TRIVIAL, trivial_prime(k, triviality_primes)))
-        elif n > n_max:
-            records.append(EliminationRecord(k, SURVIVOR))
-        else:
-            records.append(EliminationRecord(k, PRIME_FOUND, None, n, k * m**n + 1, (PROVEN, PROBABLE)[code & 1]))
-    return records
 
 
 def _worker_count(k_count: int) -> int:
@@ -333,13 +358,15 @@ def _worker_count(k_count: int) -> int:
     return max(1, min(cpus, k_count // MIN_K_PER_WORKER))
 
 
-def _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes, parent=None):
-    """Set codes[k - 1], 0 until then, for the k of each claimed chunk: 1 for
-    a trivial k, else n << 1 | probable for the least n <= n_max with k*m**n + 1
-    prime (probable is 1 if not proven), n = n_max + 1 when there is none.
-    A forked worker passes its parent's pid and exits once that parent is gone."""
+def _scan(m, bound, n_max, qs, seed, m_primes, span, claims, codes, parent=None):
+    """Set codes[k - 1], 0 until then, for the k <= bound of each claimed chunk
+    (c*span < k <= c*span + span): 1 for a trivial k, else n << 1 | probable
+    for the least n <= n_max with k*m**n + 1 prime (probable is 1 if not
+    proven), n = n_max + 1 when there is none. Any process may code a k
+    another is coding: both write the same code. A forked worker passes its
+    parent's pid, checks it before every k and exits once that parent is gone."""
     for c in claims:
-        for k in range(c * span + 1, min(c * span + span, k_scan_bound) + 1):
+        for k in range(c * span + 1, min(c * span + span, bound) + 1):
             if parent is not None and os.getppid() != parent:
                 os._exit(1)
             if trivial_prime(k, qs) is not None:
@@ -381,24 +408,10 @@ def _grid(rows, moduli, tables):
         yield row, tables_for_ties[ties]
 
 
-def search_min(config: SearchConfig) -> SearchReport:
-    """Full minimum search; see the module docstring for the pipeline.
-
-    Each (cover, assignment) cell, one per distinct {(a, n, p)} set,
-    holds the least nontrivial admissible k of its CRT class, read from
-    the assignment's class_table and walked by nth_admissible as construct
-    reads and walks its one cell. The reported minimum is the least of
-    them; certify builds its certificate, which is verified. A cell's k is
-    at least its class residue, so only cells whose residue is at most the
-    best k so far are walked. The report's
-    candidates, one CandidateSolution per cell, are built from the search's
-    rows and tables when first read.
-    Small k below the minimum are scanned up to min(minimum - 1,
-    k_scan_bound); survivors of that scan are reported as unresolved.
-    Raises FactorBudgetExceeded when a Phi_n(m) of the pool does not factor.
-    """
+def _least_cell(config: SearchConfig, qs):
+    """The moduli, cover rows and assignment tables of a search, with its
+    least (k, row, primes) key over the cells, None without a cell."""
     m = config.base
-    qs = triviality_primes_for(m, config.budget)
     if config.moduli is not None:
         moduli = config.moduli
         pool = _pool_for(m, set(moduli), config.budget)
@@ -422,6 +435,50 @@ def search_min(config: SearchConfig) -> SearchReport:
             key = (nth_admissible(Congruence(residue, modulus), m, max_p, qs), row, primes)
             if best is None or key < best:
                 best = key
+    return moduli, rows, tables, best
+
+
+def search_min(config: SearchConfig) -> SearchReport:
+    """Full minimum search; see the module docstring for the pipeline.
+
+    Each (cover, assignment) cell, one per distinct {(a, n, p)} set,
+    holds the least nontrivial admissible k of its CRT class, read from
+    the assignment's class_table and walked by nth_admissible as construct
+    reads and walks its one cell. The reported minimum is the least of
+    them; certify builds its certificate, which is verified. A cell's k is
+    at least its class residue, so only cells whose residue is at most the
+    best k so far are walked. The report's
+    candidates, one CandidateSolution per cell, are built from the search's
+    rows and tables when first read.
+    Small k below the minimum are scanned up to min(minimum - 1,
+    k_scan_bound); survivors of that scan are reported as unresolved. The
+    elimination workers start on k <= k_scan_bound before the pool and the
+    grid, and this process finishes at that bound once the grid has set it
+    (eliminate_small_k's path after the grid when the codes of k <=
+    k_scan_bound cannot be mapped); no worker outlives the call, whether it
+    returns or raises.
+    Raises FactorBudgetExceeded when a Phi_n(m) of the pool does not factor.
+    """
+    m, n_max, seed = config.base, config.n_max_elimination, config.seed
+    qs = triviality_primes_for(m, config.budget)
+    with contextlib.ExitStack() as stack:
+        try:  # the forked workers scan small k while this process builds the grid
+            finish = stack.enter_context(_eliminating(m, config.k_scan_bound, n_max, qs, seed))
+        except BudgetExceeded:  # nothing started: scan up to the bound after the grid
+            finish = functools.partial(eliminate_small_k, m, n_max=n_max, triviality_primes=qs, seed=seed)
+        moduli, rows, tables, best = _least_cell(config, qs)
+        certificate = None
+        if best is not None:
+            minimum, best_row, best_primes = best
+            certificate = certify(m, best_row, moduli, best_primes, qs)
+            ok, reason = verify_certificate(certificate)
+            if not ok:
+                raise AssertionError(f"search produced an invalid certificate: {reason}")
+            bound = min(minimum - 1, config.k_scan_bound)
+        else:
+            minimum = None
+            bound = config.k_scan_bound
+        eliminations = finish(bound)
 
     def build_cells() -> tuple[CandidateSolution, ...]:
         kept = list(_grid(rows, moduli, tables))
@@ -432,18 +489,6 @@ def search_min(config: SearchConfig) -> SearchReport:
                 cells.append(CandidateSolution(cover, primes, sol, nth_admissible(sol, m, max_p, qs)))
         return tuple(cells)
 
-    certificate = None
-    if best is not None:
-        minimum, best_row, best_primes = best
-        certificate = certify(m, best_row, moduli, best_primes, qs)
-        ok, reason = verify_certificate(certificate)
-        if not ok:
-            raise AssertionError(f"search produced an invalid certificate: {reason}")
-        bound = min(minimum - 1, config.k_scan_bound)
-    else:
-        minimum = None
-        bound = config.k_scan_bound
-    eliminations = eliminate_small_k(m, bound, config.n_max_elimination, qs, seed=config.seed)
     survivors = tuple(r.k for r in eliminations if r.status == SURVIVOR)
     return SearchReport(
         config=config,

@@ -407,6 +407,27 @@ class TestEliminateSmallK:
             os.waitpid(-1, os.WNOHANG)
         assert time.perf_counter() - start < 10
 
+    def test_a_hung_child_is_not_waited_on(self, monkeypatch):
+        # Each child claims one chunk and never codes it: this process codes
+        # that chunk itself and kills the child, in far less than its 30 s.
+        parent, scan = os.getpid(), search._scan
+
+        def hanging(*args):
+            if os.getpid() == parent:
+                time.sleep(0.3)  # let the children claim chunks first
+                return scan(*args)
+            next(args[7])  # the claims
+            time.sleep(30)
+
+        monkeypatch.setattr(search, "_scan", hanging)
+        _force_workers(monkeypatch, 3)
+        expected = _reference_eliminate(22, 300, 60, (3, 7))
+        start = time.perf_counter()
+        assert _records(eliminate_small_k(22, 300, 60, (3, 7))) == expected
+        assert time.perf_counter() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_serial_without_fork(self, monkeypatch):
         expected = _reference_eliminate(34, 300, 30, (3, 11))
 
@@ -685,6 +706,65 @@ class TestSearchMin:
         trivial = [e for e in doc["eliminations"] if e["status"] == "trivial"]
         assert trivial == [{"k": "2", "status": "trivial", "q": "3"},
                            {"k": "5", "status": "trivial", "q": "3"}]
+
+
+class TestEliminationStartsBeforeTheGrid:
+    """search_min forks its elimination workers over every k <= k_scan_bound
+    before the grid sets the bound: none of that may show in the report, and
+    no worker may outlive the call."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k_scan_bound", [10**20, 3_000_000, 10**8])
+    def test_speculation_never_shows(self, monkeypatch, workers, k_scan_bound):
+        # The minimum is 6, so the bound is 5. The codes of 10**20 k cannot be
+        # mapped, so that scan starts after the grid; at 3,000,000 and 10**8 a
+        # child's first chunk holds 11,719 and 390,625 k, and this process
+        # neither waits on it nor scans past k = 5.
+        _force_workers(monkeypatch, workers)
+        expected = eliminate_small_k(34, 5, 30, (3, 11))
+        start = time.perf_counter()
+        report = search_min(SearchConfig(34, moduli=(2, 2), k_scan_bound=k_scan_bound))
+        assert time.perf_counter() - start < 0.5
+        assert report.minimum_nontrivial_k == 6
+        assert list(report.eliminations) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["cover budget", "incomplete pool", "interrupt in the grid"])
+    def test_raise_after_the_start_leaves_no_child(self, monkeypatch, case):
+        parent, fork, scan, forked = os.getpid(), os.fork, search._scan, []
+
+        def counting_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        def stuck_children(*args):
+            if os.getpid() == parent:
+                return scan(*args)
+            time.sleep(30)  # only SIGKILL ends it in time
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        if case == "cover budget":  # auto mode's cover enumeration is over budget
+            config, error = SearchConfig(34), BudgetExceeded
+        elif case == "incomplete pool":
+            budget = FactorBudget(trial_bound=100, rho_steps=0)
+            config, error = SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8), budget=budget), FactorBudgetExceeded
+        else:
+            monkeypatch.setattr(search, "nth_admissible", interrupted)
+            config, error = SearchConfig(127, moduli=(3, 4, 6, 6, 8, 8)), KeyboardInterrupt
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(search, "_scan", stuck_children)
+        _force_workers(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(error):
+            search_min(config)
+        assert len(forked) == 1, "no elimination worker was forked"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert time.perf_counter() - start < 10
 
 
 class TestPrunedGrid:
