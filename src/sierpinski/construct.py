@@ -148,11 +148,11 @@ class SierpinskiCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "base": _decimal_str(self.base),
-            "k": _decimal_str(self.k),
+            "base": decimal_str(self.base),
+            "k": decimal_str(self.k),
             "variant": self.variant,
             "entries": [
-                {"a": a, "n": n, "p": _decimal_str(p)} for a, n, p in self.entries
+                {"a": a, "n": n, "p": decimal_str(p)} for a, n, p in self.entries
             ],
             "constraint": self.multiplier_constraint,
         }
@@ -176,7 +176,7 @@ class SierpinskiCertificate:
         )
 
 
-def _decimal_str(x: int) -> str:
+def decimal_str(x: int) -> str:
     """str(x), exact at any length: Decimal converts without Python's int/str digit cap."""
     return str(decimal.Decimal(x))
 
@@ -334,32 +334,32 @@ def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:
         except TypeError:
             return False, f"{name} {value!r} is not an integer"
     if cert.base < 2:
-        return False, f"base {_decimal_str(cert.base)} is below 2"
+        return False, f"base {decimal_str(cert.base)} is below 2"
     if cert.k < 1:
-        return False, f"multiplier {_decimal_str(cert.k)} is not positive"
+        return False, f"multiplier {decimal_str(cert.k)} is not positive"
     if not cert.entries:
         return False, "certificate has no entries"
     for a, n, d in cert.entries:
         if n < 1 or not 0 <= a < n:
-            return False, f"entry ({','.join(map(_decimal_str, (a, n, d)))}) is not a residue class"
+            return False, f"entry ({','.join(map(decimal_str, (a, n, d)))}) is not a residue class"
         if d < 2:
-            return False, f"entry ({','.join(map(_decimal_str, (a, n, d)))}) has no divisor above 1"
+            return False, f"entry ({','.join(map(decimal_str, (a, n, d)))}) has no divisor above 1"
     ok, witness = verify_cover(cert.cover)
     if not ok:
-        return False, f"coverage violated (uncovered exponent {_decimal_str(witness)})"
+        return False, f"coverage violated (uncovered exponent {decimal_str(witness)})"
     m, k, sign = cert.base, cert.k, cert.sign
     pm = "+" if sign > 0 else "-"
     for a, n, d in cert.entries:
         if pow(m, n, d) != 1:
-            return False, f"{_decimal_str(d)} does not divide {_decimal_str(m)}^{_decimal_str(n)} - 1"
+            return False, f"{decimal_str(d)} does not divide {decimal_str(m)}^{decimal_str(n)} - 1"
         if (k * pow(m, a, d) + sign) % d != 0:
-            return False, f"{_decimal_str(d)} does not divide k*{_decimal_str(m)}^{_decimal_str(a)} {pm} 1"
+            return False, f"{decimal_str(d)} does not divide k*{decimal_str(m)}^{decimal_str(a)} {pm} 1"
     if k * m + sign <= max(cert.primes):
-        return False, f"size condition fails: k*m{pm}1 = {_decimal_str(k * m + sign)} <= {_decimal_str(max(cert.primes))}"
+        return False, f"size condition fails: k*m{pm}1 = {decimal_str(k * m + sign)} <= {decimal_str(max(cert.primes))}"
     if cert.multiplier_constraint == NONTRIVIAL:
         g = math.gcd(k + sign, m - 1)
         if g > 1:
-            return False, f"k is trivial modulo {_decimal_str(g)}"
+            return False, f"k is trivial modulo {decimal_str(g)}"
     elif k % (m - 1) != 0:
-        return False, f"k is not a multiple of m - 1 = {_decimal_str(m - 1)}"
+        return False, f"k is not a multiple of m - 1 = {decimal_str(m - 1)}"
     return True, None

@@ -43,6 +43,7 @@ from .construct import (
     build_congruences,
     certify,
     class_table,
+    decimal_str,
     nth_admissible,
     trivial_prime,
     triviality_primes_for,
@@ -54,12 +55,11 @@ TRIVIAL = "trivial"
 PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
 
-# Each elimination worker gets at least this many k. With the workers forked before the grid
-# (2 cores, fastest of 10 interleaved runs), search_min on the first six pool-filling bases of the
-# search benchmark (n_max 30) took 17 / 30 / 34 / 54 ms with one worker and 23 / 37 / 38 / 46 ms
-# with two at k_scan_bound 250 / 500 / 600 / 1000, but eliminate_small_k(1000, 500, 60, (3, 37))
-# took 41 ms with one and 28 ms with two: a k count cannot serve both, so it stays at 250.
-MIN_K_PER_WORKER = 250
+# Each elimination worker gets at least this many terms k*m**n + 1 (k_scan_bound * n_max). On 2
+# cores, search_min on the first six pool-filling bases of the search benchmark (n_max 30) took
+# 24 / 28 / 33 / 46 ms with one worker and 47 / 28 / 30 / 37 ms with two at 15,000 / 18,000 /
+# 21,000 / 30,000 terms; eliminate_small_k(1000, k, 60, (3, 37)) gains at 9,000 (9.3 -> 6.6 ms).
+MIN_TERMS_PER_WORKER = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,12 @@ class EliminationRecord(NamedTuple):
     certainty: str | None = None
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"k": str(self.k), "status": self.status}
+        doc: dict = {"k": decimal_str(self.k), "status": self.status}
         if self.status == TRIVIAL:
-            doc["q"] = str(self.q)
+            doc["q"] = decimal_str(self.q)
         elif self.status == PRIME_FOUND:
             doc["n"] = self.n
-            doc["value"] = str(self.value)
+            doc["value"] = decimal_str(self.value)
             doc["certainty"] = self.certainty
         return doc
 
@@ -131,9 +131,9 @@ class CandidateSolution:
     def to_json_dict(self) -> dict:
         return {
             "cover": self.cover.to_json(),
-            "primes": [str(p) for p in self.primes],
-            "class": {"residue": str(self.crt.residue), "modulus": str(self.crt.modulus)},
-            "k": str(self.k),
+            "primes": [decimal_str(p) for p in self.primes],
+            "class": {"residue": decimal_str(self.crt.residue), "modulus": decimal_str(self.crt.modulus)},
+            "k": decimal_str(self.k),
         }
 
 
@@ -171,21 +171,21 @@ class SearchReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "base": str(self.config.base),
+            "base": decimal_str(self.config.base),
             "seed": self.config.seed,
             "moduli": list(self.moduli),
             "a_max": self.config.a_max,
             "n_max_elimination": self.config.n_max_elimination,
-            "k_scan_bound": str(self.config.k_scan_bound),
-            "triviality_primes": [str(q) for q in self.triviality_primes],
+            "k_scan_bound": decimal_str(self.config.k_scan_bound),
+            "triviality_primes": [decimal_str(q) for q in self.triviality_primes],
             "candidates": [c.to_json_dict() for c in self.candidates],
             "eliminations": [r.to_json_dict() for r in self.eliminations],
-            "elimination_bound": str(self.elimination_bound),
+            "elimination_bound": decimal_str(self.elimination_bound),
             "minimum_nontrivial_k": (
-                None if self.minimum_nontrivial_k is None else str(self.minimum_nontrivial_k)
+                None if self.minimum_nontrivial_k is None else decimal_str(self.minimum_nontrivial_k)
             ),
             "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
-            "survivors_below_minimum": [str(k) for k in self.survivors_below_minimum],
+            "survivors_below_minimum": [decimal_str(k) for k in self.survivors_below_minimum],
             "eliminations_all_proven": self.eliminations_all_proven,
             "minimality_established": self.minimality_established,
         }
@@ -262,12 +262,12 @@ def eliminate_small_k(
     m**n of the term minus one, which proves it prime or composite at any
     size; the rest, and any the theorem leaves open, get prime_verdict.
 
-    This process and _worker_count() - 1 forked children (none beside a live
-    thread: the child could deadlock) claim chunks of k from a pipe and write
-    a code per k to shared memory. Once the pipe is empty this process scans,
-    from the top down, each k a child has not coded yet (its chunk in flight,
-    or what a failed child left), so it waits on no child, and the records do
-    not depend on the number of workers. Each child is reaped after the
+    _worker_count(k_scan_bound * n_max) - 1 forked children (none beside a
+    live thread: the child could deadlock) claim chunks of k from a pipe, from
+    the bottom up, and write a code per k to shared memory. This process reads
+    no claim: it codes, from the top down, each k no child has coded, so the
+    two meet wherever the work splits, it waits on no child, and the records
+    do not depend on the number of workers. Each child is reaped after the
     records are built, killed first, as what it still scans is settled. A
     child checks before each k that this process still lives, and exits when
     it is gone, so a SIGTERM or SIGKILL here leaves no worker running. Raises
@@ -283,9 +283,9 @@ def _eliminating(m, k_scan_bound, n_max, qs, seed):
     """Start eliminate_small_k over k <= k_scan_bound, and yield its finish.
 
     On entry the codes are mapped and the children forked; they begin
-    claiming chunks at once. finish(bound), for bound <= k_scan_bound,
-    returns the records of k <= bound, scanning no k above it here. On
-    exit, after finish or an exception, each child is killed and reaped.
+    claiming chunks at once. finish(bound), for bound <= k_scan_bound, codes
+    from bound down each k no child has coded and returns the records of
+    k <= bound. On exit, after finish or an exception, each child is killed and reaped.
     """
     if m < 2 or n_max < 1:
         raise ValueError("need m >= 2 and n_max >= 1")
@@ -296,29 +296,25 @@ def _eliminating(m, k_scan_bound, n_max, qs, seed):
     proven = fac.is_complete and all(c == PROVEN for _, _, c in fac.factors)
     m_primes = fac.primes() if proven else None  # Pocklington needs proven primes of m
     span = -(-k_scan_bound // 256) or 1  # so that one byte names each chunk
-    chunks = range(-(-k_scan_bound // span))  # chunk c holds c*span < k <= c*span + span
     try:
         codes = memoryview(mmap.mmap(-1, 4 * k_scan_bound or 4)).cast("I")  # shared with forked workers
     except (OverflowError, OSError) as exc:
-        raise BudgetExceeded(
-            f"k_scan_bound {k_scan_bound} is over budget: its 4 bytes per k could not be mapped ({exc})") from None
-    workers = _worker_count(k_scan_bound) if hasattr(os, "fork") and not _thread._count() else 1
+        raise BudgetExceeded(f"k_scan_bound {decimal_str(k_scan_bound)} is over budget: "
+                             f"its 4 bytes per k could not be mapped ({exc})") from None
+    workers = _worker_count(k_scan_bound * n_max) if hasattr(os, "fork") and not _thread._count() else 1
     if workers > 1:
         _load_powm()  # here, so that each child inherits it and none imports ctypes
     r, w = os.pipe()
-    os.write(w, bytes(chunks))  # at most PIPE_BUF bytes: this cannot block
+    os.write(w, bytes(range(-(-k_scan_bound // span))))  # at most PIPE_BUF bytes: this cannot block
     os.close(w)
-    claims = map(ord, iter(lambda: os.read(r, 1), b""))
+    # the k of each chunk a child claims: chunk c holds c*span < k <= c*span + span
+    claimed = (k for c in map(ord, iter(lambda: os.read(r, 1), b""))
+               for k in range(c * span + 1, min(c * span + span, k_scan_bound) + 1))
     pids, parent = [], os.getpid()
 
     def finish(bound: int) -> list[EliminationRecord]:
-        args = (m, bound, n_max, qs, seed, m_primes)
-        _scan(*args, span, itertools.takewhile(lambda c: c * span < bound, claims), codes)
-        while os.read(r, 256):  # drain the chunks above the bound, so that no child takes one
-            pass
-        # each k a child has not coded (its chunk in flight, or a failed child's),
-        # top down, to meet a child coming up: waiting on it could take a whole chunk
-        _scan(*args, 1, (k - 1 for k in range(bound, 0, -1) if not codes[k - 1]), codes)
+        # top down, each k no child has coded: this meets the children coming up
+        _scan(m, n_max, qs, seed, m_primes, (k for k in range(bound, 0, -1) if not codes[k - 1]), codes)
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL: every k <= bound is coded, so what it scans is waste
         records = []
@@ -336,11 +332,11 @@ def _eliminating(m, k_scan_bound, n_max, qs, seed):
         for _ in range(workers - 1):
             try:
                 pid = os.fork()
-            except OSError:  # the other workers claim its chunks
+            except OSError:  # the other workers, and this process, code its chunks
                 break
             if pid == 0:  # a child leaves only by os._exit
                 try:
-                    _scan(m, k_scan_bound, n_max, qs, seed, m_primes, span, claims, codes, parent)
+                    _scan(m, n_max, qs, seed, m_primes, claimed, codes, parent)
                 finally:
                     os._exit(0)
             pids.append(pid)
@@ -352,41 +348,40 @@ def _eliminating(m, k_scan_bound, n_max, qs, seed):
             os.waitpid(pid, 0)
 
 
-def _worker_count(k_count: int) -> int:
-    """One worker per CPU of the affinity mask, each with MIN_K_PER_WORKER k or more."""
+def _worker_count(terms: int) -> int:
+    """One worker per CPU of the affinity mask, each with MIN_TERMS_PER_WORKER terms k*m**n + 1 or more."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, k_count // MIN_K_PER_WORKER))
+    return max(1, min(cpus, terms // MIN_TERMS_PER_WORKER))
 
 
-def _scan(m, bound, n_max, qs, seed, m_primes, span, claims, codes, parent=None):
-    """Set codes[k - 1], 0 until then, for the k <= bound of each claimed chunk
-    (c*span < k <= c*span + span): 1 for a trivial k, else n << 1 | probable
-    for the least n <= n_max with k*m**n + 1 prime (probable is 1 if not
-    proven), n = n_max + 1 when there is none. Any process may code a k
-    another is coding: both write the same code. A forked worker passes its
-    parent's pid, checks it before every k and exits once that parent is gone."""
-    for c in claims:
-        for k in range(c * span + 1, min(c * span + span, bound) + 1):
-            if parent is not None and os.getppid() != parent:
-                os._exit(1)
-            if trivial_prime(k, qs) is not None:
-                codes[k - 1] = 1
-                continue
-            power = 1
-            for n in range(1, n_max + 1):
-                power *= m
-                value = k * power + 1
-                isp = None
-                if m_primes is not None and power > k:  # then power**2 > value
-                    isp, certainty = pocklington_verdict(value, power, m_primes), PROVEN
-                if isp is None:
-                    isp, certainty = prime_verdict(value, seed=seed)
-                if isp:
-                    break
-            else:
-                n = n_max + 1
-            # set only once final, as a child may die at any point; n > n_max: no prime
-            codes[k - 1] = n << 1 | (n <= n_max and certainty != PROVEN)
+def _scan(m, n_max, qs, seed, m_primes, ks, codes, parent=None):
+    """Set codes[k - 1], 0 until then, for each k of ks: 1 for a trivial k,
+    else n << 1 | probable for the least n <= n_max with k*m**n + 1 prime
+    (probable is 1 if not proven), n = n_max + 1 when there is none. Any
+    process may code a k another is coding: both write the same code. A
+    forked worker passes its parent's pid, checks it before every k and
+    exits once that parent is gone."""
+    for k in ks:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        if trivial_prime(k, qs) is not None:
+            codes[k - 1] = 1
+            continue
+        power = 1
+        for n in range(1, n_max + 1):
+            power *= m
+            value = k * power + 1
+            isp = None
+            if m_primes is not None and power > k:  # then power**2 > value
+                isp, certainty = pocklington_verdict(value, power, m_primes), PROVEN
+            if isp is None:
+                isp, certainty = prime_verdict(value, seed=seed)
+            if isp:
+                break
+        else:
+            n = n_max + 1
+        # set only once final, as a child may die at any point; n > n_max: no prime
+        codes[k - 1] = n << 1 | (n <= n_max and certainty != PROVEN)
 
 
 def _grid(rows, moduli, tables):
@@ -453,10 +448,10 @@ def search_min(config: SearchConfig) -> SearchReport:
     Small k below the minimum are scanned up to min(minimum - 1,
     k_scan_bound); survivors of that scan are reported as unresolved. The
     elimination workers start on k <= k_scan_bound before the pool and the
-    grid, and this process finishes at that bound once the grid has set it
-    (eliminate_small_k's path after the grid when the codes of k <=
-    k_scan_bound cannot be mapped); no worker outlives the call, whether it
-    returns or raises.
+    grid, and once the grid has set the bound this process codes, from it
+    down, each k they have not (eliminate_small_k's path after the grid when
+    the codes of k <= k_scan_bound cannot be mapped); no worker outlives the
+    call, whether it returns or raises.
     Raises FactorBudgetExceeded when a Phi_n(m) of the pool does not factor.
     """
     m, n_max, seed = config.base, config.n_max_elimination, config.seed

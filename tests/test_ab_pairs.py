@@ -215,3 +215,19 @@ def test_src_lines_counts_newlines_as_wc_does(ab, tmp_path):
     (package / "cli.py").write_text("x = 1\ny = 2")  # wc -l does not count a last line without a newline
     (package / "notes.txt").write_text("not a module\n")
     assert ab.src_lines(tmp_path) == 4
+
+
+def test_failed_run_names_side_workload_seed_and_stderr(ab, tmp_path):
+    copy = tmp_path / "change"
+    (copy / "bench").mkdir(parents=True)
+    (copy / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'stderr line {i}', file=sys.stderr)\n"
+        "sys.exit(3)\n")
+    with pytest.raises(RuntimeError) as failed:
+        ab.run_bench(copy, "search", 7)
+    message = str(failed.value)
+    assert message.startswith("change run of workload search at seed 7 exited with status 3")
+    lines = message.splitlines()[1:]
+    assert lines == [f"stderr line {i}" for i in range(30 - ab.STDERR_LINES, 30)]

@@ -319,7 +319,7 @@ class TestEliminateSmallK:
         codes = memoryview(bytearray(4 * k_max)).cast("I")
         tracemalloc.start()
         try:
-            search._scan(2, k_max, n_max, (), 0, (2,), 1, range(k_max), codes)
+            search._scan(2, n_max, (), 0, (2,), range(1, k_max + 1), codes)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,8 +352,8 @@ class TestEliminateSmallK:
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        per = search.MIN_K_PER_WORKER
-        assert [search._worker_count(k) for k in (0, 2 * per - 1, 2 * per, 10 * per)] == [1, 1, 2, 3]
+        per = search.MIN_TERMS_PER_WORKER  # terms k*m**n + 1, k_scan_bound * n_max of them
+        assert [search._worker_count(terms) for terms in (0, 2 * per - 1, 2 * per, 10 * per)] == [1, 1, 2, 3]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert search._worker_count(10 * per) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -416,7 +416,7 @@ class TestEliminateSmallK:
             if os.getpid() == parent:
                 time.sleep(0.3)  # let the children claim chunks first
                 return scan(*args)
-            next(args[7])  # the claims
+            next(args[5])  # the k of the chunks it claims: it claims one
             time.sleep(30)
 
         monkeypatch.setattr(search, "_scan", hanging)
@@ -427,6 +427,35 @@ class TestEliminateSmallK:
         assert time.perf_counter() - start < 10
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_this_process_reads_no_claim(self, monkeypatch):
+        # Only the children read the claims pipe; this process codes, top
+        # down, each k no child has coded.
+        parent, read, reads = os.getpid(), os.read, []
+
+        def counting_read(fd, n):
+            if os.getpid() == parent:
+                reads.append(n)
+            return read(fd, n)
+
+        monkeypatch.setattr(os, "read", counting_read)
+        _force_workers(monkeypatch, 3)
+        expected = _reference_eliminate(22, 300, 60, (3, 7))
+        assert _records(eliminate_small_k(22, 300, 60, (3, 7))) == expected
+        assert reads == []
+
+    def test_benchmark_sizes_get_two_workers(self, monkeypatch):
+        # k_scan_bound * n_max of search_min's default 1000 * 30 and of the
+        # benchmark's eliminations at n_max 60
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert [search._worker_count(k * n) for k, n in ((1000, 30), (500, 60), (2000, 60))] == [2, 2, 2]
+
+    def test_over_the_digit_cap_is_over_budget(self):
+        # 10**5000 has more digits than int-to-str converts by default
+        with pytest.raises(BudgetExceeded, match="k_scan_bound 1000000"):
+            eliminate_small_k(34, 10**5000, 1, (3, 11))
+        record = EliminationRecord(1, PRIME_FOUND, None, 5000, 10**5000 + 1, "probable")
+        assert record.to_json_dict()["value"] == "1" + "0" * 4999 + "1"
 
     def test_serial_without_fork(self, monkeypatch):
         expected = _reference_eliminate(34, 300, 30, (3, 11))
@@ -729,6 +758,13 @@ class TestEliminationStartsBeforeTheGrid:
         assert list(report.eliminations) == expected
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_bound_over_the_digit_cap_falls_back(self):
+        # the codes of 10**5000 k cannot be mapped: the scan runs after the grid
+        report = search_min(SearchConfig(34, moduli=(2, 2), k_scan_bound=10**5000))
+        assert report.minimum_nontrivial_k == 6
+        assert list(report.eliminations) == eliminate_small_k(34, 5, 30, (3, 11))
+        assert report.to_json_dict()["k_scan_bound"] == "1" + "0" * 5000
 
     @pytest.mark.parametrize("case", ["cover budget", "incomplete pool", "interrupt in the grid"])
     def test_raise_after_the_start_leaves_no_child(self, monkeypatch, case):

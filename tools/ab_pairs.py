@@ -48,6 +48,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # Length of one bench/run.py run, in seconds.
 RUN_SECONDS = 12
+# Lines of a failed run's stderr that its error shows.
+STDERR_LINES = 20
 # Run in a copy: its package's POWM_BITS (null without the constant), then on the last line
 # whether it loads GMP's mpz_powm (false for a package without the kernel).
 GMP_PROBE = ("import json, sys; sys.path.insert(0, 'src'); import sierpinski.arith as a; "
@@ -151,9 +153,16 @@ def src_lines(copy: Path) -> int:
 
 
 def run_bench(copy: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """parse_run of one bench/run.py run in copy, a directory named after its side;
+    RuntimeError naming the side, workload, seed and exit code, with the last
+    STDERR_LINES lines of stderr, when the run fails."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_LINES:])
+        raise RuntimeError(f"{copy.name} run of workload {workload} at seed {seed} exited with "
+                           f"status {done.returncode}; the end of its stderr:\n{tail}")
     return parse_run(done.stdout)
 
 
