@@ -283,9 +283,9 @@ def _eliminating(m, k_scan_bound, n_max, qs, seed):
     """Start eliminate_small_k over k <= k_scan_bound, and yield its finish.
 
     On entry the codes are mapped and the children forked; they begin
-    claiming chunks at once. finish(bound), for bound <= k_scan_bound, codes
-    from bound down each k no child has coded and returns the records of
-    k <= bound. On exit, after finish or an exception, each child is killed and reaped.
+    claiming chunks at once. finish(bound <= k_scan_bound) codes, from bound
+    down, each k no child has coded and returns the records of k <= bound.
+    On exit, after finish or an exception, each child is killed and reaped.
     """
     if m < 2 or n_max < 1:
         raise ValueError("need m >= 2 and n_max >= 1")

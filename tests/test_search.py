@@ -354,6 +354,9 @@ class TestEliminateSmallK:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         per = search.MIN_TERMS_PER_WORKER  # terms k*m**n + 1, k_scan_bound * n_max of them
         assert [search._worker_count(terms) for terms in (0, 2 * per - 1, 2 * per, 10 * per)] == [1, 1, 2, 3]
+        # search_min's default 1000 k at n_max 30 and the benchmark's eliminations at n_max 60
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [search._worker_count(k * n) for k, n in ((1000, 30), (500, 60), (2000, 60))] == [2, 2, 2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert search._worker_count(10 * per) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -444,11 +447,11 @@ class TestEliminateSmallK:
         assert _records(eliminate_small_k(22, 300, 60, (3, 7))) == expected
         assert reads == []
 
-    def test_benchmark_sizes_get_two_workers(self, monkeypatch):
-        # k_scan_bound * n_max of search_min's default 1000 * 30 and of the
-        # benchmark's eliminations at n_max 60
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert [search._worker_count(k * n) for k, n in ((1000, 30), (500, 60), (2000, 60))] == [2, 2, 2]
+    def test_workers_are_sized_by_terms(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(search, "_worker_count", lambda terms: sizes.append(terms) or 1)
+        eliminate_small_k(22, 300, 60, (3, 7))
+        assert sizes == [300 * 60]
 
     def test_over_the_digit_cap_is_over_budget(self):
         # 10**5000 has more digits than int-to-str converts by default
