@@ -28,8 +28,9 @@ own `env` lines; `env.gmp` says per side whether its package's GMP kernel
 loads, and `env.powm_bits` gives its `arith.POWM_BITS` (null for a package
 without the constant), both from one probe run in its copy; `env.src_lines`
 gives per side the total of `wc -l src/sierpinski/*.py` in its copy, the
-line count by which a change that removes code is measured. Standard
-library only.
+line count by which a change that removes code is measured. A failed run
+stops the A/B with an error that names its side, workload, seed and exit
+status and shows the end of its stderr. Standard library only.
 """
 
 from __future__ import annotations
