@@ -49,10 +49,16 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 # spread.
 SCREEN_BOUND = 2048
 _SCREEN_PRIMES = frozenset(_small_primes(SCREEN_BOUND))
-# The screen takes a gcd with the product of the primes below 128 first: on the
-# same calls one gcd with the whole product took 8% longer with one worker
-# and 19% longer with two.
-_SMALL_PRIMORIAL = math.prod(_small_primes(128))
+# The screen's first stage is a gcd with the product of the primes below 128,
+# where most composites have a factor; only x that pass it pay the gcd with the
+# 2,704-bit product of the rest (screen_past_128). On the benchmark's
+# elimination calls, before elimination struck these primes from its own table
+# (search._strike_levels) and kept only the second stage, one gcd with the
+# whole product took 8% longer with one worker and 19% longer with two. The
+# split now serves prime_verdict and pocklington_verdict: factorize's pieces,
+# multiplicative_order's p and the isprime command.
+SMALL_SCREEN_PRIMES = _small_primes(128)
+_SMALL_PRIMORIAL = math.prod(SMALL_SCREEN_PRIMES)
 _LARGE_PRIMORIAL = math.prod(_SCREEN_PRIMES) // _SMALL_PRIMORIAL
 
 
@@ -62,7 +68,16 @@ def _screen(x: int) -> bool | None:
     and None past that."""
     if x < SCREEN_BOUND:
         return x in _SCREEN_PRIMES
-    if math.gcd(x, _SMALL_PRIMORIAL) > 1 or math.gcd(x, _LARGE_PRIMORIAL) > 1:
+    if math.gcd(x, _SMALL_PRIMORIAL) > 1:
+        return False
+    return screen_past_128(x)
+
+
+def screen_past_128(x: int) -> bool | None:
+    """_screen's second stage, for x >= SCREEN_BOUND with no prime factor in
+    SMALL_SCREEN_PRIMES: composite with a prime factor from 128 to
+    SCREEN_BOUND, else prime below SCREEN_BOUND**2, and None past that."""
+    if math.gcd(x, _LARGE_PRIMORIAL) > 1:
         return False
     return True if x < SCREEN_BOUND * SCREEN_BOUND else None
 
@@ -273,8 +288,10 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
     when no base in a fixed short list settles some q. Requires f | x - 1
     and f**2 > x (ValueError otherwise).
 
-    The small-prime screen settles x first, then each q in turn with the
-    bases in order. The first base a costs one full power for all q
+    The small-prime screen settles x first. Then pocklington_past_screen,
+    which elimination calls itself on the terms its table and the screen's
+    second stage leave, settles each q in turn with the bases in order.
+    The first base a costs one full power for all q
     together: with F the product of f_primes, z = a**((x-1)/F) gives
     a**((x-1)/q) = z**(F/q) and a**(x-1) = z**F. The first base is the
     least listed one with Jacobi symbol (a/x) = -1, or the first listed (2)
@@ -291,6 +308,13 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
     verdict = _screen(x)
     if verdict is not None:
         return verdict
+    return pocklington_past_screen(x, f_primes)
+
+
+def pocklington_past_screen(x: int, f_primes) -> bool | None:
+    """pocklington_verdict's proof for an x the screen left open, unchecked:
+    x >= SCREEN_BOUND**2 with no prime factor below SCREEN_BOUND, and f_primes
+    exactly the primes of some f with f | x - 1 and f**2 > x."""
     bases = _POCKLINGTON_BASES
     first = next((a for a in bases if _jacobi(a, x) == -1), bases[0])
     e = x - 1

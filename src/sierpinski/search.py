@@ -26,6 +26,8 @@ from typing import Callable, NamedTuple
 from .arith import (
     PROBABLE,
     PROVEN,
+    SCREEN_BOUND,
+    SMALL_SCREEN_PRIMES,
     BudgetExceeded,
     Congruence,
     FactorBudget,
@@ -33,8 +35,9 @@ from .arith import (
     _load_powm,
     crt_solve,
     factorize,
-    pocklington_verdict,
+    pocklington_past_screen,
     prime_verdict,
+    screen_past_128,
 )
 from .covering import CoveringSystem, check_moduli, enumerate_cover_rows, systems_from_rows
 from .construct import (
@@ -56,10 +59,20 @@ PRIME_FOUND = "prime_found"
 SURVIVOR = "survivor"
 
 # Each elimination worker gets at least this many terms k*m**n + 1 (k_scan_bound * n_max). On 2
-# cores, search_min on the first six pool-filling bases of the search benchmark (n_max 30) took
-# 24 / 28 / 33 / 46 ms with one worker and 47 / 28 / 30 / 37 ms with two at 15,000 / 18,000 /
-# 21,000 / 30,000 terms; eliminate_small_k(1000, k, 60, (3, 37)) gains at 9,000 (9.3 -> 6.6 ms).
+# cores (fastest of 11 interleaved runs), search_min on the first six pool-filling bases of the
+# search benchmark (n_max 30) took 22 / 25 / 29 / 40 ms with one worker and 24 / 26 / 28 / 36 ms
+# with two at 15,000 / 18,000 / 21,000 / 30,000 terms; eliminate_small_k(1000, 150, 60, (3, 37))
+# gains at 9,000 (7.5 -> 5.9 ms), while base 22's smaller terms lose at 21,000 / 30,000
+# (eliminate_small_k(22, 350 / 500, 60, (3, 7)): 2.3 / 3.3 ms with one, 2.7 / 3.4 with two).
 MIN_TERMS_PER_WORKER = 10_000
+
+# _scan strikes the terms of SIEVE_BLOCK consecutive k at a time. On the nine distinct
+# elimination calls of the search benchmark (seed 8, one process, 2 cores, best of 7, two runs),
+# blocks of 128 / 256 / 512 / 1024 / 2048 / 4096 took 155-157 / 150 / 147-149 / 143-144 /
+# 144-146 / 146-150 ms (the parent without the table: 173-175 ms).
+SIEVE_BLOCK = 1024
+# comb_p has the bits 0, p, 2p, ... up to the block's end
+_COMBS = {p: ((1 << p * (SIEVE_BLOCK // p + 1)) - 1) // ((1 << p) - 1) for p in SMALL_SCREEN_PRIMES}
 
 
 @dataclass(frozen=True)
@@ -258,9 +271,13 @@ def eliminate_small_k(
     the least n <= n_max making k*m**n + 1 prime; otherwise survivor.
     Scans n upward and stops at the first hit.
 
-    A term with m**n > k goes to pocklington_verdict with the factored part
-    m**n of the term minus one, which proves it prime or composite at any
-    size; the rest, and any the theorem leaves open, get prime_verdict.
+    A term of arith.SCREEN_BOUND or more that a prime below 128 divides is
+    struck from a per-block table (_scan), with no gcd; the screen settles
+    the other terms below SCREEN_BOUND**2. A larger term with m**n > k gets
+    Pocklington's proof (pocklington_verdict's, past its screen) with the
+    factored part m**n of the term minus one, which proves it prime or
+    composite at any size; the rest, and any the theorem leaves open, get
+    prime_verdict.
 
     _worker_count(k_scan_bound * n_max) - 1 forked children (none beside a
     live thread: the child could deadlock) claim chunks of k from a pipe, from
@@ -354,28 +371,64 @@ def _worker_count(terms: int) -> int:
     return max(1, min(cpus, terms // MIN_TERMS_PER_WORKER))
 
 
+def _strike_levels(m, lo):
+    """Yield, for n = 1, 2, ..., the int whose bit k - lo is set when some
+    prime p < 128 divides k*m**n + 1, for lo <= k < lo + SIEVE_BLOCK (bits
+    past the block are loose). Such a p does not divide m, and divides the
+    term exactly when k = t (mod p) with t = -m**-n: one comb_p shifted to
+    the first such k, t advanced by m**-1 mod p from level to level."""
+    sieve = [(p, pow(m, -1, p), _COMBS[p]) for p in SMALL_SCREEN_PRIMES if m % p]
+    ts = [p - 1 for p, _, _ in sieve]  # t = -m**0 at n = 0
+    while True:
+        level = 0
+        for i, (p, inverse, comb) in enumerate(sieve):
+            ts[i] = t = ts[i] * inverse % p
+            level |= comb << (t - lo) % p
+        yield level
+
+
 def _scan(m, n_max, qs, seed, m_primes, ks, codes, parent=None):
     """Set codes[k - 1], 0 until then, for each k of ks: 1 for a trivial k,
     else n << 1 | probable for the least n <= n_max with k*m**n + 1 prime
     (probable is 1 if not proven), n = n_max + 1 when there is none. Any
     process may code a k another is coding: both write the same code. A
     forked worker passes its parent's pid, checks it before every k and
-    exits once that parent is gone."""
+    exits once that parent is gone.
+
+    A term of SCREEN_BOUND or more that a prime below 128 divides is struck
+    as composite by _strike_levels: the one block that holds k keeps the
+    levels some k of it has reached, so the table costs what the k scanned
+    reach, not n_max per block. Smaller terms get the screen; a larger one
+    left gets the screen's second stage, then, with m**n > k and the proven
+    primes of m, Pocklington's proof on the factored part m**n, and
+    otherwise, or when that proof stays open, prime_verdict."""
+    lo, levels = None, []
     for k in ks:
         if parent is not None and os.getppid() != parent:
             os._exit(1)
         if trivial_prime(k, qs) is not None:
             codes[k - 1] = 1
             continue
+        if lo is None or not 0 <= k - lo < SIEVE_BLOCK:
+            lo = k - k % SIEVE_BLOCK
+            levels, more = [], _strike_levels(m, lo)
+        bit = 1 << k - lo
         power = 1
         for n in range(1, n_max + 1):
             power *= m
             value = k * power + 1
-            isp = None
-            if m_primes is not None and power > k:  # then power**2 > value
-                isp, certainty = pocklington_verdict(value, power, m_primes), PROVEN
-            if isp is None:
-                isp, certainty = prime_verdict(value, seed=seed)
+            if value < SCREEN_BOUND:
+                isp, certainty = prime_verdict(value)
+            else:
+                while len(levels) < n:
+                    levels.append(next(more))
+                if levels[n - 1] & bit:
+                    continue  # a prime below 128 divides value
+                isp, certainty = screen_past_128(value), PROVEN
+                if isp is None and m_primes is not None and power > k:  # then power**2 > value
+                    isp = pocklington_past_screen(value, m_primes)
+                if isp is None:
+                    isp, certainty = prime_verdict(value, seed=seed)
             if isp:
                 break
         else:

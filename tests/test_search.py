@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -364,10 +365,12 @@ class TestEliminateSmallK:
         assert search._worker_count(10 * per) == 1
 
     @pytest.mark.parametrize("failure", ["raise", "exit"])
-    def test_failed_child_changes_nothing(self, monkeypatch, failure):
-        # Each child dies inside its 21st Pocklington verdict, in the middle of
+    def test_failed_child_changes_nothing(self, monkeypatch, tmp_path, failure):
+        # Each child dies inside its 21st Pocklington proof, in the middle of
         # some k: this process must classify that k and the rest of the chunk.
-        parent, scan, verdict = os.getpid(), search._scan, search.pocklington_verdict
+        # A child marks its death first, so a scan that never calls the proof
+        # it patches fails here instead of passing with no child dead.
+        parent, scan, proof = os.getpid(), search._scan, search.pocklington_past_screen
 
         def flaky(*args):
             if os.getpid() == parent:
@@ -375,14 +378,15 @@ class TestEliminateSmallK:
                 return scan(*args)
             calls = itertools.count()
 
-            def dying(value, f, m_primes):
+            def dying(value, m_primes):
                 if next(calls) == 20:
+                    (tmp_path / f"died-{os.getpid()}").touch()
                     if failure == "exit":
                         os._exit(3)
                     raise RuntimeError("worker failed")
-                return verdict(value, f, m_primes)
+                return proof(value, m_primes)
 
-            search.pocklington_verdict = dying  # in this child only
+            search.pocklington_past_screen = dying  # in this child only
             scan(*args)
 
         monkeypatch.setattr(search, "_scan", flaky)
@@ -391,6 +395,7 @@ class TestEliminateSmallK:
         assert _records(eliminate_small_k(22, 300, 60, (3, 7))) == expected
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.glob("died-*")), "no child reached its 21st proof"
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_exception_here_kills_the_children(self, monkeypatch, error):
@@ -490,6 +495,42 @@ class TestEliminateSmallK:
         _force_workers(monkeypatch, 3)
         expected = _reference_eliminate(34, 300, 30, (3, 11))
         assert _records(eliminate_small_k(34, 300, 30, (3, 11))) == expected
+
+
+class TestStrikeTable:
+    """search._strike_levels, bit by bit, against gcd with the primes below 128."""
+
+    BLOCK = search.SIEVE_BLOCK
+    # 2 and 1000 share primes with the product; the product itself leaves an empty table
+    BASES = (2, 1000, arith._SMALL_PRIMORIAL, *random.Random(34).sample(range(2, 10**4), 3))
+
+    @pytest.mark.parametrize("m", BASES)
+    @pytest.mark.parametrize("lo", [0, BLOCK, 2 * BLOCK])
+    def test_levels_against_brute_force(self, m, lo):
+        levels = search._strike_levels(m, lo)
+        primorial = arith._SMALL_PRIMORIAL
+        for n in range(1, 41):
+            power = pow(m, n, primorial)
+            expected = sum(1 << i for i in range(self.BLOCK)
+                           if math.gcd((lo + i) * power + 1, primorial) > 1)
+            assert next(levels) & ((1 << self.BLOCK) - 1) == expected, (m, lo, n)
+        if m == arith._SMALL_PRIMORIAL:
+            assert expected == 0
+
+    @pytest.mark.parametrize("m, qs", [(2, ()), (22, (3, 7)), (1000, (3, 37))])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_scan_across_block_edges(self, m, qs, order):
+        # one process walks the k in both directions over two block edges
+        ks = [*range(self.BLOCK - 3, self.BLOCK + 4), 2 * self.BLOCK - 1, 2 * self.BLOCK, 2 * self.BLOCK + 1]
+        n_max = 40
+        codes = memoryview(bytearray(4 * (2 * self.BLOCK + 1))).cast("I")
+        search._scan(m, n_max, qs, 0, arith.factorize(m).primes(), ks[::order], codes)
+        for k in ks:
+            if any(k % q == q - 1 for q in qs):
+                assert codes[k - 1] == 1, k
+                continue
+            n = next((n for n in range(1, n_max + 1) if sympy.isprime(k * m**n + 1)), n_max + 1)
+            assert codes[k - 1] == n << 1, k
 
 
 def _children(pid):
