@@ -396,23 +396,24 @@ def _scan(m, n_max, qs, seed, m_primes, ks, codes, parent=None):
     exits once that parent is gone.
 
     A term of SCREEN_BOUND or more that a prime below 128 divides is struck
-    as composite by _strike_levels: the one block that holds k keeps the
-    levels some k of it has reached, so the table costs what the k scanned
-    reach, not n_max per block. Smaller terms get the screen; a larger one
-    left gets the screen's second stage, then, with m**n > k and the proven
-    primes of m, Pocklington's proof on the factored part m**n, and
-    otherwise, or when that proof stays open, prime_verdict."""
-    lo, levels = None, []
+    as composite by _strike_levels. Only the block that holds k is kept, with
+    its levels up to the largest n a k of it has reached, so the table costs
+    what the k scanned reach, not n_max per block. Terms below SCREEN_BOUND
+    get prime_verdict's lookup; a larger one left gets the screen's second
+    stage, then, with m**n > k and the proven primes of m, Pocklington's
+    proof on the factored part m**n, and otherwise, or when that proof stays
+    open, prime_verdict."""
+    block = None
     for k in ks:
         if parent is not None and os.getppid() != parent:
             os._exit(1)
         if trivial_prime(k, qs) is not None:
             codes[k - 1] = 1
             continue
-        if lo is None or not 0 <= k - lo < SIEVE_BLOCK:
-            lo = k - k % SIEVE_BLOCK
-            levels, more = [], _strike_levels(m, lo)
-        bit = 1 << k - lo
+        if k // SIEVE_BLOCK != block:
+            block = k // SIEVE_BLOCK
+            levels, more = [], _strike_levels(m, block * SIEVE_BLOCK)
+        bit = 1 << k % SIEVE_BLOCK
         power = 1
         for n in range(1, n_max + 1):
             power *= m
