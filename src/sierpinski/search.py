@@ -69,7 +69,7 @@ MIN_TERMS_PER_WORKER = 10_000
 # _scan strikes the terms of SIEVE_BLOCK consecutive k at a time. On the nine distinct
 # elimination calls of the search benchmark (seed 8, one process, 2 cores, best of 7, two runs),
 # blocks of 128 / 256 / 512 / 1024 / 2048 / 4096 took 155-157 / 150 / 147-149 / 143-144 /
-# 144-146 / 146-150 ms (the parent without the table: 173-175 ms).
+# 144-146 / 146-150 ms, and 173-175 ms without the table.
 SIEVE_BLOCK = 1024
 # comb_p has the bits 0, p, 2p, ... up to the block's end
 _COMBS = {p: ((1 << p * (SIEVE_BLOCK // p + 1)) - 1) // ((1 << p) - 1) for p in SMALL_SCREEN_PRIMES}
