@@ -1,5 +1,5 @@
 """Arbitrary-precision integer arithmetic: primality verdicts, factorization
-with an explicit work budget, CRT, modular inverses, multiplicative orders.
+with an explicit work budget, CRT, multiplicative orders.
 
 Everything works on Python ints; nothing here assumes 64-bit operands. The
 long modular powers of the primality tests and of Pollard p - 1 run in GMP's
@@ -49,35 +49,16 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 # spread.
 SCREEN_BOUND = 2048
 _SCREEN_PRIMES = frozenset(_small_primes(SCREEN_BOUND))
-# The screen's first stage is a gcd with the product of the primes below 128,
-# where most composites have a factor; only x that pass it pay the gcd with the
-# 2,704-bit product of the rest (screen_past_128). On the benchmark's
-# elimination calls, before elimination struck these primes from its own table
-# (search._strike_levels) and kept only the second stage, one gcd with the
-# whole product took 8% longer with one worker and 19% longer with two. The
-# split now serves prime_verdict and pocklington_verdict: factorize's pieces,
-# multiplicative_order's p and the isprime command.
-SMALL_SCREEN_PRIMES = _small_primes(128)
-_SMALL_PRIMORIAL = math.prod(SMALL_SCREEN_PRIMES)
-_LARGE_PRIMORIAL = math.prod(_SCREEN_PRIMES) // _SMALL_PRIMORIAL
+_SCREEN_PRIMORIAL = math.prod(_SCREEN_PRIMES)
 
 
 def _screen(x: int) -> bool | None:
     """Primality of x >= 0 by the primes below SCREEN_BOUND: looked up below
-    it, composite with a prime factor below it, else prime below its square,
-    and None past that."""
+    it, composite with a prime factor below it (one gcd with their product),
+    else prime below its square, and None past that."""
     if x < SCREEN_BOUND:
         return x in _SCREEN_PRIMES
-    if math.gcd(x, _SMALL_PRIMORIAL) > 1:
-        return False
-    return screen_past_128(x)
-
-
-def screen_past_128(x: int) -> bool | None:
-    """_screen's second stage, for x >= SCREEN_BOUND with no prime factor in
-    SMALL_SCREEN_PRIMES: composite with a prime factor from 128 to
-    SCREEN_BOUND, else prime below SCREEN_BOUND**2, and None past that."""
-    if math.gcd(x, _LARGE_PRIMORIAL) > 1:
+    if math.gcd(x, _SCREEN_PRIMORIAL) > 1:
         return False
     return True if x < SCREEN_BOUND * SCREEN_BOUND else None
 
@@ -277,21 +258,19 @@ def prime_verdict(x: int, seed: int = 0) -> tuple[bool, str]:
 _POCKLINGTON_BASES = _small_primes(100)
 
 
-def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
-    """Prove x prime or composite from a factored part f of x - 1.
+def pocklington_verdict(k: int, f: int, f_primes) -> bool | None:
+    """Prove x = k*f + 1 prime or composite, for 1 <= k < f, from its
+    factored part f of x - 1; f_primes must be exactly the primes of f.
 
     Pocklington's N - 1 theorem (Brillhart, Lehmer & Selfridge 1975): if
     for every prime q | f some base a has a**(x-1) == 1 (mod x) and
     gcd(a**((x-1)/q) - 1, x) = 1, then every prime factor of x is 1 mod f,
-    so f**2 > x makes x prime. f_primes must be exactly the primes of f.
-    A failed Fermat check or a proper gcd proves x composite. Returns None
-    when no base in a fixed short list settles some q. Requires f | x - 1
-    and f**2 > x (ValueError otherwise).
+    so f**2 > x makes x prime; for f >= 2 that is f > k. A failed Fermat
+    check or a proper gcd proves x composite. Returns None when no base in
+    a fixed short list settles some q. ValueError unless 1 <= k < f.
 
-    The small-prime screen settles x first. Then pocklington_past_screen,
-    which elimination calls itself on the terms its table and the screen's
-    second stage leave, settles each q in turn with the bases in order.
-    The first base a costs one full power for all q
+    The small-prime screen settles x first. Then each q is settled in turn
+    with the bases in order. The first base a costs one full power for all q
     together: with F the product of f_primes, z = a**((x-1)/F) gives
     a**((x-1)/q) = z**(F/q) and a**(x-1) = z**F. The first base is the
     least listed one with Jacobi symbol (a/x) = -1, or the first listed (2)
@@ -303,21 +282,15 @@ def pocklington_verdict(x: int, f: int, f_primes) -> bool | None:
     _powmod (GMP when libgmp loads); z**F, z**(F/q) and y**q stay on the
     builtin pow.
     """
-    if f < 1 or (x - 1) % f or f * f <= x:
-        raise ValueError("need f | x - 1 and f**2 > x")
+    if k < 1 or f <= k:
+        raise ValueError("need 1 <= k < f")
+    e = k * f
+    x = e + 1
     verdict = _screen(x)
     if verdict is not None:
         return verdict
-    return pocklington_past_screen(x, f_primes)
-
-
-def pocklington_past_screen(x: int, f_primes) -> bool | None:
-    """pocklington_verdict's proof for an x the screen left open, unchecked:
-    x >= SCREEN_BOUND**2 with no prime factor below SCREEN_BOUND, and f_primes
-    exactly the primes of some f with f | x - 1 and f**2 > x."""
     bases = _POCKLINGTON_BASES
     first = next((a for a in bases if _jacobi(a, x) == -1), bases[0])
-    e = x - 1
     F = math.prod(f_primes)
     z = _powmod(first, e // F, x)
     if pow(z, F, x) != 1:
@@ -360,10 +333,6 @@ class FactorBudget:
     def __post_init__(self):
         if self.trial_bound < 2 or self.rho_steps < 0:
             raise ValueError("trial_bound >= 2 and rho_steps >= 0 required")
-
-    @staticmethod
-    def default() -> "FactorBudget":
-        return FactorBudget()
 
 
 @dataclass(frozen=True)
@@ -593,7 +562,7 @@ def factorize(x: int, budget: FactorBudget | None = None, order: int = 1) -> Fac
     if x < 1:
         raise ValueError("x must be a positive integer")
     if budget is None:
-        budget = FactorBudget.default()
+        budget = FactorBudget()
     found, rest = _trial_division(x, budget.trial_bound, order)
     return _factor_rest(x, found, rest, budget, order)
 

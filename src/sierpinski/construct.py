@@ -61,7 +61,7 @@ def is_mersenne_like(m: int) -> tuple[bool, int | None]:
 def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> int:
     """Smallest prime p | Phi_n(m) with gcd(p, n) = 1.
 
-    Such a p has multiplicative order exactly n mod m, hence for n >= 2
+    m has multiplicative order exactly n modulo such a p, hence for n >= 2
     also gcd(p, m - 1) = 1 (checked; ArithmeticError otherwise), and
     p = 1 (mod n): trial division tests only that progression, and rho
     iterates x**L + c with L = lcm(2, n). Trial division runs first and
@@ -77,7 +77,7 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
     if budget is None:
-        budget = FactorBudget.default()
+        budget = FactorBudget()
     value = eval_cyclotomic(n, m)
     found, rest = _trial_division(value, budget.trial_bound, n, least=True)
     p = next((q for q in found if math.gcd(q, n) == 1), None)

@@ -27,7 +27,6 @@ from .arith import (
     PROBABLE,
     PROVEN,
     SCREEN_BOUND,
-    SMALL_SCREEN_PRIMES,
     BudgetExceeded,
     Congruence,
     FactorBudget,
@@ -35,9 +34,8 @@ from .arith import (
     _load_powm,
     crt_solve,
     factorize,
-    pocklington_past_screen,
+    pocklington_verdict,
     prime_verdict,
-    screen_past_128,
 )
 from .covering import CoveringSystem, check_moduli, enumerate_cover_rows, systems_from_rows
 from .construct import (
@@ -71,8 +69,11 @@ MIN_TERMS_PER_WORKER = 10_000
 # blocks of 128 / 256 / 512 / 1024 / 2048 / 4096 took 155-157 / 150 / 147-149 / 143-144 /
 # 144-146 / 146-150 ms, and 173-175 ms without the table.
 SIEVE_BLOCK = 1024
+# The table's primes: with those below 32 / 64 / 128 / 256 / 512 / 2048 the same calls took
+# 156 / 147 / 145 / 143 / 143 / 148 ms on a prototype; past 128 the gain is within noise.
+STRIKE_PRIMES = tuple(p for p in range(2, 128) if prime_verdict(p)[0])
 # comb_p has the bits 0, p, 2p, ... up to the block's end
-_COMBS = {p: ((1 << p * (SIEVE_BLOCK // p + 1)) - 1) // ((1 << p) - 1) for p in SMALL_SCREEN_PRIMES}
+_COMBS = {p: ((1 << p * (SIEVE_BLOCK // p + 1)) - 1) // ((1 << p) - 1) for p in STRIKE_PRIMES}
 
 
 @dataclass(frozen=True)
@@ -272,12 +273,11 @@ def eliminate_small_k(
     Scans n upward and stops at the first hit.
 
     A term of arith.SCREEN_BOUND or more that a prime below 128 divides is
-    struck from a per-block table (_scan), with no gcd; the screen settles
-    the other terms below SCREEN_BOUND**2. A larger term with m**n > k gets
-    Pocklington's proof (pocklington_verdict's, past its screen) with the
-    factored part m**n of the term minus one, which proves it prime or
-    composite at any size; the rest, and any the theorem leaves open, get
-    prime_verdict.
+    struck from a per-block table (_scan), with no gcd. A term left with
+    m**n > k goes to pocklington_verdict(k, m**n, primes of m), which
+    screens it and proves it prime or composite at any size; the rest, and
+    any the theorem leaves open, get prime_verdict. m is factored only when
+    some k is scanned.
 
     _worker_count(k_scan_bound * n_max) - 1 forked children (none beside a
     live thread: the child could deadlock) claim chunks of k from a pipe, from
@@ -309,7 +309,7 @@ def _eliminating(m, k_scan_bound, n_max, qs, seed):
     if k_scan_bound < 0:
         raise ValueError("k_scan_bound must be nonnegative")
     import mmap  # here, so that import sierpinski does not load it
-    fac = factorize(m)
+    fac = factorize(m if k_scan_bound else 1)  # with no k to scan, m's primes go unused
     proven = fac.is_complete and all(c == PROVEN for _, _, c in fac.factors)
     m_primes = fac.primes() if proven else None  # Pocklington needs proven primes of m
     span = -(-k_scan_bound // 256) or 1  # so that one byte names each chunk
@@ -377,7 +377,7 @@ def _strike_levels(m, lo):
     past the block are loose). Such a p does not divide m, and divides the
     term exactly when k = t (mod p) with t = -m**-n: one comb_p shifted to
     the first such k, t advanced by m**-1 mod p from level to level."""
-    sieve = [(p, pow(m, -1, p), _COMBS[p]) for p in SMALL_SCREEN_PRIMES if m % p]
+    sieve = [(p, pow(m, -1, p), _COMBS[p]) for p in STRIKE_PRIMES if m % p]
     ts = [p - 1 for p, _, _ in sieve]  # t = -m**0 at n = 0
     while True:
         level = 0
@@ -398,11 +398,10 @@ def _scan(m, n_max, qs, seed, m_primes, ks, codes, parent=None):
     A term of SCREEN_BOUND or more that a prime below 128 divides is struck
     as composite by _strike_levels. Only the block that holds k is kept, with
     its levels up to the largest n a k of it has reached, so the table costs
-    what the k scanned reach, not n_max per block. Terms below SCREEN_BOUND
-    get prime_verdict's lookup; a larger one left gets the screen's second
-    stage, then, with m**n > k and the proven primes of m, Pocklington's
-    proof on the factored part m**n, and otherwise, or when that proof stays
-    open, prime_verdict."""
+    what the k scanned reach, not n_max per block. A term left, with m**n > k
+    and the proven primes of m, goes to pocklington_verdict(k, m**n, m_primes),
+    proven either way; otherwise, or when that proof stays open, to
+    prime_verdict. Each term is screened once, twice only after an open proof."""
     block = None
     for k in ks:
         if parent is not None and os.getppid() != parent:
@@ -418,18 +417,16 @@ def _scan(m, n_max, qs, seed, m_primes, ks, codes, parent=None):
         for n in range(1, n_max + 1):
             power *= m
             value = k * power + 1
-            if value < SCREEN_BOUND:
-                isp, certainty = prime_verdict(value)
-            else:
+            if value >= SCREEN_BOUND:  # a smaller term may be the strike prime itself
                 while len(levels) < n:
                     levels.append(next(more))
                 if levels[n - 1] & bit:
                     continue  # a prime below 128 divides value
-                isp, certainty = screen_past_128(value), PROVEN
-                if isp is None and m_primes is not None and power > k:  # then power**2 > value
-                    isp = pocklington_past_screen(value, m_primes)
-                if isp is None:
-                    isp, certainty = prime_verdict(value, seed=seed)
+            isp, certainty = None, PROVEN
+            if m_primes is not None and power > k:
+                isp = pocklington_verdict(k, power, m_primes)
+            if isp is None:
+                isp, certainty = prime_verdict(value, seed=seed)
             if isp:
                 break
         else:

@@ -155,7 +155,7 @@ class TestPocklingtonVerdict:
         primes_seen = composites_past_trial_division = 0
         for x, f in _terms_above_2_64(m, 400):
             isp = sympy.isprime(x)
-            assert pocklington_verdict(x, f, primes) is isp, x
+            assert pocklington_verdict((x - 1) // f, f, primes) is isp, x
             primes_seen += isp
             composites_past_trial_division += not isp and all(x % p for p in range(2, 1000))
         assert primes_seen >= 5 and composites_past_trial_division >= 10
@@ -171,7 +171,7 @@ class TestPocklingtonVerdict:
             n = rng.randrange(3, 60)
             k = rng.randrange(1, min(m**n, 10**6))
             x = k * m**n + 1
-            got = pocklington_verdict(x, m**n, tuple(sympy.primefactors(m)))
+            got = pocklington_verdict(k, m**n, tuple(sympy.primefactors(m)))
             assert got is sympy.isprime(x), (k, m, n)
             seen[got] += 1
 
@@ -194,22 +194,23 @@ class TestPocklingtonVerdict:
             if sympy.isprime(x):
                 assert x % 8 == 1
                 full.clear()
-                assert pocklington_verdict(x, f, (2,)) is True
+                assert pocklington_verdict((x - 1) // f, f, (2,)) is True
                 assert len(full) == 1, x
                 primes += 1
         assert primes >= 5
 
     def test_small_values_go_by_trial_division(self):
-        assert pocklington_verdict(7, 3, (3,)) is True  # 6 = 2 * 3, 9 > 7
-        assert pocklington_verdict(9, 4, (2,)) is False
-        assert pocklington_verdict(1, 2, (2,)) is False
+        assert pocklington_verdict(2, 3, (3,)) is True  # 7 = 2 * 3 + 1, 9 > 7
+        assert pocklington_verdict(2, 4, (2,)) is False  # 9 = 2 * 4 + 1
+        with pytest.raises(ValueError):  # 1 = 0 * 2 + 1
+            pocklington_verdict(0, 2, (2,))
 
     def test_unsettled_base_list_gives_none(self, monkeypatch):
         # 4 is a square, so it never settles q = 2 for a prime x
-        x, f = 16 * 1000**7 + 1, 1000**7
-        assert sympy.isprime(x) and pocklington_verdict(x, f, (2, 5)) is True
+        k, f = 16, 1000**7
+        assert sympy.isprime(k * f + 1) and pocklington_verdict(k, f, (2, 5)) is True
         monkeypatch.setattr(arith, "_POCKLINGTON_BASES", (4,))
-        assert pocklington_verdict(x, f, (2, 5)) is None
+        assert pocklington_verdict(k, f, (2, 5)) is None
 
     @pytest.mark.parametrize("m", BASES)
     def test_screened_terms_agree_with_sympy(self, m):
@@ -219,7 +220,7 @@ class TestPocklingtonVerdict:
         terms = [(k * m**n + 1, m**n) for n in range(1, 22) for k in range(1, min(m**n, bound // m**n))]
         assert len(terms) > 300 and min(terms)[0] < arith.SCREEN_BOUND
         for x, f in terms:
-            assert pocklington_verdict(x, f, primes) is sympy.isprime(x), x
+            assert pocklington_verdict((x - 1) // f, f, primes) is sympy.isprime(x), x
 
     @pytest.mark.parametrize("bases", [None, (4,), (4, 2)])
     @pytest.mark.parametrize("m", BASES)
@@ -233,7 +234,7 @@ class TestPocklingtonVerdict:
             (k * m**n + 1, m**n) for k in range(1, 60) for n in range(1, 8) if m**n > k]
         outcomes = set()
         for x, f in terms:
-            got = pocklington_verdict(x, f, primes)
+            got = pocklington_verdict((x - 1) // f, f, primes)
             assert got is _reference_pocklington(x, f, primes), x
             assert got is None or got is sympy.isprime(x), x
             outcomes.add(got)
@@ -244,15 +245,17 @@ class TestPocklingtonVerdict:
             # 4 = 2**2 never settles q = 2 for a prime x, nor does 2 when x = 1 mod 8
             assert None in outcomes
 
-    @pytest.mark.parametrize("x, f", [
-        (10 * 1000**7 + 1, 1000**7 + 1),  # f does not divide x - 1
-        (10 * 1000**7 + 1, 10),  # f**2 <= x
-        (10**6 * 1000 + 1, 1000),  # f = m**n <= k
-        (101, 0),
+    @pytest.mark.parametrize("k, f", [
+        (0, 1000),  # k < 1
+        (-1, 1000),
+        (10, 10),  # f = k
+        (1000**7, 10),  # f < k, so f**2 <= k*f + 1
+        (10**6, 1000),  # f = m**n <= k
+        (100, 0),
     ])
-    def test_rejects_bad_f(self, x, f):
+    def test_rejects_bad_f(self, k, f):
         with pytest.raises(ValueError):
-            pocklington_verdict(x, f, (2, 5))
+            pocklington_verdict(k, f, (2, 5))
 
 
 class TestFactorize:

@@ -330,7 +330,7 @@ class TestVerifyCertCommand:
         _, out, _ = invoke(capsys, "construct", "1002", "--json")
         path = tmp_path / "cert.json"
         path.write_text(out)
-        monkeypatch.setattr(FactorBudget, "default", staticmethod(lambda: FactorBudget(2, 0)))
+        monkeypatch.setattr(FactorBudget.__init__, "__defaults__", (2, 0))  # FactorBudget() is (2, 0)
         assert invoke(capsys, "verify-cert", str(path)) == (0, "certificate: valid\n", "")
 
     def test_valid_without_a_primality_test(self, capsys, monkeypatch, tmp_path):
@@ -427,7 +427,7 @@ class TestSearchCommand:
         assert "exceeds the budget" in err
 
     def test_incomplete_pool_is_budget_not_negative(self, capsys, monkeypatch):
-        monkeypatch.setattr(FactorBudget, "default", staticmethod(lambda: FactorBudget(100, 0)))
+        monkeypatch.setattr(FactorBudget.__init__, "__defaults__", (100, 0))  # FactorBudget() is (100, 0)
         code, out, err = invoke(capsys, "search", "127", "--moduli", "3,4,6,6,8,8")
         assert (code, out) == (3, "")
         assert "Phi_n(127) not fully factored for n in [8]" in err

@@ -351,6 +351,13 @@ class TestEliminateSmallK:
         assert time.perf_counter() - start < 0.1
         assert [r.status for r in records] == [PRIME_FOUND, TRIVIAL, PRIME_FOUND, PRIME_FOUND, TRIVIAL]
 
+    def test_no_k_scanned_factors_no_m(self):
+        # m = p*q of two primes near 2**50 and 2**51 costs rho about a second
+        m = sympy.nextprime(2**50) * sympy.nextprime(2**51)
+        start = time.perf_counter()
+        assert eliminate_small_k(m, 0, 30, ()) == []
+        assert time.perf_counter() - start < 0.1
+
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         per = search.MIN_TERMS_PER_WORKER  # terms k*m**n + 1, k_scan_bound * n_max of them
@@ -370,7 +377,7 @@ class TestEliminateSmallK:
         # some k: this process must classify that k and the rest of the chunk.
         # A child marks its death first, so a scan that never calls the proof
         # it patches fails here instead of passing with no child dead.
-        parent, scan, proof = os.getpid(), search._scan, search.pocklington_past_screen
+        parent, scan, proof = os.getpid(), search._scan, search.pocklington_verdict
 
         def flaky(*args):
             if os.getpid() == parent:
@@ -378,15 +385,15 @@ class TestEliminateSmallK:
                 return scan(*args)
             calls = itertools.count()
 
-            def dying(value, m_primes):
+            def dying(k, f, f_primes):
                 if next(calls) == 20:
                     (tmp_path / f"died-{os.getpid()}").touch()
                     if failure == "exit":
                         os._exit(3)
                     raise RuntimeError("worker failed")
-                return proof(value, m_primes)
+                return proof(k, f, f_primes)
 
-            search.pocklington_past_screen = dying  # in this child only
+            search.pocklington_verdict = dying  # in this child only
             scan(*args)
 
         monkeypatch.setattr(search, "_scan", flaky)
@@ -502,19 +509,20 @@ class TestStrikeTable:
 
     BLOCK = search.SIEVE_BLOCK
     # 2 and 1000 share primes with the product; the product itself leaves an empty table
-    BASES = (2, 1000, arith._SMALL_PRIMORIAL, *random.Random(34).sample(range(2, 10**4), 3))
+    PRIMORIAL = math.prod(search.STRIKE_PRIMES)
+    BASES = (2, 1000, PRIMORIAL, *random.Random(34).sample(range(2, 10**4), 3))
 
     @pytest.mark.parametrize("m", BASES)
     @pytest.mark.parametrize("lo", [0, BLOCK, 2 * BLOCK])
     def test_levels_against_brute_force(self, m, lo):
         levels = search._strike_levels(m, lo)
-        primorial = arith._SMALL_PRIMORIAL
+        primorial = self.PRIMORIAL
         for n in range(1, 41):
             power = pow(m, n, primorial)
             expected = sum(1 << i for i in range(self.BLOCK)
                            if math.gcd((lo + i) * power + 1, primorial) > 1)
             assert next(levels) & ((1 << self.BLOCK) - 1) == expected, (m, lo, n)
-        if m == arith._SMALL_PRIMORIAL:
+        if m == self.PRIMORIAL:
             assert expected == 0
 
     @pytest.mark.parametrize("m, qs", [(2, ()), (22, (3, 7)), (1000, (3, 37))])
@@ -608,7 +616,7 @@ def _reference_eliminate(m, k_scan_bound, n_max, triviality_primes, seed=0):
             value = k * m**n + 1
             isp = None
             if m_primes is not None and m**n > k and value >= 2**64:
-                isp, certainty = arith.pocklington_verdict(value, m**n, m_primes), "proven"
+                isp, certainty = arith.pocklington_verdict(k, m**n, m_primes), "proven"
             if isp is None:
                 isp, certainty = arith.prime_verdict(value, seed=seed)
             if isp:
