@@ -4,7 +4,8 @@ Over a period L that every modulus divides, the class a(n) is the L-bit
 integer with bits a, a + n, a + 2n, ... set, i.e. comb(n, L) << a. A set
 of classes covers Z exactly when the OR of their masks has all L bits.
 Enumeration searches the first t - 2 classes depth first, closes the last
-two from the lowest uncovered bit and emits each cover as its residue row.
+two from the lowest uncovered bit, once per distinct gap set in a call, and
+emits each cover as its residue row.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
     u, v are solved from the lowest gap g: one of them holds g, so either
     r_u = g mod n_u and the lowest gap that class leaves fixes r_v, or
     r_v = g mod n_v and the lowest gap that class leaves fixes r_u. Each
-    candidate pair is checked with one AND-NOT. Rows come out in
-    lexicographic order, one int tuple each. The moduli are as
-    enumerate_cover_rows checked them: a nonempty sequence of positive ints.
+    candidate pair is checked with one AND-NOT. Many prefixes leave the
+    same gap set, so the closing pairs of each are computed once and kept
+    for the rest of this call only. Rows come out in lexicographic order,
+    one int tuple each. The moduli are as enumerate_cover_rows checked
+    them: a nonempty sequence of positive ints.
     """
     L = math.lcm(*moduli)
     t = len(moduli)
@@ -62,38 +65,41 @@ def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
     masks_v = [combs[-1] << r for r in range(n_v)]
 
     def close(gaps):
-        head = tuple(prefix)
         if not gaps:
-            rows.extend((*head, x, y) for x in range(n_u) for y in range(n_v))
-            return
+            return [(x, y) for x in range(n_u) for y in range(n_v)]
         g = (gaps & -gaps).bit_length() - 1
         a, b = g % n_u, g % n_v
-        # rows (x, b) with x != a: v holds g and u closes what b leaves;
-        # those with x < a come before the rows (a, y), the rest after
+        # pairs (x, b) with x != a: v holds g and u closes what b leaves;
+        # those with x < a come before the pairs (a, y), the rest after
         rest = gaps & ~masks_v[b]
         if not rest:
             xs = range(n_u)
         else:
             x = ((rest & -rest).bit_length() - 1) % n_u
             xs = () if rest & ~masks_u[x] else (x,)
-        for x in xs:
-            if x < a:
-                rows.append((*head, x, b))
-        # rows (a, y): u holds g and v closes what a leaves
+        pairs = [(x, b) for x in xs if x < a]
+        # pairs (a, y): u holds g and v closes what a leaves
         rest = gaps & ~masks_u[a]
         if not rest:
-            rows.extend((*head, a, y) for y in range(n_v))
+            pairs.extend((a, y) for y in range(n_v))
         else:
             y = ((rest & -rest).bit_length() - 1) % n_v
             if not rest & ~masks_v[y]:
-                rows.append((*head, a, y))
-        for x in xs:
-            if x > a:
-                rows.append((*head, x, b))
+                pairs.append((a, y))
+        pairs.extend((x, b) for x in xs if x > a)
+        return pairs or ()
+
+    # the pairs that close each gap set, computed once per call; () when none do
+    closed = {}
 
     def extend(s, gaps):
         if s == pair:
-            close(gaps)
+            pairs = closed.get(gaps)
+            if pairs is None:
+                pairs = closed[gaps] = close(gaps)
+            if pairs:
+                head = tuple(prefix)
+                rows.extend([head + p for p in pairs])
             return
         cap, bits = caps[s + 1], combs[s]
         for r in range(moduli[s]):

@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from . import _cover_kernels
@@ -69,14 +70,15 @@ class ResidueClass:
 _CLASS_RE = re.compile(r"^\s*(\d+)\s*\(\s*(\d+)\s*\)\s*$")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class CoveringSystem:
     """Residue classes a_i(n_i), stored as the residue row a over the moduli n;
     classes is a view that builds their ResidueClass objects on each read.
 
     The name is aspirational: instances need not actually cover Z; use
     verify_cover to check. Order matters (classes are positional for
-    swaps and prime assignments), and equality is positional too.
+    swaps and prime assignments), and equality is positional too. The
+    two fields live in slots; an instance has no __dict__.
     """
 
     residues: tuple[int, ...]
@@ -153,18 +155,16 @@ def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
     """One system per residue row over the moduli, in row order: the one
     place rows become systems (enumerate_covers, affine_orbit, search_min).
 
-    Each row comes from the package, an int tuple with one residue
-    0 <= a < n per modulus n, and is not checked again. The systems share
-    one int moduli tuple and equal CoveringSystem(zip(row, moduli)).
+    Each row of the sized collection rows comes from the package, an int
+    tuple with one residue 0 <= a < n per modulus n, and is not checked
+    again. The systems share one int moduli tuple and equal
+    CoveringSystem(zip(row, moduli)); their slots are filled through the
+    field descriptors in C-level map loops, with no Python loop per row.
     """
     moduli = tuple(map(int, moduli))
-    new, set_field = object.__new__, object.__setattr__
-    systems = []
-    for row in rows:
-        system = new(CoveringSystem)
-        set_field(system, "residues", row)
-        set_field(system, "moduli", moduli)
-        systems.append(system)
+    systems = list(map(object.__new__, itertools.repeat(CoveringSystem, len(rows))))
+    deque(map(CoveringSystem.residues.__set__, systems, rows), 0)
+    deque(map(CoveringSystem.moduli.__set__, systems, itertools.repeat(moduli)), 0)
     return systems
 
 

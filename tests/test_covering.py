@@ -1,7 +1,10 @@
 """Covering systems: verification, enumeration, orbit closure."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -480,6 +483,21 @@ class TestCoverKernel:
         assert len(rows) == count
         assert rows == reference_enumerate_cover_tuples(moduli)
 
+    @pytest.mark.parametrize("moduli", [(3, 3, 3, 3, 3, 3), (2, 4, 4, 4, 4), (2, 2, 3, 3, 6, 6)])
+    def test_shared_gap_sets_match_brute_force(self, moduli):
+        # most prefixes leave a gap set that another prefix left already
+        rows = kernel_rows(moduli)
+        assert rows
+        assert rows == brute_cover_tuples(moduli)
+
+    def test_calls_share_no_rows_list(self):
+        moduli = (2, 2, 3, 3, 6, 6)
+        first, second = kernel_rows(moduli), kernel_rows(moduli)
+        assert first == second
+        expected = list(second)
+        first.clear()
+        assert second == expected == kernel_rows(moduli)
+
 
 class TestCoversFromKernel:
     """enumerate_covers wraps the kernel's residue rows as they come, into the
@@ -539,8 +557,41 @@ class TestCoversFromKernel:
         finally:
             tracemalloc.stop()
         assert len(covers) == 9600
-        # the covers as residue rows first, then as systems, peaked at 2.81 MB
-        assert peak < 2_810_000
+        # the covers as residue rows first, then as slotted systems, peaked at 1.82 MB
+        assert peak < 2_000_000
+
+
+class TestSlottedSystem:
+    """CoveringSystem keeps its two fields in slots and stays frozen."""
+
+    ENUMERATED = enumerate_covers((3, 4, 4, 6, 6, 8, 8))[100]
+
+    @pytest.mark.parametrize("system", [FIVE, ENUMERATED])
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_are_equal(self, system, clone):
+        twin = clone(system)
+        assert twin is not system
+        assert twin == system
+        assert hash(twin) == hash(system)
+        assert (twin.residues, twin.moduli) == (system.residues, system.moduli)
+
+    @pytest.mark.parametrize("system", [FIVE, ENUMERATED])
+    def test_frozen(self, system):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.residues = (0,) * len(system.moduli)
+
+    @pytest.mark.parametrize("system", [FIVE, ENUMERATED])
+    def test_no_instance_dict(self, system):
+        assert not hasattr(system, "__dict__")
+
+    def test_three_constructions_agree(self):
+        row, moduli = (0, 0, 1, 5, 7), (2, 3, 4, 6, 12)
+        built = CoveringSystem(zip(row, moduli))
+        parsed = CoveringSystem.parse("0(2),0(3),1(4),5(6),7(12)")
+        (wrapped,) = covering.systems_from_rows([row], moduli)
+        assert built == parsed == wrapped
+        assert hash(built) == hash(parsed) == hash(wrapped)
+        assert repr(built) == repr(parsed) == repr(wrapped)
 
 
 class TestAffineOrbit:
