@@ -155,8 +155,8 @@ def systems_from_rows(rows, moduli) -> list[CoveringSystem]:
     """One system per residue row over the moduli, in row order: the one
     place rows become systems (enumerate_covers, affine_orbit, search_min).
 
-    Each row of the sized collection rows comes from the package, an int
-    tuple with one residue 0 <= a < n per modulus n, and is not checked
+    rows is a list or set of the package's own rows, each an int tuple
+    with one residue 0 <= a < n per modulus n; none is checked
     again. The systems share one int moduli tuple and equal
     CoveringSystem(zip(row, moduli)); their slots are filled through the
     field descriptors in C-level map loops, with no Python loop per row.
