@@ -66,9 +66,9 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     p = 1 (mod n): trial division tests only that progression, and rho
     iterates x**L + c with L = lcm(2, n). Trial division runs first and
     stops at the first qualifying prime, after the strip of 2, 3 and the
-    primes of n or after the first block of candidates with a hit. One
-    below the trial-division bound is the minimum, as every prime a later
-    block or rho could still find is larger. Otherwise trial division has
+    primes of n or after the first block of primes 1 (mod L) with a hit.
+    One below the trial-division bound is the minimum, as every prime a
+    later block or rho could still find is larger. Otherwise trial division has
     walked to the bound and the rest is split as in factorize, by one
     Pollard p - 1 power (skipped when its cost exceeds budget.rho_steps,
     which pays for it, or when the rest is below its cost**4) and then rho,

@@ -231,3 +231,18 @@ def test_failed_run_names_side_workload_seed_and_stderr(ab, tmp_path):
     assert message.startswith("change run of workload search at seed 7 exited with status 3")
     lines = message.splitlines()[1:]
     assert lines == [f"stderr line {i}" for i in range(30 - ab.STDERR_LINES, 30)]
+
+
+def test_missing_workdir_is_created_with_its_parents(ab, tmp_path, monkeypatch):
+    workdir = tmp_path / "not" / "yet"
+    copies = []
+
+    def export(rev, dest):
+        copies.append(dest)
+        raise RuntimeError("stop before the benchmark")
+
+    monkeypatch.setattr(ab, "export", export)
+    with pytest.raises(RuntimeError, match="stop before the benchmark"):
+        ab.main(["--parent", "HEAD", "--label", "unused", "--workload", "construct:1",
+                 "--workdir", str(workdir)])
+    assert workdir.is_dir() and copies[0].parent.parent == workdir

@@ -1,5 +1,6 @@
 """Primality, factorization, CRT, and order tests against sieve/sympy oracles."""
 
+import functools
 import math
 import os
 import random
@@ -311,22 +312,23 @@ class TestFactorize:
         assert f.primes() == (2, 3, 65537)
 
 
-def reference_trial(x, bound):
-    """The trial stage as it was before block gcds: one % per 6k +/- 1
-    candidate. Returns (primes found with repeats, ascending; rest)."""
+def reference_trial(x, bound, order=1):
+    """The trial stage as it was before block gcds: strip 2, 3 and the primes
+    of order, then one % per candidate c = 1 (mod lcm(2, order)) prime to 3
+    (6k +/- 1 at order 1). Returns (primes found with repeats, ascending; rest)."""
     found = []
     n = x
-    for p in (2, 3):
+    for p in (2, 3, *sympy.primefactors(order)):
         while n % p == 0:
             n //= p
             found.append(p)
-    d, step = 5, 2
+    step = math.lcm(2, order)
+    d = 1 + step if (1 + step) % 3 else 1 + 2 * step
     while d <= bound and d * d <= n:
         while n % d == 0:
             n //= d
             found.append(d)
-        d += step
-        step = 6 - step
+        d += step if (d + step) % 3 else 2 * step
     if n > 1 and d * d > n:
         found.append(n)
         n = 1
@@ -379,7 +381,8 @@ def reference_factorize(x, budget, pm1=True):
 # the second's 2 * 23 * 23902427077.
 PM1_PAIR = 1099511643749 * 1099511645543
 TRIAL_BOUNDS = (2, 3, 4, 5, 6, 7, 1000, 100_000)
-# the first block of 1024 candidates ends at 3073; the second starts at 3077
+# primes and composites 6k +/- 1 around 3072 (3071 = 37 * 83, 3073 = 7 * 439,
+# 3077 = 17 * 181); TestTrialDivisionBlocks draws the block edges of each order
 BLOCK_EDGE = (3061, 3067, 3071, 3073, 3077, 3079, 3083)
 
 
@@ -452,6 +455,71 @@ class TestTrialDivisionAlongProgression:
             assert math.prod(found) * rest == value, (m, n)
             assert found == sorted(found) and all(sympy.isprime(p) for p in found), (m, n)
             assert all(rest % p for p in small), (m, n)
+
+
+TRIAL_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 30, 48)
+
+
+def progression_primes_near(t, step):
+    """The greatest prime 1 (mod step) from 5 on below t, if any, then the
+    least ones from t on: three in all."""
+    near = []
+    c = t - 1 - (t - 2) % step
+    while c >= 5 and not sympy.isprime(c):
+        c -= step
+    near += [c] if c >= 5 else []
+    c = t + (1 - t) % step
+    while len(near) < 3:
+        near += [c] if c >= 5 and sympy.isprime(c) else []
+        c += step
+    return near
+
+
+@functools.cache
+def trial_points(order):
+    """(bounds, primes) at this order: the bounds 2, 3, 5, every block edge
+    below 10**5 and 10**5, and the primes 1 (mod lcm(2, order)) nearest to
+    each of them, to the first edge above 10**5 and to the square of the
+    first candidate above each bound, where a prime rest is proven."""
+    step = math.lcm(2, order)
+    edges = [arith._trial_block(step, 0, 2)[0]]
+    while edges[-1] <= 100_000:
+        edges.append(arith._trial_block(step, len(edges), 2)[0])
+    bounds = (2, 3, 5, *edges[:-1], 100_000)
+    points = [*bounds, edges[-1]]
+    for b in bounds:
+        d = b + 1 + -b % step
+        while d < 5 or d % 3 == 0:
+            d += step
+        points.append(d * d)
+    return bounds, tuple(sorted({p for t in points for p in progression_primes_near(t, step)}))
+
+
+@st.composite
+def trial_cases(draw):
+    """(x, bound, order): x a product of 2, 3, the primes of order and primes
+    1 (mod lcm(2, order)) next to the block edges and the bounds."""
+    order = draw(st.sampled_from(TRIAL_ORDERS))
+    bounds, primes = trial_points(order)
+    small = draw(st.lists(st.sampled_from((2, 3, *sympy.primefactors(order))), max_size=6))
+    return math.prod(small + draw(st.lists(st.sampled_from(primes), max_size=5))), draw(st.sampled_from(bounds)), order
+
+
+class TestTrialDivisionBlocks:
+    @settings(max_examples=400, deadline=None)
+    @given(trial_cases())
+    # prime rests just below the square of the first candidate above the bound
+    @example((23, 2, 1))
+    @example((61, 5, 12))
+    @example((3 * sympy.prevprime(515**2), 512, 2))
+    def test_matches_candidate_loop(self, case):
+        x, bound, order = case
+        full = arith._trial_division(x, bound, order)
+        assert full == reference_trial(x, bound, order)
+        # least stops early, but finds the same least prime coprime to order
+        found, rest = arith._trial_division(x, bound, order, least=True)
+        assert math.prod(found) * rest == x and found == sorted(found)
+        assert [p for p in found if order % p][:1] == [p for p in full[0] if order % p][:1]
 
 
 class TestFactorizeAtOrder:

@@ -150,28 +150,32 @@ class TestSelectCoverPrime:
     def test_trial_division_stops_after_the_first_hit_block(self, monkeypatch):
         # 13 | Phi_12(13002) (13002 = 2 mod 13, and 2 has order 12 mod 13) and
         # 13 is the least prime 1 (mod 12), so block 0 settles the minimum;
-        # trial_bound spans nine blocks and the rest exceeds trial_bound**2,
-        # so a walk to the bound reads all nine
+        # the rest exceeds trial_bound**2, so a walk to the bound reads every
+        # block that starts below trial_bound
         m, n = 13002, 12
         value = eval_cyclotomic(n, m)
         assert value % 13 == 0 and value // 13 > 100_000**2
         blocks = []
-        block_product = arith._block_product
+        trial_block = arith._trial_block
 
-        def counting(step, block, clip):
+        def counting(step, block, bound):
             blocks.append(block)
-            return block_product(step, block, clip)
+            return trial_block(step, block, bound)
 
-        monkeypatch.setattr(arith, "_block_product", counting)
+        monkeypatch.setattr(arith, "_trial_block", counting)
         assert select_cover_prime(m, n) == 13
         assert blocks == [0]
         # 2 | Phi_1(13003) = 13002 is coprime to 1: the strip settles it
         blocks.clear()
         assert select_cover_prime(m + 1, 1) == 2
         assert blocks == []
-        # factorize still walks to the bound
+        # factorize still walks to the bound: it reads blocks in order until
+        # one ends above the bound
+        blocks.clear()
         arith.factorize(value, order=n)
-        assert blocks == list(range(9))
+        *_, last = blocks
+        assert blocks == list(range(last + 1)) and last > 0
+        assert trial_block(12, last - 1, 100_000)[0] <= 100_000 < trial_block(12, last, 100_000)[0]
 
     def test_incomplete_factorization_still_certifies_small_minimum(self):
         # Phi_12(24) = 331201 = 13 * 25477; the cofactor stays unfactored at
@@ -368,6 +372,21 @@ def test_certificates_stay_byte_identical():
         for variant in (SIERPINSKI, RIESEL):
             h.update(construct(m, variant).to_json().encode() + b"\n")
     assert h.hexdigest() == CERTIFICATE_DIGEST_2_400
+
+
+# The same digest over a seeded sample of bases past 400, where Phi_12(m)
+# reaches rho and trial division walks several blocks, and the bases 2**l - 1
+# of the 13-class cover, recorded before trial division read blocks of primes
+BASES_PAST_400 = random.Random(37).sample(range(401, 20001), 200) + [511, 1023, 2047, 4095]
+CERTIFICATE_DIGEST_PAST_400 = "8e2be23a036dd917ef5e995104585ee0ab915e8c1d30446be96755728b58f50c"
+
+
+def test_certificates_past_400_stay_byte_identical():
+    h = hashlib.sha256()
+    for m in BASES_PAST_400:
+        for variant in (SIERPINSKI, RIESEL):
+            h.update(construct(m, variant).to_json().encode() + b"\n")
+    assert h.hexdigest() == CERTIFICATE_DIGEST_PAST_400
 
 
 class TestBase2Certificate:

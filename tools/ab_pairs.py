@@ -180,9 +180,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", type=workload_spec, required=True,
                         metavar="NAME[:PAIRS]", help="workload and pair count (default 10)")
     parser.add_argument("--seed", type=int, default=1901, help="seed of the first pair")
-    parser.add_argument("--workdir", default=None, help="where the copies go (default: temp)")
+    parser.add_argument("--workdir", default=None,
+                        help="where the copies go, created with its parents if missing (default: temp)")
     args = parser.parse_args(argv)
 
+    if args.workdir:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="ab_pairs_", dir=args.workdir))
     try:
         copies = {side: work / side for side in SIDES}
