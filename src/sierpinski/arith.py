@@ -468,9 +468,9 @@ _TRIAL_DOUBLINGS = 6
 
 @functools.lru_cache(maxsize=64)
 def _order_plan(order: int) -> tuple[tuple[int, ...], int]:
-    """(strip, step) of trial division: it strips 2, 3 and the divisors of order
-    from 5 (a composite one divides nothing left), then steps by lcm(2, order)."""
-    return (2, 3, *(d for d in range(5, order + 1) if order % d == 0)), math.lcm(2, order)
+    """(strip, step) of trial division: it strips 2, 3 and the primes of
+    order, then steps by lcm(2, order)."""
+    return (2, 3, *(p for p in _small_primes(order + 1)[2:] if order % p == 0)), math.lcm(2, order)
 
 
 @functools.lru_cache(maxsize=256)
@@ -515,27 +515,27 @@ def _trial_division(x: int, bound: int, order: int = 1, least: bool = False) -> 
         while n % p == 0:
             n //= p
             found.append(p)
-    block = hi = 0
     # a prime p found is coprime to order exactly when order % p != 0
-    while not (least and any(order % p for p in found)):
-        limit = min(bound, math.isqrt(n))  # no prime below this block divides n
-        if hi > limit:  # this block starts at hi
-            break
+    if least and any(order % p for p in found):
+        return found, n
+    block = hi = 0
+    while hi <= (limit := min(bound, math.isqrt(n))):  # no prime below block divides n
         hi, primes, product = _trial_block(step, block, bound)
         g = math.gcd(n, product)  # a product of distinct primes of the block
-        for p in primes:
-            if g == 1:
-                break
-            if p * p > g:  # g < p*p and no smaller prime of the block divides g: it is prime
-                p = g
-            if g % p == 0:
-                g //= p
-                while n % p == 0:
-                    n //= p
-                    found.append(p)
+        if g > 1:
+            for p in primes:
+                if g == 1:
+                    break
+                if p * p > g:  # g < p*p and no smaller prime of the block divides g: it is prime
+                    p = g
+                if g % p == 0:
+                    g //= p
+                    while n % p == 0:
+                        n //= p
+                        found.append(p)
+            if least:  # every prime of a block is coprime to order
+                return found, n
         block += 1
-    else:  # stopped early for least: the primes above this block are untested
-        return found, n
     # every candidate (1 mod step, prime to 3) to limit was tested: d*d > n proves n prime
     d = max(limit, 3) + 1
     d += (1 - d) % step
