@@ -470,7 +470,7 @@ _TRIAL_DOUBLINGS = 6
 def _order_plan(order: int) -> tuple[tuple[int, ...], int]:
     """(strip, step) of trial division: it strips 2, 3 and the primes of
     order, then steps by lcm(2, order)."""
-    return (2, 3, *(p for p in _small_primes(order + 1)[2:] if order % p == 0)), math.lcm(2, order)
+    return (2, 3, *(p for p in _small_primes(order + 1) if p > 3 and order % p == 0)), math.lcm(2, order)
 
 
 @functools.lru_cache(maxsize=256)

@@ -502,7 +502,8 @@ def trial_cases(draw):
     order = draw(st.sampled_from(TRIAL_ORDERS))
     bounds, primes = trial_points(order)
     small = draw(st.lists(st.sampled_from((2, 3, *sympy.primefactors(order))), max_size=6))
-    return math.prod(small + draw(st.lists(st.sampled_from(primes), max_size=5))), draw(st.sampled_from(bounds)), order
+    large = draw(st.lists(st.sampled_from(primes), max_size=5))
+    return math.prod(small + large), draw(st.sampled_from(bounds)), order
 
 
 class TestTrialDivisionBlocks:
