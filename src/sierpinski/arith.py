@@ -519,14 +519,14 @@ def _trial_division(x: int, bound: int, order: int = 1, least: bool = False) -> 
     if least and any(order % p for p in found):
         return found, n
     block = hi = 0
-    while hi <= (limit := min(bound, math.isqrt(n))):  # no prime below block divides n
+    while hi <= (limit := min(bound, math.isqrt(n))):  # no prime below hi divides n
         hi, primes, product = _trial_block(step, block, bound)
         g = math.gcd(n, product)  # a product of distinct primes of the block
         if g > 1:
             for p in primes:
                 if g == 1:
                     break
-                if p * p > g:  # g < p*p and no smaller prime of the block divides g: it is prime
+                if p * p > g:  # no smaller prime of the block divides g < p*p: it is prime
                     p = g
                 if g % p == 0:
                     g //= p
