@@ -37,13 +37,7 @@ from .construct import (
     select_cover_prime,
     verify_certificate,
 )
-from .cyclotomic import (
-    IntPolynomial,
-    cyclotomic_poly,
-    divisors,
-    eval_cyclotomic,
-    substitution_identity_holds,
-)
+from .cyclotomic import cyclotomic_poly, eval_cyclotomic
 from .search import (
     EliminationRecord,
     PrimePool,

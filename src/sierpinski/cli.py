@@ -87,12 +87,12 @@ def _cmd_cover_orbit(args):
 
 
 def _cmd_cyclo_poly(args):
-    poly = cyclotomic_poly(args.n)
+    coeffs = cyclotomic_poly(args.n)
     return EXIT_OK, lambda: {
-        "coefficients": list(poly.coeffs),
-        "degree": poly.degree,
+        "coefficients": list(coeffs),
+        "degree": len(coeffs) - 1,
         "n": args.n,
-    }, lambda: " ".join(str(c) for c in poly.coeffs)
+    }, lambda: " ".join(map(str, coeffs))
 
 
 def _cmd_cyclo_eval(args):

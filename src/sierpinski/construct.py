@@ -67,12 +67,14 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     iterates x**L + c with L = lcm(2, n). Trial division runs first and
     stops at the first qualifying prime, after the strip of 2, 3 and the
     primes of n or after the first block of primes 1 (mod L) with a hit.
-    One below the trial-division bound is the minimum, as every prime a
-    later block or rho could still find is larger. Otherwise trial division has
-    walked to the bound and the rest is split as in factorize, by one
-    Pollard p - 1 power (skipped when its cost exceeds budget.rho_steps,
-    which pays for it, or when the rest is below its cost**4) and then rho,
-    and an incomplete factorization raises FactorBudgetExceeded.
+    Every prime it returns is proven, so the first qualifying one is the
+    minimum: a later block or rho could only find larger ones, and a rest
+    joins them as prime only past every candidate below its square root.
+    When none qualifies, trial division has walked to the bound and the
+    rest is split as in factorize, by one Pollard p - 1 power (skipped when
+    its cost exceeds budget.rho_steps, which pays for it, or when the rest
+    is below its cost**4) and then rho, and an incomplete factorization
+    raises FactorBudgetExceeded.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
@@ -81,7 +83,7 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
     value = eval_cyclotomic(n, m)
     found, rest = _trial_division(value, budget.trial_bound, n, least=True)
     p = next((q for q in found if math.gcd(q, n) == 1), None)
-    if p is None or p >= budget.trial_bound:
+    if p is None:
         fac = _factor_rest(value, found, rest, budget, n)
         if not fac.is_complete:
             raise FactorBudgetExceeded(

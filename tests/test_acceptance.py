@@ -32,12 +32,7 @@ from sierpinski.covering import (
     enumerate_covers,
     verify_cover,
 )
-from sierpinski.cyclotomic import (
-    cyclotomic_poly,
-    divisors,
-    substitution_identity_holds,
-    x_power_minus_one,
-)
+from sierpinski.cyclotomic import cyclotomic_poly
 from sierpinski.search import SearchConfig, search_min
 
 
@@ -191,18 +186,34 @@ def test_07_riesel_and_multiple_variants(capsys):
 
 def test_08_cyclotomic_identities(capsys):
     with criterion(capsys, 8, "cyclotomic product/substitution/degree identities"):
+        x = sympy.Symbol("x")
+
+        def poly(coeffs, e=1):
+            # P(x**e) from P's coefficients, constant term first
+            spread = [0] * ((len(coeffs) - 1) * e + 1)
+            spread[::e] = coeffs
+            return sympy.Poly.from_list(spread[::-1], x)
+
         for n in range(1, 61):
-            prod = cyclotomic_poly(1)
-            for d in divisors(n)[1:]:
-                prod = prod * cyclotomic_poly(d)
-            assert prod == x_power_minus_one(n)
+            prod = poly(cyclotomic_poly(1))
+            for d in sympy.divisors(n)[1:]:
+                prod = prod * poly(cyclotomic_poly(d))
+            assert prod == sympy.Poly(x**n - 1, x)
         for p in (2, 3, 5):
             for k in (1, 2):
                 for n in range(1, 51):
-                    assert substitution_identity_holds(n, p, k), (n, p, k)
-        assert cyclotomic_poly(30).coeffs == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+                    # Phi_{p^k n}(x) = Phi_n(x^(p^k)) for p | n, and for p coprime to n
+                    # Phi_n(x^(p^k)) = Phi_n(x^(p^(k-1))) * Phi_{p^k n}(x)
+                    q = p**k
+                    lhs = poly(cyclotomic_poly(n), q)
+                    if n % p == 0:
+                        assert lhs == poly(cyclotomic_poly(q * n)), (n, p, k)
+                    else:
+                        rhs = poly(cyclotomic_poly(n), q // p) * poly(cyclotomic_poly(q * n))
+                        assert lhs == rhs, (n, p, k)
+        assert cyclotomic_poly(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
         for n in range(1, 201):
-            assert cyclotomic_poly(n).degree == sympy.totient(n)
+            assert len(cyclotomic_poly(n)) - 1 == sympy.totient(n)
 
 
 def test_09_infinite_families(capsys):

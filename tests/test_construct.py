@@ -100,6 +100,9 @@ class TestSelectCoverPrime:
     def test_budget_exhaustion(self):
         with pytest.raises(FactorBudgetExceeded):
             select_cover_prime(34, 2, FactorBudget(trial_bound=2, rho_steps=0))
+        # 13 | Phi_12(13002) is the least prime 1 (mod 12): trial division
+        # proves it the minimum at a bound of 13, with no rho budget left
+        assert select_cover_prime(13002, 12, FactorBudget(trial_bound=13, rho_steps=0)) == 13
 
     def test_prime_dividing_m_minus_1_is_refused(self, monkeypatch):
         # a factorization claiming 3 | Phi_2(34) = 35 breaks the order
