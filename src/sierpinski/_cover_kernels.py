@@ -28,9 +28,17 @@ def _build_comb(n: int, L: int) -> int:
 _cached_comb = functools.lru_cache(maxsize=1024)(_build_comb)
 
 
+def combs_over(L: int):
+    """The function (n, L) -> comb(n, L) for period L: the LRU cache itself
+    up to _CACHED_PERIOD bits, else the builder. A loop over the classes of
+    one period takes it once and calls it per class with no wrapper call."""
+    return _cached_comb if L <= _CACHED_PERIOD else _build_comb
+
+
 def comb(n: int, L: int) -> int:
-    """The mask of 0(n) over [0, L): bits 0, n, 2n, ... below L."""
-    return _cached_comb(n, L) if L <= _CACHED_PERIOD else _build_comb(n, L)
+    """The mask of 0(n) over [0, L): bits 0, n, 2n, ... below L, through
+    combs_over(L); verify_cover calls the function combs_over returns."""
+    return combs_over(L)(n, L)
 
 
 def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:

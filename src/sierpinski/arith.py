@@ -9,6 +9,7 @@ the same results.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -33,6 +34,13 @@ class BudgetExceeded(RuntimeError):
 
 class FactorBudgetExceeded(BudgetExceeded):
     """A required factorization did not complete within its budget."""
+
+
+def decimal_str(x: int) -> str:
+    """str(x), exact at any length: Decimal converts without Python's int/str
+    digit cap, which holds outside cli.run; every message that may quote a
+    large integer formats it so."""
+    return str(decimal.Decimal(x))
 
 
 def _small_primes(limit: int) -> tuple[int, ...]:
@@ -246,7 +254,7 @@ def prime_verdict(x: int, seed: int = 0) -> tuple[bool, str]:
             if _mr_witness_composite(x, a, d, s):
                 return False, PROVEN
         return True, PROVEN
-    rng = random.Random(f"{seed}:{x}")
+    rng = random.Random(f"{seed}:{decimal_str(x)}")  # the seed string of str(x), at any length
     for _ in range(_RANDOM_ROUNDS):
         a = rng.randrange(2, x - 1)
         if _mr_witness_composite(x, a, d, s):
@@ -580,23 +588,20 @@ def _factor_rest(x: int, found, rest: int, budget: FactorBudget, order: int = 1)
     factorization that completes gives the same primes either way, but one
     that ends near the budget's edge may stop earlier."""
     e = math.lcm(2, order)
-    counts: dict[int, list] = {}
-
-    def record(p: int, certainty: str):
-        entry = counts.setdefault(p, [0, certainty])
-        entry[0] += 1
-
+    counts = dict.fromkeys(found, 0)
     for p in found:
-        record(p, PROVEN)
+        counts[p] += 1
+    certainty = {}  # of the primes split off below; every trial prime is proven
     cofactor = 1
     if rest > 1:
         steps_left = budget.rho_steps
         pending = [rest]
         while pending:
             c = pending.pop()
-            isp, certainty = prime_verdict(c)
+            isp, verdict = prime_verdict(c)
             if isp:
-                record(c, certainty)
+                counts[c] = counts.get(c, 0) + 1
+                certainty.setdefault(c, verdict)
                 continue
             if c == rest:
                 # one p - 1 power on the rest; its gcd holds every prime it
@@ -617,7 +622,7 @@ def _factor_rest(x: int, found, rest: int, budget: FactorBudget, order: int = 1)
                 continue
             pending.append(f)
             pending.append(c // f)
-    factors = tuple((p, e, cert) for p, (e, cert) in sorted(counts.items()))
+    factors = tuple([(p, counts[p], certainty.get(p, PROVEN)) for p in sorted(counts)])
     return Factorization(value=x, factors=factors, cofactor=cofactor)
 
 
@@ -689,12 +694,12 @@ def multiplicative_order(m: int, p: int, budget: FactorBudget | None = None) -> 
     not finish) and O(log p) modular powers. ValueError for a composite p.
     """
     if p < 2 or not prime_verdict(p)[0]:
-        raise ValueError(f"p must be a prime, got {p}")
+        raise ValueError(f"p must be a prime, got {decimal_str(p)}")
     if math.gcd(m, p) != 1:
-        raise NotCoprime(f"{m} and {p} are not coprime")
+        raise NotCoprime(f"{decimal_str(m)} and {decimal_str(p)} are not coprime")
     fac = factorize(p - 1, budget)
     if not fac.is_complete:
-        raise FactorBudgetExceeded(f"could not fully factor {p - 1} within budget")
+        raise FactorBudgetExceeded(f"could not fully factor {decimal_str(p - 1)} within budget")
     order = p - 1
     for q in fac.primes():
         while order % q == 0 and pow(m, order // q, p) == 1:

@@ -10,9 +10,11 @@ of the d_i is needed; construct still picks distinct primes for its CRT.
 from __future__ import annotations
 
 import decimal
+import itertools
 import json
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 
 from .arith import (
@@ -21,9 +23,10 @@ from .arith import (
     FactorBudgetExceeded,
     _factor_rest,
     _trial_division,
+    decimal_str,
     factorize,
 )
-from .covering import CoveringSystem, verify_cover
+from .covering import CoveringSystem, systems_from_rows, verify_cover
 from .cyclotomic import eval_cyclotomic
 
 SIERPINSKI = "sierpinski"
@@ -82,18 +85,20 @@ def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> in
         budget = FactorBudget()
     value = eval_cyclotomic(n, m)
     found, rest = _trial_division(value, budget.trial_bound, n, least=True)
-    p = next((q for q in found if math.gcd(q, n) == 1), None)
+    p = next((q for q in found if n % q), None)  # a prime q is coprime to n unless q | n
     if p is None:
         fac = _factor_rest(value, found, rest, budget, n)
         if not fac.is_complete:
             raise FactorBudgetExceeded(
-                f"Phi_{n}({m}) = {value} not fully factored within budget"
+                f"Phi_{n}({decimal_str(m)}) = {decimal_str(value)} not fully factored within budget"
             )
-        p = next((q for q in fac.primes() if math.gcd(q, n) == 1), None)
+        p = next((q for q in fac.primes() if n % q), None)
         if p is None:
-            raise NoQualifyingPrime(f"no prime factor of Phi_{n}({m}) = {value} is coprime to {n}")
+            raise NoQualifyingPrime(
+                f"no prime factor of Phi_{n}({decimal_str(m)}) = {decimal_str(value)} is coprime to {n}"
+            )
     if n >= 2 and math.gcd(p, m - 1) != 1:
-        raise ArithmeticError(f"order-{n} prime {p} divides m - 1 = {m - 1}")
+        raise ArithmeticError(f"order-{n} prime {decimal_str(p)} divides m - 1 = {decimal_str(m - 1)}")
     return p
 
 
@@ -178,11 +183,6 @@ class SierpinskiCertificate:
         )
 
 
-def decimal_str(x: int) -> str:
-    """str(x), exact at any length: Decimal converts without Python's int/str digit cap."""
-    return str(decimal.Decimal(x))
-
-
 _JSON_KINDS = {int: "an integer or a decimal string", str: "a string", list: "a list"}
 
 
@@ -211,7 +211,7 @@ def triviality_primes_for(m: int, budget: FactorBudget | None = None) -> tuple[i
     factor fully within budget."""
     fac = factorize(m - 1, budget)
     if not fac.is_complete:
-        raise FactorBudgetExceeded(f"m - 1 = {m - 1} not fully factored within budget")
+        raise FactorBudgetExceeded(f"m - 1 = {decimal_str(m - 1)} not fully factored within budget")
     return fac.primes()
 
 
@@ -252,29 +252,42 @@ def nth_admissible(sol: Congruence, m: int, max_p: int, qs, variant: str = SIERP
     return k
 
 
+def _column(m: int, p: int, modulus: int, sign: int, a: int, n: int) -> list[int]:
+    """Entries a..n-1 of class_table's column for the prime p: -sign *
+    m**(-b) mod p for b = a, ..., n - 1, by a running product after the
+    first, each times the CRT basis element for p in modulus."""
+    rest = modulus // p
+    basis = rest * pow(rest, -1, p)
+    shift = -sign * pow(m, -a, p) % p
+    column = [shift * basis]
+    if n - a > 1:
+        inverse = pow(m, -1, p)
+        for _ in range(a + 1, n):
+            shift = shift * inverse % p
+            column.append(shift * basis)
+    return column
+
+
 def class_table(m: int, moduli, primes, sign: int = 1) -> tuple[int, list[list[int]]]:
     """(modulus, table) of the classes of k with p_i | k*m**a + sign, for
     distinct primes p_i not dividing m and a < moduli[i]; modulus = prod p_i.
     Residue row r has the class sum(table[i][r[i]]) mod modulus: column i
-    holds -sign * m**(-a) mod p_i times the CRT basis element for p_i."""
+    holds -sign * m**(-a) mod p_i times the CRT basis element for p_i. The
+    search grid reads every cell of it; certify builds only the entries of
+    its one row, from the same columns."""
     modulus = math.prod(primes)
-    table = []
-    for n, p in zip(moduli, primes):
-        rest, inverse, shifts = modulus // p, pow(m, -1, p), [-sign % p]
-        while len(shifts) < n:  # -sign * m**(-a) mod p by a running product
-            shifts.append(shifts[-1] * inverse % p)
-        basis = rest * pow(rest, -1, p)
-        table.append([shift * basis for shift in shifts])
-    return modulus, table
+    return modulus, [_column(m, p, modulus, sign, 0, n) for n, p in zip(moduli, primes)]
 
 
 def certify(m: int, row, moduli, primes, qs, variant: str = SIERPINSKI,
             constraint: str = NONTRIVIAL, index: int = 0) -> SierpinskiCertificate:
     """Certificate for the index-th admissible k of one cell: the classes
-    row[i] (mod moduli[i]), each served by primes[i]; qs are the primes of m - 1."""
-    modulus, table = class_table(m, moduli, primes, VARIANT_SIGN[variant])
-    sol = Congruence(sum(map(list.__getitem__, table, row)) % modulus, modulus)
-    k = nth_admissible(sol, m, max(primes), qs, variant, constraint, index)
+    row[i] (mod moduli[i]), each served by primes[i]; qs are the primes of
+    m - 1. The cell is the class_table cell of row, summed from one entry
+    per column: the columns of class_table restricted to a = row[i]."""
+    sign, modulus = VARIANT_SIGN[variant], math.prod(primes)
+    residue = sum([_column(m, p, modulus, sign, a, a + 1)[0] for a, p in zip(row, primes)])
+    k = nth_admissible(Congruence(residue % modulus, modulus), m, max(primes), qs, variant, constraint, index)
     return SierpinskiCertificate(m, k, tuple(zip(row, moduli, primes)), variant, qs, constraint)
 
 
@@ -289,11 +302,13 @@ def construct(
 
     Picks the covering system (BASE2_COVER for m = 2, MERSENNE_COVER when
     m = 2**l - 1, GENERIC_COVER otherwise), selects the smallest
-    qualifying prime from each Phi_{n_i}(m), and has certify read the one
-    cell from class_table, the signed table search_min reads, and walk it
-    with nth_admissible until k >= 1, k*m + sign > max p_i and the
-    multiplier constraint hold. For m = 2 the least is the classical
-    k = 78557, and as m - 1 = 1 every k qualifies.
+    qualifying prime from each Phi_{n_i}(m), and has certify sum the one
+    cell from the columns of class_table, the signed table search_min
+    reads, and walk it with nth_admissible until k >= 1, k*m + sign >
+    max p_i and the multiplier constraint hold. Its factorizations, of
+    each Phi_{n_i}(m) and of m - 1, each run under the one budget object,
+    built once as FactorBudget() when none is given. For m = 2 the least is
+    the classical k = 78557, and as m - 1 = 1 every k qualifies.
     """
     if m < 2:
         raise ValueError("construct needs m >= 2")
@@ -304,6 +319,8 @@ def construct(
     if index < 0:
         raise ValueError("index must be nonnegative")
     cover = BASE2_COVER if m == 2 else MERSENNE_COVER if is_mersenne_like(m)[0] else GENERIC_COVER
+    if budget is None:
+        budget = FactorBudget()
     # distinct: each prime has order exactly its modulus, and a cover's moduli are distinct
     primes = [select_cover_prime(m, n, budget) for n in cover.moduli]
     qs = triviality_primes_for(m, budget)
@@ -316,8 +333,10 @@ def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:
     Order: structure (integer fields, residue classes, every d > 1),
     coverage, d | m**N - 1 and d | k*m**a + sign for each entry (a, N, d),
     the size condition k*m + sign > max d, then the multiplier constraint.
-    Coverage is checked once, by verify_cover over the full period, whose
-    witness is the least uncovered exponent. By m**N = 1 (mod d), d divides
+    Each entry's class is checked once, here; the checked residue row goes
+    to verify_cover through systems_from_rows, which checks nothing again,
+    and verify_cover covers the full period, its witness the least
+    uncovered exponent. By m**N = 1 (mod d), d divides
     every term(n) with n = a (mod N), so with coverage every term has a
     divisor among the entries; as terms grow with n the size condition makes
     it proper: no primality test, no distinct d and no factoring is needed.
@@ -328,13 +347,16 @@ def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:
         return False, f"unknown variant {cert.variant!r}"
     if cert.multiplier_constraint not in CONSTRAINTS:
         return False, f"unknown multiplier constraint {cert.multiplier_constraint!r}"
-    fields = [("base", cert.base), ("multiplier", cert.k)]
-    fields += [(f"entry {name} =", v) for entry in cert.entries for name, v in zip(("a", "n", "d"), entry)]
-    for name, value in fields:
-        try:
-            operator.index(value)
-        except TypeError:
-            return False, f"{name} {value!r} is not an integer"
+    try:  # one C-level pass; on a fault the walk below names the first field that is not integral
+        deque(map(operator.index, itertools.chain((cert.base, cert.k), *cert.entries)), 0)
+    except TypeError:
+        fields = [("base", cert.base), ("multiplier", cert.k)]
+        fields += [(f"entry {name} =", v) for entry in cert.entries for name, v in zip(("a", "n", "d"), entry)]
+        for name, value in fields:
+            try:
+                operator.index(value)
+            except TypeError:
+                return False, f"{name} {value!r} is not an integer"
     if cert.base < 2:
         return False, f"base {decimal_str(cert.base)} is below 2"
     if cert.k < 1:
@@ -346,18 +368,20 @@ def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:
             return False, f"entry ({','.join(map(decimal_str, (a, n, d)))}) is not a residue class"
         if d < 2:
             return False, f"entry ({','.join(map(decimal_str, (a, n, d)))}) has no divisor above 1"
-    ok, witness = verify_cover(cert.cover)
+    residues, moduli, divisors = zip(*cert.entries)
+    # the classes are checked above: wrap them as the package's own row
+    ok, witness = verify_cover(systems_from_rows([tuple(map(operator.index, residues))], moduli)[0])
     if not ok:
         return False, f"coverage violated (uncovered exponent {decimal_str(witness)})"
-    m, k, sign = cert.base, cert.k, cert.sign
+    m, k, sign = cert.base, cert.k, VARIANT_SIGN[cert.variant]
     pm = "+" if sign > 0 else "-"
     for a, n, d in cert.entries:
         if pow(m, n, d) != 1:
             return False, f"{decimal_str(d)} does not divide {decimal_str(m)}^{decimal_str(n)} - 1"
         if (k * pow(m, a, d) + sign) % d != 0:
             return False, f"{decimal_str(d)} does not divide k*{decimal_str(m)}^{decimal_str(a)} {pm} 1"
-    if k * m + sign <= max(cert.primes):
-        return False, f"size condition fails: k*m{pm}1 = {decimal_str(k * m + sign)} <= {decimal_str(max(cert.primes))}"
+    if k * m + sign <= (max_d := max(divisors)):
+        return False, f"size condition fails: k*m{pm}1 = {decimal_str(k * m + sign)} <= {decimal_str(max_d)}"
     if cert.multiplier_constraint == NONTRIVIAL:
         g = math.gcd(k + sign, m - 1)
         if g > 1:

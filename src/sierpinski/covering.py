@@ -88,7 +88,8 @@ class CoveringSystem:
         residues, moduli = [], []
         for c in classes:
             a, n = (c.residue, c.modulus) if isinstance(c, ResidueClass) else c
-            a, n = _check_class(a, n)
+            if type(a) is not int or type(n) is not int or not 0 <= a < n:
+                a, n = _check_class(a, n)  # converts index types, or raises this class's error
             residues.append(a)
             moduli.append(n)
         if not moduli:
@@ -141,10 +142,10 @@ def verify_cover(system: CoveringSystem) -> tuple[bool, int | None]:
             classes = [(a, n) for a, n in classes if a < L]
         if L > MAX_PERIOD:
             raise BudgetExceeded(f"period {system.lcm} exceeds the verification budget of {MAX_PERIOD}")
-    acc = 0
+    acc, comb = 0, _cover_kernels.combs_over(L)
     # with L cut below the period a mask may reach past L; a gap below L is still the lowest bit
     for a, n in classes:
-        acc |= _cover_kernels.comb(n, L) << a
+        acc |= comb(n, L) << a
     gaps = ((1 << L) - 1) ^ acc
     if not gaps:
         return True, None

@@ -33,6 +33,7 @@ from .arith import (
     FactorBudgetExceeded,
     _load_powm,
     crt_solve,
+    decimal_str,
     factorize,
     pocklington_verdict,
     prime_verdict,
@@ -44,7 +45,6 @@ from .construct import (
     build_congruences,
     certify,
     class_table,
-    decimal_str,
     nth_admissible,
     trivial_prime,
     triviality_primes_for,
@@ -465,7 +465,7 @@ def _least_cell(config: SearchConfig, qs):
         pool = discover_prime_pool(m, config.a_max, config.budget)
         moduli = tuple(n for n in pool.orders() for _ in pool.primes(n))
     if pool.incomplete:  # a minimum from a partial pool would be unfounded
-        raise FactorBudgetExceeded(f"Phi_n({m}) not fully factored for n in {sorted(pool.incomplete)}")
+        raise FactorBudgetExceeded(f"Phi_n({decimal_str(m)}) not fully factored for n in {sorted(pool.incomplete)}")
     rows = enumerate_cover_rows(moduli) if moduli else []
     # every cover keeps the moduli in the given order, so one list serves all
     assignments = assignments_for_cover(systems_from_rows(rows[:1], moduli)[0], pool) if rows else []

@@ -807,6 +807,12 @@ class TestMultiplicativeOrder:
         with pytest.raises(ValueError):
             multiplicative_order(2, p)
 
+    def test_composite_modulus_beyond_the_digit_cap(self, digit_cap):
+        # outside cli.run the message still quotes p in full
+        with pytest.raises(ValueError) as info:
+            multiplicative_order(3, 10**4400 + 3)
+        assert str(info.value) == f"p must be a prime, got 1{'0' * 4399}3"
+
     def test_matches_sympy_and_divides_group_order(self):
         rng = random.Random(17)
         primes = [int(sympy.prime(rng.randrange(2, 2000))) for _ in range(60)]

@@ -6,8 +6,10 @@ import importlib
 import json
 import math
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 import sympy
@@ -26,18 +28,35 @@ from sierpinski.construct import (
     SIERPINSKI,
     FactorBudgetExceeded,
     NoQualifyingPrime,
+    VARIANT_SIGN,
     SierpinskiCertificate,
     build_congruences,
+    certify,
     class_table,
     construct,
     is_mersenne_like,
+    nth_admissible,
     select_cover_prime,
     triviality_primes_for,
     verify_certificate,
 )
-from sierpinski.covering import enumerate_cover_rows, systems_from_rows, verify_cover
+from sierpinski.covering import CoveringSystem, enumerate_cover_rows, systems_from_rows, verify_cover
 from sierpinski.cyclotomic import eval_cyclotomic
 from sierpinski.search import assignments_for_cover, discover_prime_pool
+
+
+class TestBudgetMessagesBeyondTheDigitCap:
+    """Budget errors on integers over 4,300 digits quote them in full outside cli.run."""
+
+    def test_select_cover_prime(self, digit_cap):
+        with pytest.raises(FactorBudgetExceeded) as info:
+            select_cover_prime(10**4400, 2, FactorBudget(2, 0))
+        assert str(info.value) == f"Phi_2(1{'0' * 4400}) = 1{'0' * 4399}1 not fully factored within budget"
+
+    def test_triviality_primes_for(self, digit_cap):
+        with pytest.raises(FactorBudgetExceeded) as info:
+            triviality_primes_for(10**4400 + 2, FactorBudget(2, 0))
+        assert str(info.value) == f"m - 1 = 1{'0' * 4399}1 not fully factored within budget"
 
 
 class TestMersenneLike:
@@ -231,6 +250,30 @@ class TestClassTable:
                 assert term % (modulus // p) == 0
                 assert (term * pow(34, a, p) - 1) % p == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_certify_reads_the_table_cell(self, data):
+        # certify sums one entry per column; the grid reads the whole table;
+        # build_congruences and crt_solve are the per-cell reference
+        cover = data.draw(st.sampled_from([GENERIC_COVER, MERSENNE_COVER, BASE2_COVER]))
+        row = data.draw(st.one_of(st.just(cover.residues), st.tuples(*(st.integers(0, n - 1) for n in cover.moduli))))
+        m = data.draw(st.one_of(st.integers(3, 10**6), st.integers(2, 40).map(lambda l: 2**l - 1)))
+        variant = data.draw(st.sampled_from([SIERPINSKI, RIESEL]))
+        constraint = data.draw(st.sampled_from([NONTRIVIAL, MULTIPLE_OF_M_MINUS_1]))
+        index = data.draw(st.integers(0, 3))
+        # distinct primes prime to m (for m**(-a)) and to m - 1 (for the walk)
+        pool = [p for p in sympy.primerange(2, 200) if m * (m - 1) % p]
+        primes = tuple(data.draw(st.permutations(pool))[:len(cover.moduli)])
+        qs = triviality_primes_for(m)
+        modulus, table = class_table(m, cover.moduli, primes, VARIANT_SIGN[variant])
+        cell = Congruence(sum(column[a] for column, a in zip(table, row)) % modulus, modulus)
+        reference = crt_solve(build_congruences(m, CoveringSystem(zip(row, cover.moduli)), primes, variant))
+        cert = certify(m, row, cover.moduli, primes, qs, variant, constraint, index)
+        assert cell == reference
+        assert cert.k % modulus == cell.residue
+        assert cert.k == nth_admissible(reference, m, max(primes), qs, variant, constraint, index)
+        assert cert.entries == tuple(zip(row, cover.moduli, primes))
+
 
 def plain_walk(m, cert):
     """The least k >= 1 of the certificate's class from crt_solve that is
@@ -362,6 +405,29 @@ class TestConstruct:
         with pytest.raises(FactorBudgetExceeded):
             construct(34, budget=FactorBudget(trial_bound=2, rho_steps=0))
 
+    def test_one_default_budget_for_all_six_factorizations(self, monkeypatch):
+        # five cover primes and m - 1 share one FactorBudget(), built at call
+        # time, so patching its defaults (as CLI tests do) still shrinks it
+        module = importlib.import_module("sierpinski.construct")
+        budgets = []
+
+        def spy(real):
+            def call(*args):
+                budgets.append(args[-1])
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(module, "select_cover_prime", spy(module.select_cover_prime))
+        monkeypatch.setattr(module, "triviality_primes_for", spy(module.triviality_primes_for))
+        assert construct(34).k == 48351243364
+        assert len(budgets) == 6 and all(b is budgets[0] for b in budgets)
+        assert budgets[0] == FactorBudget()
+        budgets.clear()
+        monkeypatch.setattr(FactorBudget.__init__, "__defaults__", (2, 0))
+        with pytest.raises(FactorBudgetExceeded):
+            construct(34)
+        assert budgets == [FactorBudget(2, 0)]
+
 
 # SHA-256 over construct(m, variant).to_json() + "\n" for m = 2..400, Sierpinski
 # then Riesel for each m, recorded before trial division and rho followed the
@@ -375,6 +441,13 @@ def test_certificates_stay_byte_identical():
         for variant in (SIERPINSKI, RIESEL):
             h.update(construct(m, variant).to_json().encode() + b"\n")
     assert h.hexdigest() == CERTIFICATE_DIGEST_2_400
+
+
+def test_cert_digest_tool_gives_the_recorded_digest():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cert_digest.py"
+    run = subprocess.run([sys.executable, str(tool), "--lo", "2", "--hi", "400"],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == CERTIFICATE_DIGEST_2_400 + "\n"
 
 
 # The same digest over a seeded sample of bases past 400, where Phi_12(m)
@@ -506,6 +579,16 @@ class TestVerifyCertificate:
         doc = {**json.loads(construct(34).to_json()), key: value}
         with pytest.raises(ValueError, match="malformed certificate"):
             SierpinskiCertificate.from_json_dict(doc)
+
+    def test_valid_certificates_build_no_checked_cover(self, monkeypatch):
+        # the entries are checked once; verify_cover gets their row unchecked again
+        certs = [construct(m, v) for m in (2, 7, 34) for v in (SIERPINSKI, RIESEL)]
+
+        def refuse(self, classes):
+            raise AssertionError("CoveringSystem.__init__ ran")
+
+        monkeypatch.setattr(CoveringSystem, "__init__", refuse)
+        assert [verify_certificate(cert) for cert in certs] == [(True, None)] * 6
 
     def test_duplicate_primes_accepted(self):
         base2 = construct(2)

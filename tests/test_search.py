@@ -1,5 +1,6 @@
 """Minimum-multiplier search: prime pools, assignments, CRT, elimination."""
 
+import decimal
 import itertools
 import json
 import math
@@ -627,6 +628,18 @@ def _reference_eliminate(m, k_scan_bound, n_max, triviality_primes, seed=0):
 
 
 class TestSearchMin:
+    def test_budget_messages_beyond_the_digit_cap(self, digit_cap):
+        # outside cli.run: m - 1 = 10**4400 + 1 stops the search before its pool
+        config = SearchConfig(10**4400 + 2, moduli=(2, 2), k_scan_bound=0, budget=FactorBudget(2, 0))
+        with pytest.raises(FactorBudgetExceeded) as info:
+            search_min(config)
+        assert str(info.value) == f"m - 1 = 1{'0' * 4399}1 not fully factored within budget"
+        # m - 1 = 2**14300 factors in the strip of 2 and 3, Phi_2(m) = m + 1 does not
+        m = 2**14300 + 1
+        with pytest.raises(FactorBudgetExceeded) as info:
+            search_min(SearchConfig(m, moduli=(2, 2), k_scan_bound=0, budget=FactorBudget(2, 0)))
+        assert str(info.value) == f"Phi_n({decimal.Decimal(m)}) not fully factored for n in [2]"
+
     def test_base_34(self):
         report = search_min(SearchConfig(34, moduli=(2, 2)))
         assert report.minimum_nontrivial_k == 6
