@@ -33,7 +33,6 @@ from .construct import (
     SierpinskiCertificate,
     build_congruences,
     construct,
-    is_mersenne_like,
     select_cover_prime,
     verify_certificate,
 )

@@ -29,16 +29,10 @@ _cached_comb = functools.lru_cache(maxsize=1024)(_build_comb)
 
 
 def combs_over(L: int):
-    """The function (n, L) -> comb(n, L) for period L: the LRU cache itself
-    up to _CACHED_PERIOD bits, else the builder. A loop over the classes of
-    one period takes it once and calls it per class with no wrapper call."""
+    """For period L, the function (n, L) -> comb(n, L), the mask of 0(n) over
+    [0, L): the LRU cache itself up to _CACHED_PERIOD bits, else the builder.
+    A loop over one period's classes takes it once and calls it per class."""
     return _cached_comb if L <= _CACHED_PERIOD else _build_comb
-
-
-def comb(n: int, L: int) -> int:
-    """The mask of 0(n) over [0, L): bits 0, n, 2n, ... below L, through
-    combs_over(L); verify_cover calls the function combs_over returns."""
-    return combs_over(L)(n, L)
 
 
 def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
@@ -61,6 +55,7 @@ def enumerate_cover_tuples(moduli) -> list[tuple[int, ...]]:
     if t == 1:
         # one class covers Z only with modulus 1
         return [(0,)] if L == 1 else []
+    comb = combs_over(L)
     combs = [comb(n, L) for n in moduli]
     caps = [0] * (t + 1)
     for s in range(t - 1, -1, -1):

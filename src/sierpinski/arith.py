@@ -356,12 +356,6 @@ class Factorization:
     def is_complete(self) -> bool:
         return self.cofactor == 1
 
-    def reassemble(self) -> int:
-        out = self.cofactor
-        for p, e, _ in self.factors:
-            out *= p ** e
-        return out
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _, _ in self.factors)
 
@@ -565,7 +559,7 @@ def factorize(x: int, budget: FactorBudget | None = None, order: int = 1) -> Fac
     prime_verdict or the shared budget of modular multiplications
     (budget.rho_steps, which pays for the p - 1 power too; it is skipped when
     its cost exceeds the budget or the rest is below its cost**4) runs out.
-    Anything unfactored lands in the cofactor, so reassemble() always returns x.
+    Anything unfactored lands in the cofactor, so cofactor * prod(p**e) is x.
     """
     if x < 1:
         raise ValueError("x must be a positive integer")

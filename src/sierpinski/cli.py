@@ -39,10 +39,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -315,7 +311,7 @@ def run(argv) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code, doc, text = args.handler(args)
-        print(_dumps(doc()) if args.json else text())
+        print(json.dumps(doc(), indent=2, sort_keys=True) if args.json else text())
         return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

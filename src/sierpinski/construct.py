@@ -52,15 +52,6 @@ class NoQualifyingPrime(RuntimeError):
     """No prime factor of Phi_n(m) is coprime to n (within budget)."""
 
 
-def is_mersenne_like(m: int) -> tuple[bool, int | None]:
-    """Whether m + 1 is a power of two; returns (flag, l) with m = 2**l - 1."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if (m + 1) & m == 0:
-        return True, (m + 1).bit_length() - 1
-    return False, None
-
-
 def select_cover_prime(m: int, n: int, budget: FactorBudget | None = None) -> int:
     """Smallest prime p | Phi_n(m) with gcd(p, n) = 1.
 
@@ -143,11 +134,8 @@ class SierpinskiCertificate:
     def sign(self) -> int:
         return VARIANT_SIGN[self.variant]
 
-    def term(self, n: int) -> int:
-        return self.k * self.base ** n + self.sign
-
     def dividing_prime(self, n: int) -> int | None:
-        """A certificate divisor d_i dividing term(n), if any."""
+        """A certificate divisor d_i dividing the term k*m**n + sign, if any."""
         for a, mod, p in self.entries:
             if (n - a) % mod == 0 and (self.k * pow(self.base, n, p) + self.sign) % p == 0:
                 return p
@@ -199,13 +187,6 @@ def _json_field(doc, key: str, kind: type):
     raise ValueError(f"malformed certificate: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
 
 
-def least_admissible(sol: Congruence, m: int, max_p: int, sign: int = 1) -> int:
-    """Least k >= 1 in the class sol with k*m + sign > max_p (sol.residue itself if it qualifies)."""
-    lo = max(1, (max_p - sign) // m + 1)
-    k = sol.residue
-    return k if k >= lo else k - (k - lo) // sol.modulus * sol.modulus
-
-
 def triviality_primes_for(m: int, budget: FactorBudget | None = None) -> tuple[int, ...]:
     """The primes q | m - 1; FactorBudgetExceeded when m - 1 does not
     factor fully within budget."""
@@ -243,7 +224,10 @@ def nth_admissible(sol: Congruence, m: int, max_p: int, qs, variant: str = SIERP
     nontrivial = constraint == NONTRIVIAL
     period, per_period = (math.prod(qs), math.prod(q - 1 for q in qs)) if nontrivial else (m - 1, 1)
     skip, index = divmod(index, per_period)
-    k = least_admissible(sol, m, max_p, sign) + skip * period * step
+    lo, k = max(1, (max_p - sign) // m + 1), sol.residue
+    if k < lo:  # up to the least k >= 1 of the class with k*m + sign > max_p
+        k -= (k - lo) // step * step
+    k += skip * period * step
     if not nontrivial:
         return k + (-k * pow(step, -1, period)) % period * step
     k = next_nontrivial(k, step, period, sign)
@@ -318,7 +302,7 @@ def construct(
         raise ValueError(f"unknown multiplier constraint {multiplier_constraint!r}")
     if index < 0:
         raise ValueError("index must be nonnegative")
-    cover = BASE2_COVER if m == 2 else MERSENNE_COVER if is_mersenne_like(m)[0] else GENERIC_COVER
+    cover = BASE2_COVER if m == 2 else MERSENNE_COVER if (m + 1) & m == 0 else GENERIC_COVER
     if budget is None:
         budget = FactorBudget()
     # distinct: each prime has order exactly its modulus, and a cover's moduli are distinct
@@ -336,8 +320,8 @@ def verify_certificate(cert: SierpinskiCertificate) -> tuple[bool, str | None]:
     Each entry's class is checked once, here; the checked residue row goes
     to verify_cover through systems_from_rows, which checks nothing again,
     and verify_cover covers the full period, its witness the least
-    uncovered exponent. By m**N = 1 (mod d), d divides
-    every term(n) with n = a (mod N), so with coverage every term has a
+    uncovered exponent. By m**N = 1 (mod d), d divides every term
+    k*m**n + sign with n = a (mod N), so with coverage every term has a
     divisor among the entries; as terms grow with n the size condition makes
     it proper: no primality test, no distinct d and no factoring is needed.
     k is trivial exactly when g = gcd(k + sign, m - 1) > 1, as m = 1 (mod g)

@@ -101,6 +101,29 @@ class TestPrimeVerdict:
         assert arith._screen(x) is None
         assert prime_verdict(x) == (False, "proven")
 
+    def test_witness_divisible_by_x_is_skipped(self):
+        # the last deterministic witness, 1795265022, is 6 * 299210837, so it is
+        # 0 mod this prime and would otherwise "prove" it composite
+        x = 299210837
+        assert sympy.isprime(x) and arith._WITNESSES_64[-1] % x == 0
+        assert prime_verdict(x) == (True, "proven")
+
+    def test_strong_lucas_test_against_sympy(self):
+        # it agrees with sympy on every odd n below 10**5 but the strong
+        # Lucas pseudoprimes there (OEIS A217255), which it calls prime
+        pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439}
+        assert not any(sympy.isprime(n) for n in pseudoprimes)
+        for n in range(3, 10**5, 2):
+            assert arith._strong_lucas_prp(n) == (sympy.isprime(n) or n in pseudoprimes), n
+
+    def test_lucas_test_alone_proves_composite(self, monkeypatch):
+        # with every Miller-Rabin round passing, the strong Lucas test is what
+        # rejects a composite past 2**64 with no prime factor below the screen
+        x = sympy.nextprime(2**32) * sympy.nextprime(2**33)
+        assert x > 2**64 and arith._screen(x) is None and not sympy.isprime(x)
+        monkeypatch.setattr(arith, "_mr_witness_composite", lambda *args: False)
+        assert prime_verdict(x) == (False, "proven")
+
     def test_primes_past_2_64_stay_probable(self):
         primes = 0
         for x in range(2**64, 2**64 + 400):
@@ -246,6 +269,47 @@ class TestPocklingtonVerdict:
             # 4 = 2**2 never settles q = 2 for a prime x, nor does 2 when x = 1 mod 8
             assert None in outcomes
 
+    @staticmethod
+    def _spy_full_powers(monkeypatch) -> list[int]:
+        """The bases of the full powers pocklington_verdict takes, in order."""
+        bases, powmod = [], arith._powmod
+
+        def spy(a, e, n):
+            bases.append(a)
+            return powmod(a, e, n)
+
+        monkeypatch.setattr(arith, "_powmod", spy)
+        return bases
+
+    @pytest.mark.parametrize("x, later", [
+        (2221 * 4441 * 6661, False),  # the first base's gcd is a proper factor
+        (2281 * 4561 * 6841, True),  # a later base's gcd is
+    ])
+    def test_proper_gcd_proves_a_carmichael_number_composite(self, monkeypatch, x, later):
+        # every base is coprime to x and passes the Fermat check, so only a
+        # gcd can prove x composite; one full power means the first base's
+        bases = self._spy_full_powers(monkeypatch)
+        assert arith._screen(x) is None and not sympy.isprime(x)
+        assert all(pow(a, x - 1, x) == 1 for a in arith._POCKLINGTON_BASES)
+        assert pocklington_verdict(1, x - 1, tuple(sympy.primefactors(x - 1))) is False
+        assert (len(bases) > 1) is later
+
+    def test_later_base_failing_fermat_proves_composite(self, monkeypatch):
+        # x = p * (2p - 1) has x - 1 = (2p + 1)(p - 1), so a base is a Fermat
+        # liar exactly when it is a square mod 2p - 1; look for an x whose
+        # first base is a liar that settles no q and whose next base fails
+        bases = self._spy_full_powers(monkeypatch)
+        for p in sympy.primerange(2053, 3000):
+            if not sympy.isprime(2 * p - 1):
+                continue
+            x = p * (2 * p - 1)
+            bases.clear()
+            assert pocklington_verdict(1, x - 1, tuple(sympy.primefactors(x - 1))) is False
+            if len(bases) > 1 and pow(bases[-1], x - 1, x) != 1:
+                break
+        else:
+            pytest.fail("no x below 3000 * 5999 reaches a later base's failed Fermat check")
+
     @pytest.mark.parametrize("k, f", [
         (0, 1000),  # k < 1
         (-1, 1000),
@@ -276,7 +340,7 @@ class TestFactorize:
         for _ in range(400):
             x = rng.randrange(2, 2 ** 48)
             f = factorize(x, budget)
-            assert f.reassemble() == x
+            assert f.cofactor * math.prod(p**e for p, e, _ in f.factors) == x
             assert f.is_complete, x
             assert list(f.primes()) == sorted(f.primes())
             for p, e, certainty in f.factors:
@@ -296,14 +360,19 @@ class TestFactorize:
         assert not f.is_complete
         assert f.cofactor == p * q
         assert f.factors == ()
-        assert f.reassemble() == p * q
+        assert f.cofactor * math.prod(r**e for r, e, _ in f.factors) == p * q
 
     def test_partial_factors_with_exhausted_budget(self):
         p, q = 1000003, 1000033
         f = factorize(12 * p * q, FactorBudget(trial_bound=1000, rho_steps=0))
         assert f.factors == ((2, 2, "proven"), (3, 1, "proven"))
         assert f.cofactor == p * q
-        assert f.reassemble() == 12 * p * q
+        assert f.cofactor * math.prod(r**e for r, e, _ in f.factors) == 12 * p * q
+
+    @pytest.mark.parametrize("caps", [{"trial_bound": 1}, {"rho_steps": -1}])
+    def test_budget_caps_are_checked(self, caps):
+        with pytest.raises(ValueError, match="trial_bound >= 2 and rho_steps >= 0"):
+            FactorBudget(**caps)
 
     def test_trial_bound_is_honored_upward(self):
         # all prime factors under the bound: completes with no rho work
@@ -411,7 +480,7 @@ class TestFactorizeAgainstReference:
         budget = FactorBudget(bound, steps)
         fac = factorize(x, budget)
         assert (fac.factors, fac.cofactor) == reference_factorize(x, budget)
-        assert fac.reassemble() == x
+        assert fac.cofactor * math.prod(p**e for p, e, _ in fac.factors) == x
 
     def test_small_bound_still_strips_two_and_three(self):
         assert factorize(9, FactorBudget(2, 0)) == Factorization(9, ((3, 2, "proven"),), 1)
@@ -630,7 +699,7 @@ class TestRhoBudget:
             select_cover_prime(38, 23, budget)
         value = eval_cyclotomic(23, 38)
         fac = factorize(value, budget, 23)
-        assert not fac.is_complete and fac.reassemble() == value
+        assert not fac.is_complete and fac.cofactor * math.prod(p**e for p, e, _ in fac.factors) == value
 
 
 def pm1_cost(e):
@@ -735,7 +804,7 @@ class TestPollardPm1:
         for m, n in random.Random(19).sample(CYCLOTOMIC_GRID, 80):
             value = eval_cyclotomic(n, m)
             fac = factorize(value, budget, n)
-            assert fac.reassemble() == value, (m, n)
+            assert fac.cofactor * math.prod(p**e for p, e, _ in fac.factors) == value, (m, n)
             if fac.is_complete:
                 assert {p: e for p, e, _ in fac.factors} == sympy.factorint(value), (m, n)
             else:

@@ -34,7 +34,6 @@ from sierpinski.construct import (
     certify,
     class_table,
     construct,
-    is_mersenne_like,
     nth_admissible,
     select_cover_prime,
     triviality_primes_for,
@@ -57,17 +56,6 @@ class TestBudgetMessagesBeyondTheDigitCap:
         with pytest.raises(FactorBudgetExceeded) as info:
             triviality_primes_for(10**4400 + 2, FactorBudget(2, 0))
         assert str(info.value) == f"m - 1 = 1{'0' * 4399}1 not fully factored within budget"
-
-
-class TestMersenneLike:
-    def test_examples(self):
-        assert is_mersenne_like(3) == (True, 2)
-        assert is_mersenne_like(7) == (True, 3)
-        assert is_mersenne_like(34) == (False, None)
-        assert is_mersenne_like(2) == (False, None)
-        assert [m for m in range(3, 51) if is_mersenne_like(m)[0]] == [3, 7, 15, 31]
-        with pytest.raises(ValueError):
-            is_mersenne_like(1)
 
 
 class TestBuiltinCovers:
@@ -102,7 +90,7 @@ class TestSelectCoverPrime:
                     p = select_cover_prime(m, n)
                 except NoQualifyingPrime:
                     # mersenne-like bases have Phi_2(m) = m + 1 a power of two
-                    assert n == 2 and is_mersenne_like(m)[0]
+                    assert n == 2 and (m + 1) & m == 0
                     continue
                 assert pow(m, n, p) == 1
                 for d in range(1, n):
@@ -489,11 +477,11 @@ class TestBase2Certificate:
 class TestCertificateObject:
     def test_term_and_dividing_prime(self):
         cert = construct(34)
-        assert cert.term(1) == cert.k * 34 + 1
+        assert cert.k * cert.base**1 + cert.sign == cert.k * 34 + 1
         for n in range(1, 120):
             p = cert.dividing_prime(n)
             assert p is not None
-            assert cert.term(n) % p == 0
+            assert (cert.k * cert.base**n + cert.sign) % p == 0
 
     def test_json_round_trip(self):
         for cert in (construct(34), construct(7), construct(2),
@@ -605,7 +593,7 @@ class TestVerifyCertificate:
         assert crt_solve(Congruence(-pow(34, -a, d), d) for a, _, d in entries).residue == cert.k
         assert verify_certificate(cert) == (True, None)
         for n in range(2, 200, 2):
-            assert cert.term(n) % 35 == 0
+            assert (cert.k * cert.base**n + cert.sign) % 35 == 0
 
     def test_reasons_beyond_the_digit_cap(self):
         # outside cli.run Python's int/str digit cap (4,300 digits) holds, and
@@ -738,7 +726,7 @@ class TestVerifyCertificate:
                 cert = construct(m, variant)
                 for n in range(1, 513):
                     p = cert.dividing_prime(n)
-                    assert p is not None and cert.term(n) > p, (m, variant, n)
+                    assert p is not None and cert.k * cert.base**n + cert.sign > p, (m, variant, n)
 
     @pytest.mark.parametrize("limit", [-512, -2, -1, 0, 1, 7, 100, 512])
     def test_spot_check_names_least_uncovered_n(self, limit):

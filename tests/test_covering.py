@@ -93,7 +93,8 @@ def reference_enumerate_cover_tuples(moduli):
     L = math.lcm(*moduli)
     full = (1 << L) - 1
     t = len(moduli)
-    combs = [_cover_kernels.comb(n, L) for n in moduli]
+    comb = _cover_kernels.combs_over(L)
+    combs = [comb(n, L) for n in moduli]
     caps = [0] * (t + 1)
     for s in range(t - 1, -1, -1):
         caps[s] = caps[s + 1] + L // moduli[s]

@@ -133,10 +133,9 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_every_export_has_a_user():
-    # a public name serves the package only when code other than its own
-    # body, the benchmark, the tools or the README uses it; no test counts,
-    # not even the acceptance tests, as a name only tests call is test code
+def _unused(names) -> set[str]:
+    """The names that no code other than their own body in src/, bench/ or
+    tools/ reads and that match no word of the README."""
     root = SRC.parents[1]
     files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     files += [*(root / "bench").glob("*.py"), *(root / "tools").glob("*.py")]
@@ -144,14 +143,40 @@ def test_every_export_has_a_user():
     for path in files:
         refs.visit(_tree(path))
     readme = (root / "README.md").read_text(encoding="utf-8")
-    exported = {
+    return {name for name in set(names) - refs.names if not re.search(rf"\b{name}\b", readme)}
+
+
+def _exported() -> set[str]:
+    return {
         alias.asname or alias.name
         for node in _tree(SRC / "__init__.py").body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    unused = {name for name in exported - refs.names if not re.search(rf"\b{name}\b", readme)}
+
+
+def test_every_export_has_a_user():
+    # a public name serves the package only when code other than its own
+    # body, the benchmark, the tools or the README uses it; no test counts,
+    # not even the acceptance tests, as a name only tests call is test code
+    unused = _unused(_exported())
     assert not unused, sorted(unused)
+
+
+def test_every_public_member_has_a_user():
+    # the same rule for the public methods and properties of exported classes
+    exported = _exported()
+    members = [
+        (node.name, item.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in _tree(path).body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+    assert ("SierpinskiCertificate", "dividing_prime") in members
+    unused = _unused(name for _, name in members)
+    assert not unused, sorted(f"{cls}.{name}" for cls, name in members if name in unused)
 
 
 class _Calls(ast.NodeVisitor):

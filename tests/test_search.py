@@ -25,8 +25,7 @@ from sierpinski.arith import Congruence, FactorBudget, multiplicative_order
 from sierpinski.construct import (
     FactorBudgetExceeded,
     construct,
-    least_admissible,
-    next_nontrivial,
+    nth_admissible,
     select_cover_prime,
     triviality_primes_for,
     verify_certificate,
@@ -164,7 +163,7 @@ def k_for(cover: CoveringSystem, assignment, m: int, triviality_primes) -> int:
     if math.gcd(math.prod(assignment), q_product) != 1:
         raise ValueError("assigned primes must be coprime to every prime q | m - 1")
     sol = crt_solve_for(cover, assignment, m)
-    return next_nontrivial(least_admissible(sol, m, max(assignment)), sol.modulus, q_product)
+    return nth_admissible(sol, m, max(assignment), triviality_primes, index=0)
 
 
 class TestKFor:
@@ -186,9 +185,9 @@ class TestKFor:
         assert k_for(CoveringSystem.parse("0(2),1(2)"), (5, 7), 34, (3,)) == 64
 
     def test_least_admissible_respects_size_condition(self):
-        assert least_admissible(Congruence(1, 10), 3, 100) == 41
-        assert least_admissible(Congruence(0, 7), 34, 1) == 7
-        assert least_admissible(Congruence(6, 35), 34, 7) == 6
+        assert nth_admissible(Congruence(1, 10), 3, 100, ()) == 41
+        assert nth_admissible(Congruence(0, 7), 34, 1, ()) == 7
+        assert nth_admissible(Congruence(6, 35), 34, 7, ()) == 6
 
 
 class TestEliminateSmallK:
@@ -878,11 +877,12 @@ class TestPrunedGrid:
         max_p=st.integers(2, 10**20),
     )
     def test_walk_never_goes_below_the_residue(self, m, modulus, residue, max_p):
-        q_product = math.prod(sympy.primefactors(m - 1))
+        qs = sympy.primefactors(m - 1)
+        q_product = math.prod(qs)
         # strip every q | m - 1 from the step (modulus < 2**50), or the walk may not end
         modulus //= math.gcd(modulus, q_product**50)
         sol = Congruence(residue % modulus, modulus)
-        k = next_nontrivial(least_admissible(sol, m, max_p), sol.modulus, q_product)
+        k = nth_admissible(sol, m, max_p, qs, index=0)
         assert k >= sol.residue and k % modulus == sol.residue
 
     @pytest.mark.parametrize("base, moduli, minimum", [
